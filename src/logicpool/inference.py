@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import os
 import re
 import threading
 import time
@@ -18,6 +20,8 @@ import requests
 
 from .errors import BackendError, DataError, ProtocolError, ReplayMissError
 from .prompts import RenderedPrompt
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_P = 0.9
 DEFAULT_TEMPERATURE = 0.6
@@ -426,16 +430,35 @@ class JournalingClient:
         self._load()
 
     def _load(self) -> None:
+        """Read the journal. Every entry is written with its newline, so a
+        final line without one is a write cut short: it is truncated away
+        with a warning. Any other line that is not an entry is a DataError."""
         try:
-            with open(self.journal_path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    self._entries[entry["key"]] = entry
+            handle = open(self.journal_path, "rb")
         except FileNotFoundError:
-            pass
+            return
+        torn_at = None
+        with handle:
+            offset = 0
+            for number, raw in enumerate(handle, 1):
+                if not raw.endswith(b"\n"):
+                    torn_at = offset
+                    break
+                offset += len(raw)
+                if not raw.strip():
+                    continue
+                try:
+                    entry = json.loads(raw)
+                    self._entries[entry["key"]] = entry
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise DataError(
+                        f"{self.journal_path}: line {number} is not a journal entry ({exc!r})"
+                    ) from None
+        if torn_at is not None:
+            logger.warning(
+                "%s: truncating a torn final line at byte %d", self.journal_path, torn_at
+            )
+            os.truncate(self.journal_path, torn_at)
 
     def _append(self, entry: dict[str, Any]) -> None:
         with self._lock:

@@ -1,19 +1,14 @@
-"""Enumeration kernels behind the puzzle solvers.
+"""Enumeration kernels behind the puzzle solvers, in numpy.
 
-Both solvers spend essentially all their time here: knights-and-knaves
-checks every truth assignment against compiled statement bytecode, and the
-zebra search walks per-attribute permutations depth-first. Each kernel has
-a numba-jitted implementation and a vectorized pure-numpy fallback with
-identical output (same solutions, same order).
-
-Set ``LOGICPOOL_NO_NUMBA=1`` to force the numpy path (also used
-automatically when numba is not importable). ``benchmarks/bench_kernels.py``
-compares the two.
+Knights-and-knaves checks every truth assignment at once against compiled
+statement bytecode. Zebra solving compiles each clue into a constraint
+table once and walks per-attribute permutations depth-first with forward
+checking on those tables (``ZebraTables``).
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,70 +22,15 @@ K_DIRECTLY_LEFT_OF = 3
 K_NEXT_TO = 4
 K_NOT_SAME_HOUSE = 5
 
-_FORCE_NUMPY = os.environ.get("LOGICPOOL_NO_NUMBA", "").strip() not in ("", "0")
-
-try:  # pragma: no cover - exercised via env-flag matrix in CI
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by LOGICPOOL_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 # ---------------------------------------------------------------------------
 # knights and knaves: consistent assignment masks
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _kk_masks_jit(code: np.ndarray, bounds: np.ndarray, n_chars: int) -> np.ndarray:
-    n_masks = 1 << n_chars
-    out = np.empty(n_masks, dtype=np.int64)
-    stack = np.empty(64, dtype=np.bool_)
-    found = 0
-    for mask in range(n_masks):
-        ok = True
-        for c in range(n_chars):
-            sp = 0
-            for i in range(bounds[c], bounds[c + 1]):
-                op = code[i, 0]
-                if op == OP_ATOM:
-                    stack[sp] = ((mask >> code[i, 1]) & 1) == code[i, 2]
-                    sp += 1
-                elif op == OP_NOT:
-                    stack[sp - 1] = not stack[sp - 1]
-                else:
-                    b = stack[sp - 1]
-                    a = stack[sp - 2]
-                    sp -= 1
-                    if op == OP_AND:
-                        stack[sp - 1] = a and b
-                    elif op == OP_OR:
-                        stack[sp - 1] = a or b
-                    elif op == OP_IMPLIES:
-                        stack[sp - 1] = (not a) or b
-                    else:  # OP_IFF
-                        stack[sp - 1] = a == b
-            if stack[0] != (((mask >> c) & 1) == 1):
-                ok = False
-                break
-        if ok:
-            out[found] = mask
-            found += 1
-    return out[:found]
-
-
-def _kk_masks_numpy(code: np.ndarray, bounds: np.ndarray, n_chars: int) -> np.ndarray:
+def kk_consistent_masks(code: np.ndarray, bounds: np.ndarray, n_chars: int) -> np.ndarray:
+    """All assignment masks (character i = bit i, knight = 1) consistent with
+    every character's statement, ascending."""
     n_masks = 1 << n_chars
     masks = np.arange(n_masks, dtype=np.int64)
     knight = ((masks[:, None] >> np.arange(n_chars)) & 1).astype(bool)
@@ -118,152 +58,121 @@ def _kk_masks_numpy(code: np.ndarray, bounds: np.ndarray, n_chars: int) -> np.nd
     return masks[consistent]
 
 
-def kk_consistent_masks(code: np.ndarray, bounds: np.ndarray, n_chars: int) -> np.ndarray:
-    """All assignment masks (character i = bit i, knight = 1) consistent with
-    every character's statement, ascending."""
-    if _HAVE_NUMBA:
-        return _kk_masks_jit(code, bounds, n_chars)
-    return _kk_masks_numpy(code, bounds, n_chars)
-
-
 # ---------------------------------------------------------------------------
-# zebra: depth-first search over per-attribute permutations
+# zebra: compiled clue tables and depth-first search
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _zebra_search_jit(
-    pos: np.ndarray, clues: np.ndarray, m_attrs: int, limit: int
-) -> np.ndarray:
-    # pos[j, v] = house of value v under permutation j; permutations are in
-    # lexicographic order, so ascending cursor order yields lexicographic
-    # solution order.
-    n_perms = pos.shape[0]
-    n_clues = clues.shape[0]
-    assigned = np.full(m_attrs, -1, dtype=np.int64)
-    cursor = np.zeros(m_attrs, dtype=np.int64)
-    out = np.empty((limit, m_attrs), dtype=np.int64)
-    found = 0
-    depth = 0
-    while depth >= 0:
-        if depth == m_attrs:
-            for a in range(m_attrs):
-                out[found, a] = assigned[a]
-            found += 1
-            if found >= limit:
-                break
-            depth -= 1
-            continue
-        j = cursor[depth]
-        if j >= n_perms:
-            cursor[depth] = 0
-            depth -= 1
-            continue
-        cursor[depth] = j + 1
-        assigned[depth] = j
-        ok = True
-        for k in range(n_clues):
-            a_attr = clues[k, 1]
-            b_attr = clues[k, 3]
-            # Check a clue exactly once: at the first depth where all of its
-            # attributes are assigned and at least one equals `depth`.
-            if a_attr != depth and b_attr != depth:
-                continue
-            if a_attr > depth or b_attr > depth:
-                continue
-            kind = clues[k, 0]
-            ha = pos[assigned[a_attr], clues[k, 2]]
-            if kind == K_AT_POSITION:
-                if ha != clues[k, 5]:
-                    ok = False
-                    break
-                continue
-            hb = pos[assigned[b_attr], clues[k, 4]]
-            if kind == K_SAME_HOUSE:
-                sat = ha == hb
-            elif kind == K_LEFT_OF:
-                sat = ha < hb
-            elif kind == K_DIRECTLY_LEFT_OF:
-                sat = ha + 1 == hb
-            elif kind == K_NEXT_TO:
-                sat = (ha - hb == 1) or (hb - ha == 1)
-            else:  # K_NOT_SAME_HOUSE
-                sat = ha != hb
-            if not sat:
-                ok = False
-                break
-        if ok:
-            depth += 1
-    return out[:found]
-
-
-def _pair_table(kind: int, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+def _violates(kind: int, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Where a two-reference clue fails, given the houses of its references."""
     if kind == K_SAME_HOUSE:
-        return ha == hb
+        return ha != hb
     if kind == K_LEFT_OF:
-        return ha < hb
+        return ha >= hb
     if kind == K_DIRECTLY_LEFT_OF:
-        return ha + 1 == hb
+        return ha + 1 != hb
     if kind == K_NEXT_TO:
-        return np.abs(ha - hb) == 1
-    return ha != hb  # K_NOT_SAME_HOUSE
+        return np.abs(ha - hb) != 1
+    return ha == hb  # K_NOT_SAME_HOUSE
 
 
-def _zebra_search_numpy(
-    pos: np.ndarray, clues: np.ndarray, m_attrs: int, limit: int
-) -> np.ndarray:
-    n_perms = pos.shape[0]
-    unary = [np.ones(n_perms, dtype=bool) for _ in range(m_attrs)]
-    pair: dict[tuple[int, int], np.ndarray] = {}
-    for row in clues:
-        kind, a_attr, a_val, b_attr, b_val, extra = (int(x) for x in row)
+class ZebraTables:
+    """The constraint tables of a zebra clue set over ``m_attrs`` attributes.
+
+    ``pos[j, v]`` is the house of value ``v`` under permutation ``j``, with
+    permutations in lexicographic order. A clue compiles to the cells it
+    forbids under a key: ``(a, a)`` for a mask over the permutations of
+    attribute ``a``, ``(a, b)`` with ``a < b`` for a table whose rows are
+    ``a``'s permutations and whose columns are ``b``'s. Each key keeps an
+    int16 count of the clues forbidding each cell and the derived
+    ``count == 0`` table, so adding or removing a clue touches one table.
+    """
+
+    def __init__(self, pos: np.ndarray, m_attrs: int, clues: Iterable[Sequence[int]] = ()) -> None:
+        self.n_perms = pos.shape[0]
+        self.houses = np.ascontiguousarray(pos.T, dtype=np.int8)  # houses[v, j] = pos[j, v]
+        self.m_attrs = m_attrs
+        self.count: dict[tuple[int, int], np.ndarray] = {}
+        self.allowed: dict[tuple[int, int], np.ndarray] = {}
+        for clue in clues:
+            self.add(*self.compile(clue))
+
+    def compile(self, clue: Sequence[int]) -> tuple[tuple[int, int], np.ndarray]:
+        """One encoded clue row -> (key, boolean table of the cells it forbids)."""
+        kind, a_attr, a_val, b_attr, b_val, house = clue
+        ha = self.houses[a_val]
         if kind == K_AT_POSITION:
-            unary[a_attr] &= pos[:, a_val] == extra
-            continue
-        ha = pos[:, a_val]
-        hb = pos[:, b_val]
+            return (a_attr, a_attr), ha != house
+        hb = self.houses[b_val]
         if a_attr == b_attr:
-            unary[a_attr] &= _pair_table(kind, ha, hb)
-            continue
-        table = _pair_table(kind, ha[:, None], hb[None, :])
-        if a_attr > b_attr:
-            a_attr, b_attr = b_attr, a_attr
-            table = table.T
-        key = (a_attr, b_attr)
-        pair[key] = table if key not in pair else pair[key] & table
+            return (a_attr, a_attr), _violates(kind, ha, hb)
+        if a_attr < b_attr:
+            return (a_attr, b_attr), _violates(kind, ha[:, None], hb[None, :])
+        return (b_attr, a_attr), _violates(kind, ha[None, :], hb[:, None])
 
-    solutions: list[tuple[int, ...]] = []
-    assigned = np.zeros(m_attrs, dtype=np.int64)
+    def add(self, key: tuple[int, int], forbid: np.ndarray) -> None:
+        count = self.count.get(key)
+        if count is None:
+            count = self.count[key] = np.zeros(forbid.shape, dtype=np.int16)
+            self.allowed[key] = np.empty(forbid.shape, dtype=bool)
+        count += forbid
+        np.equal(count, 0, out=self.allowed[key])
 
-    def descend(depth: int) -> bool:
-        if depth == m_attrs:
-            solutions.append(tuple(assigned))
-            return len(solutions) >= limit
-        allowed = unary[depth].copy()
-        for a in range(depth):
-            table = pair.get((a, depth))
-            if table is not None:
-                allowed &= table[assigned[a]]
-        for j in np.flatnonzero(allowed):
-            assigned[depth] = j
-            if descend(depth + 1):
-                return True
-        return False
+    def remove(self, key: tuple[int, int], forbid: np.ndarray) -> bool:
+        """Take a clue out; True if some cell no other clue forbids was freed."""
+        count = self.count[key]
+        count -= forbid
+        allowed = self.allowed[key]
+        np.equal(count, 0, out=allowed)
+        return bool((allowed & forbid).any())
 
-    descend(0)
-    return np.array(solutions, dtype=np.int64).reshape(-1, m_attrs)
+    def solutions(self, limit: int) -> np.ndarray:
+        """Permutation-index tuples (one per attribute) allowed by every
+        table, in lexicographic order, truncated at ``limit`` rows.
+
+        Attributes are assigned in order 0..m-1. Before descending into a
+        candidate, every later attribute's domain is narrowed by its pair
+        table, and candidates that empty one are skipped."""
+        m = self.m_attrs
+        everything = np.ones(self.n_perms, dtype=bool)
+        root = [self.allowed.get((a, a), everything) for a in range(m)]
+        later = [
+            [(b, self.allowed[(a, b)]) for b in range(a + 1, m) if (a, b) in self.allowed]
+            for a in range(m)
+        ]
+        found: list[tuple[int, ...]] = []
+        assigned = [0] * m
+
+        def descend(depth: int, domains: list[np.ndarray]) -> bool:
+            if depth == m:
+                found.append(tuple(assigned))
+                return len(found) >= limit
+            candidates = domains[depth].nonzero()[0]
+            alive = np.ones(candidates.size, dtype=bool)
+            narrowed = []
+            for b, table in later[depth]:
+                rows = table[candidates] & domains[b]
+                alive &= rows.any(axis=1)
+                narrowed.append((b, rows))
+            for k in alive.nonzero()[0]:
+                assigned[depth] = int(candidates[k])
+                child = list(domains)
+                for b, rows in narrowed:
+                    child[b] = rows[k]
+                if descend(depth + 1, child):
+                    return True
+            return False
+
+        descend(0, root)
+        return np.array(found, dtype=np.int64).reshape(-1, m)
 
 
 def zebra_solutions(pos: np.ndarray, clues: np.ndarray, m_attrs: int, limit: int) -> np.ndarray:
-    """Permutation-index tuples (one per attribute) satisfying every clue,
-    in lexicographic order, truncated at ``limit`` rows."""
-    if clues.size == 0:
-        clues = np.empty((0, 6), dtype=np.int64)
-    if _HAVE_NUMBA:
-        return _zebra_search_jit(pos, clues, m_attrs, limit)
-    return _zebra_search_numpy(pos, clues, m_attrs, limit)
+    """Permutation-index tuples (one per attribute) satisfying every encoded
+    clue, in lexicographic order, truncated at ``limit`` rows."""
+    return ZebraTables(pos, m_attrs, clues.tolist()).solutions(limit)
 
 
 def active_backend() -> str:
-    """Which kernel path is live: "numba" or "numpy"."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Which kernel path is live; numpy is the only one."""
+    return "numpy"

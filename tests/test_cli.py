@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -116,3 +117,34 @@ def test_fatal_error_exit_code(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     rc = main(["run", "--config", str(config_path)])
     assert rc == 1
+
+
+def test_torn_and_malformed_journal(world_run, capsys):
+    tmp_path, config_path = world_run
+    assert main(["run", "--config", str(config_path)]) == 0
+    journal = tmp_path / "run" / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    # a final line cut short by a crash: dropped, and the rerun completes
+    journal.write_bytes(b"".join(lines[:-1]) + lines[-1][:40])
+    assert main(["run", "--config", str(config_path)]) == 0
+    # a malformed line before the end: a fatal error with a message
+    journal.write_bytes(lines[0][:40] + b"\n" + b"".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "journal.jsonl: line 1" in capsys.readouterr().err
+
+
+# sha256 of `logicpool gen --preset desk --seed S`. Zebra minimization keeps
+# a clue exactly when dropping it leaves more than one solution, so any
+# solver that decides uniqueness exactly must reproduce these bytes.
+DESK_CORPUS_SHA256 = {
+    0: "4d0b6f2152910455899b3e8bd5b65a03a064acef291bd5c4049b2462e90ff9de",
+    1: "f2166c9f52ff2e55716444c24fb5f6811f38bf7b15beebed63c27b3a956c33c7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_CORPUS_SHA256))
+def test_gen_desk_output_is_pinned(tmp_path, seed):
+    out = tmp_path / "desk.jsonl"
+    assert main(["gen", "--out", str(out), "--preset", "desk", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_CORPUS_SHA256[seed]

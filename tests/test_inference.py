@@ -204,3 +204,39 @@ def test_journal_lines_are_json(tmp_path):
     entry = json.loads(lines[0])
     assert entry["kind"] == "generate"
     assert entry["request"]["prompt"] == "p"
+
+
+def _record_two(journal):
+    client = JournalingClient(str(journal), _CountingBackend(), mode="record")
+    client.generate("p", SamplingParams())
+    client.generate("q", SamplingParams())
+
+
+def test_journal_torn_final_line_is_truncated(tmp_path, caplog):
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    intact = journal.read_bytes()
+    with open(journal, "ab") as handle:
+        handle.write(b'{"key": "abc", "kind": "gen')  # a write cut short
+    inner = _CountingBackend()
+    with caplog.at_level("WARNING", logger="logicpool"):
+        client = JournalingClient(str(journal), inner, mode="record")
+    assert journal.read_bytes() == intact
+    assert any("torn" in r.getMessage() and r.name.startswith("logicpool") for r in caplog.records)
+    client.generate("p", SamplingParams())
+    client.generate("r", SamplingParams())
+    assert inner.calls == 1
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 3 and all(json.loads(line)["key"] for line in lines)
+
+
+def test_journal_malformed_inner_line_raises_data_error(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    first, second = journal.read_text().splitlines()
+    journal.write_text(first + "\n" + second[:20] + "\n" + first + "\n")
+    with pytest.raises(DataError, match="line 2"):
+        JournalingClient(str(journal), mode="replay")
+    journal.write_text(first + "\n" + '["no key"]' + "\n")
+    with pytest.raises(DataError, match="line 2"):
+        JournalingClient(str(journal), mode="replay")

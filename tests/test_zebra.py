@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from logicpool.errors import CapacityError, StructureError
 from logicpool.puzzles import puzzle_from_json, puzzle_to_json
 from logicpool.puzzles.zebra import (
     AT_POSITION,
+    ATTRIBUTE_POOLS,
     Attribute,
     Clue,
     LEFT_OF,
@@ -18,10 +20,12 @@ from logicpool.puzzles.zebra import (
     generate_zebra,
     render_clue,
     solve_zebra,
+    _all_true_clues,
+    _clue_sort_key,
     zebra_difficulty,
 )
 
-from conftest import random_zebra_clues, solve_zebra_oracle
+from conftest import clue_holds_oracle, random_zebra_clues, solve_zebra_oracle
 
 
 def two_house_example():
@@ -184,3 +188,67 @@ def test_loader_rejects_inconsistent_solution():
     data["solution"] = data["solution"][::-1]
     with pytest.raises(StructureError):
         puzzle_from_json(json.dumps(data))
+
+
+def _saturated_in_drop_order(n_houses, n_attrs, seed):
+    """The generator's solution grid and its true clues in the order the
+    greedy minimization tries to drop them (same seeded draws)."""
+    rng = random.Random(f"zebra:{n_houses}x{n_attrs}:{seed}")
+    pool_names = [n for n in ATTRIBUTE_POOLS if n != "name"]
+    for name in ["name"] + rng.sample(pool_names, n_attrs - 1):
+        rng.sample(ATTRIBUTE_POOLS[name], n_houses)
+    grid = ZebraGrid(tuple(tuple(rng.sample(range(n_houses), n_houses)) for _ in range(n_attrs)))
+    clues = _all_true_clues(grid, n_houses, n_attrs)
+    rng.shuffle(clues)
+    return grid, clues
+
+
+def _reference_minimize(n_houses, n_attrs, clues):
+    """Greedy minimization over the product-enumeration oracle: drop each
+    clue in turn while exactly one grid satisfies the remaining ones.
+
+    Equivalent to calling ``solve_zebra_oracle`` per trial, but each grid's
+    violated clues are enumerated once, as a bitmask over clue indices."""
+    perms = list(itertools.permutations(range(n_houses)))
+    violated = []
+    for combo in itertools.product(perms, repeat=n_attrs):
+        def position_of(attr, val, combo=combo):
+            return combo[attr].index(val)
+
+        violated.append(
+            sum(1 << i for i, clue in enumerate(clues) if not clue_holds_oracle(clue, position_of))
+        )
+    kept = (1 << len(clues)) - 1
+    for i in range(len(clues)):
+        trial = kept & ~(1 << i)
+        if sum(1 for v in violated if not v & trial) == 1:
+            kept = trial
+    return [clue for i, clue in enumerate(clues) if kept >> i & 1]
+
+
+@pytest.mark.parametrize(
+    "n_houses,n_attrs,seed",
+    [(2, 2, 11), (2, 3, 402), (3, 2, 7), (3, 3, 5), (3, 3, 1234), (4, 3, 2), (4, 3, 31)],
+)
+def test_generation_matches_reference_greedy_minimizer(n_houses, n_attrs, seed):
+    puzzle = generate_zebra(n_houses, n_attrs, seed=seed)
+    grid, clues = _saturated_in_drop_order(n_houses, n_attrs, seed)
+    assert grid == puzzle.solution
+    kept = _reference_minimize(n_houses, n_attrs, clues)
+    assert tuple(sorted(kept, key=_clue_sort_key)) == puzzle.clues
+
+
+@pytest.mark.parametrize("n_houses,n_attrs", [(5, 5), (6, 6)])
+def test_large_puzzle_resolves_to_its_solution(n_houses, n_attrs):
+    puzzle = generate_zebra(n_houses, n_attrs, seed=0)
+    solutions = solve_zebra(n_houses, n_attrs, puzzle.clues, limit=3)
+    assert [g.perms for g in solutions] == [puzzle.solution.perms]
+    for clue in puzzle.clues:
+        assert clue_holds_oracle(clue, puzzle.solution.position_of)
+
+
+def test_5x5_puzzle_is_minimal():
+    puzzle = generate_zebra(5, 5, seed=3)
+    for dropped in range(len(puzzle.clues)):
+        remaining = [c for i, c in enumerate(puzzle.clues) if i != dropped]
+        assert len(solve_zebra(5, 5, remaining, limit=2)) == 2
