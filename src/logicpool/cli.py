@@ -14,11 +14,11 @@ import json
 import os
 import sys
 
-from .errors import LogicPoolError
+from .errors import ConfigError, LogicPoolError
 from .harness.config import config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
 from .harness.records import load_records, load_selections, write_jsonl
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
-from .harness.sweep import DEFAULT_GRID, sweep, sweep_csv
+from .harness.sweep import sweep, sweep_csv
 from .prompts import Strategy, render
 from .puzzles import generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from .verifier import chunk, verify
@@ -87,8 +87,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     records = load_records(os.path.join(args.run_dir, RECORDS_FILE))
-    grid = tuple(i / args.points for i in range(args.points)) if args.points != 100 else DEFAULT_GRID
+    grid = tuple(i / args.points for i in range(args.points))
     rows = sweep(records, args.criterion, grid)
     text = sweep_csv(rows)
     if args.out:

@@ -17,7 +17,7 @@ RecordKey = tuple[str, str, int, str]  # (puzzle_id, strategy_key, sample, promp
 @dataclass
 class EvalRecord:
     """One puzzle x strategy x sample: the response, its scores, and the
-    correctness verdict. Token arrays live in the tokens sidecar."""
+    correctness verdict. Token arrays live only in the run's journal."""
 
     puzzle_id: str
     family: str

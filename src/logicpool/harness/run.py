@@ -1,10 +1,10 @@
 """End-to-end experiment driver.
 
-A run directory holds the corpus, the request/response journal, EvalRecords
-(JSONL + token sidecar), per-puzzle selection rows, reports, and a
-manifest. Everything downstream of the journal is pure, so re-running a
-completed directory (or replaying its journal into a fresh one) reproduces
-records and reports byte-for-byte with zero backend calls.
+A run directory holds the corpus, the request/response journal (the only
+copy of token data), EvalRecords (JSONL), per-puzzle selection rows,
+reports, and a manifest. Everything downstream of the journal is pure, so
+re-running a completed directory (or replaying its journal into a fresh
+one) reproduces records and reports byte-for-byte with zero backend calls.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import __version__
-from ..errors import BackendError, ConfigError, LogicPoolError, NoAnswerError
-from ..inference import JournalingClient, ModelResponse, token_to_obj
-from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, kk_question, render, zebra_question
-from ..puzzles import KnightsKnavesPuzzle, Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
+from ..errors import ConfigError, LogicPoolError, NoAnswerError
+from ..inference import JournalingClient
+from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
+from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from ..scoring import score_response, segment
 from ..selection import (
     MAJORITY_VOTE,
@@ -50,7 +50,6 @@ from .records import EvalRecord, SelectionRow, append_jsonl, load_records, read_
 from .report import ReportTable, clue_count_series, clue_series_csv, stratify
 
 RECORDS_FILE = "records.jsonl"
-TOKENS_FILE = "tokens.jsonl"
 SELECTIONS_FILE = "selections.jsonl"
 JOURNAL_FILE = "journal.jsonl"
 VERIFIER_JOURNAL_FILE = "verifier_journal.jsonl"
@@ -126,12 +125,6 @@ def _prompt_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _question_for(puzzle: Puzzle) -> str:
-    if isinstance(puzzle, KnightsKnavesPuzzle):
-        return kk_question(puzzle)
-    return zebra_question(puzzle)
-
-
 @dataclass
 class _CandidateTask:
     puzzle: Puzzle
@@ -139,14 +132,8 @@ class _CandidateTask:
     sample: int
     prompt: RenderedPrompt
     prompt_sha256: str
-    future: Future | None = None
-    record: EvalRecord | None = None  # reused from a previous run
-    is_new: bool = False
-    tokens: tuple = ()
-
-
-def _generate_one(client: JournalingClient, prompt: RenderedPrompt, params, tag: str) -> tuple:
-    return client.generate_timed(prompt, params, tag=tag)
+    future: Future | None = None  # set while a new generation is pending
+    record: EvalRecord | None = None
 
 
 class _Runner:
@@ -159,31 +146,43 @@ class _Runner:
 
     # -- record construction -------------------------------------------------
 
-    def _build_record(
-        self,
-        task: _CandidateTask,
-        response: ModelResponse | None,
-        elapsed: float,
-        error: str | None,
-    ) -> EvalRecord:
+    def _fail(self, kind: str, task: _CandidateTask, exc: LogicPoolError) -> str:
+        error = str(exc)
+        self.failures.append(
+            {
+                "kind": kind,
+                "puzzle_id": task.puzzle.puzzle_id,
+                "strategy": task.strategy.key,
+                "sample": task.sample,
+                "error": error,
+            }
+        )
+        return error
+
+    def _build_record(self, task: _CandidateTask) -> EvalRecord:
+        """Await the task's generation and score it. A failed generation or
+        a response that cannot be scored costs one failure row and sets the
+        record's error; the response itself is not kept."""
+        future, task.future = task.future, None
         puzzle = task.puzzle
-        truth = truth_answer(puzzle)
-        if response is None:
-            answer = extract_answer("", puzzle)
-            confidence = None
-            text = ""
-            finish_reason = "error"
+        text, finish_reason, confidence, elapsed, error = "", "error", None, 0.0, None
+        try:
+            response, elapsed = future.result()
+        except LogicPoolError as exc:
+            error = self._fail("generate", task, exc)
         else:
             text = response.full_text
             finish_reason = response.finish_reason
-            answer = extract_answer(text, puzzle)
-            confidence = score_response(
-                segment(response),
-                lambda_p=self.config.lambda_p,
-                lambda_e=self.config.lambda_e,
-                entropy_tail=self.config.entropy_tail,
-            )
-            task.tokens = response.tokens
+            try:
+                confidence = score_response(
+                    segment(response),
+                    lambda_p=self.config.lambda_p,
+                    lambda_e=self.config.lambda_e,
+                    entropy_tail=self.config.entropy_tail,
+                )
+            except LogicPoolError as exc:
+                error = self._fail("score", task, exc)
+        answer = extract_answer(text, puzzle)
         return EvalRecord(
             puzzle_id=puzzle.puzzle_id,
             family=puzzle.family,
@@ -194,7 +193,7 @@ class _Runner:
             response_text=text,
             finish_reason=finish_reason,
             answer=answer,
-            correct=answer.parse_ok and answer == truth,
+            correct=answer.parse_ok and answer == truth_answer(puzzle),
             confidence=confidence,
             verifier=None,
             elapsed_s=elapsed,
@@ -231,32 +230,35 @@ class _Runner:
             try:
                 task.record.verifier = future.result()
                 self.records_dirty.add(task.record.key)
-            except (BackendError, LogicPoolError) as exc:
+            except LogicPoolError as exc:
                 ok = False
-                self.failures.append(
-                    {
-                        "kind": "verify",
-                        "puzzle_id": task.puzzle.puzzle_id,
-                        "strategy": task.strategy.key,
-                        "sample": task.sample,
-                        "error": str(exc),
-                    }
-                )
+                self._fail("verify", task, exc)
         return ok
 
     # -- selection -------------------------------------------------------------
 
     def _select(
-        self,
-        pool: CandidatePool,
-        pool_tasks: list[_CandidateTask],
-        puzzle: Puzzle,
-        sample: int,
-        question: str,
-        verifier_client,
-        executor: ThreadPoolExecutor,
+        self, pool_tasks: list[_CandidateTask], verifier_client, executor: ThreadPoolExecutor
     ) -> None:
+        """Verify as the criteria need, then apply every criterion to one
+        (puzzle, sample) pool."""
+        puzzle = pool_tasks[0].puzzle
+        sample = pool_tasks[0].sample
+        question = pool_tasks[0].prompt.question
         truth = truth_answer(puzzle)
+        pool = CandidatePool(
+            puzzle_id=puzzle.puzzle_id,
+            family=puzzle.family,
+            candidates=[
+                Candidate(
+                    strategy=t.strategy,
+                    answer=t.record.answer,
+                    confidence=t.record.confidence,
+                    verifier_score=t.record.verifier,
+                )
+                for t in pool_tasks
+            ],
+        )
         parse_ok_indices = [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
 
         if VERIFIER in self.config.criteria:
@@ -351,13 +353,15 @@ class _Runner:
             verifier_client = client
 
         records_path = os.path.join(run_dir, RECORDS_FILE)
+        stored = load_records(records_path) if os.path.exists(records_path) else []
         existing: dict = {}
-        if os.path.exists(records_path):
-            for record in load_records(records_path):
+        for record in stored:
+            if record.error is None:
                 existing[record.key] = record
-        any_reused = bool(existing)
+            else:
+                # retried below; the rewrite at the end drops the failed line
+                self.records_dirty.add(record.key)
 
-        tokens_path = os.path.join(run_dir, TOKENS_FILE)
         strategies = config.strategy_pool()
 
         with ThreadPoolExecutor(max_workers=config.concurrency) as executor:
@@ -379,82 +383,35 @@ class _Runner:
                             task.record = existing[key]
                         else:
                             task.future = executor.submit(
-                                _generate_one, client, prompt, config.sampling, f"s{sample}"
+                                client.generate_timed, prompt, config.sampling, tag=f"s{sample}"
                             )
                         tasks.append(task)
 
-            # consume in order: records, then per-pool verification + selection
-            by_pool: dict[tuple[str, int], list[_CandidateTask]] = {}
-            for task in tasks:
-                if task.future is not None:
-                    error = None
-                    response = None
-                    elapsed = 0.0
-                    try:
-                        response, elapsed = task.future.result()
-                    except (BackendError, LogicPoolError) as exc:
-                        error = str(exc)
-                        self.failures.append(
-                            {
-                                "kind": "generate",
-                                "puzzle_id": task.puzzle.puzzle_id,
-                                "strategy": task.strategy.key,
-                                "sample": task.sample,
-                                "error": error,
-                            }
-                        )
-                    task.record = self._build_record(task, response, elapsed, error)
-                    task.is_new = True
-                by_pool.setdefault((task.puzzle.puzzle_id, task.sample), []).append(task)
+            # tasks run puzzle -> sample -> strategy, so each candidate pool
+            # is one slice; it is selected and persisted as soon as it is done
+            for start in range(0, len(tasks), len(strategies)):
+                pool_tasks = tasks[start : start + len(strategies)]
+                new = [task for task in pool_tasks if task.future is not None]
+                for task in new:
+                    task.record = self._build_record(task)
+                self._select(pool_tasks, verifier_client, executor)
+                self.records.extend(task.record for task in pool_tasks)
+                for task in new:
+                    append_jsonl(records_path, task.record.to_obj())
 
-            order: list[tuple[str, int]] = []
-            seen = set()
-            for task in tasks:
-                key = (task.puzzle.puzzle_id, task.sample)
-                if key not in seen:
-                    seen.add(key)
-                    order.append(key)
-
-            for key in order:
-                pool_tasks = by_pool[key]
-                puzzle = pool_tasks[0].puzzle
-                pool = CandidatePool(
-                    puzzle_id=puzzle.puzzle_id,
-                    family=puzzle.family,
-                    candidates=[
-                        Candidate(
-                            strategy=t.strategy,
-                            answer=t.record.answer,
-                            confidence=t.record.confidence,
-                            verifier_score=t.record.verifier,
-                        )
-                        for t in pool_tasks
-                    ],
-                )
-                self._select(
-                    pool, pool_tasks, puzzle, key[1], _question_for(puzzle), verifier_client, executor
-                )
-                for task in pool_tasks:
-                    self.records.append(task.record)
-                    if task.is_new:
-                        append_jsonl(records_path, task.record.to_obj())
-                        append_jsonl(
-                            tokens_path,
-                            {
-                                "key": list(task.record.key),
-                                "tokens": [token_to_obj(t) for t in task.tokens],
-                            },
-                        )
-
-        if any_reused and self.records_dirty:
-            # lazily computed verifier scores must land back in the records
+        if stored and self.records_dirty:
+            # lazily computed verifier scores and retried failures must land
+            # back in the records
             tmp = records_path + ".tmp"
             write_jsonl(tmp, [r.to_obj() for r in self.records])
             os.replace(tmp, records_path)
 
         write_jsonl(os.path.join(run_dir, SELECTIONS_FILE), [s.to_obj() for s in self.selections])
+        failures_path = os.path.join(run_dir, FAILURES_FILE)
         if self.failures:
-            write_jsonl(os.path.join(run_dir, FAILURES_FILE), self.failures)
+            write_jsonl(failures_path, self.failures)
+        elif os.path.exists(failures_path):
+            os.remove(failures_path)
 
         tables = write_reports(run_dir, self.records, self.selections)
         self._write_manifest(run_dir, corpus_path, len(corpus))

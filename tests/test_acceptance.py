@@ -353,7 +353,7 @@ def test_criterion_7_end_to_end_closed_world(tmp_path):
         result_b = run(config_b)
         assert result_b.backend_calls == 0
         for name in ("records.jsonl", "selections.jsonl", "report.md", "report_kk.csv",
-                     "report_zebra.csv", "tokens.jsonl", "clue_accuracy.csv"):
+                     "report_zebra.csv", "clue_accuracy.csv"):
             a = open(os.path.join(config.run_dir, name), "rb").read()
             b = open(run_b / name, "rb").read()
             assert a == b, f"{name} differs under replay"

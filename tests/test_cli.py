@@ -86,6 +86,12 @@ def test_run_report_sweep_roundtrip(world_run, capsys):
     lines = sweep_out.read_text().strip().splitlines()
     assert len(lines) == 101  # header + 100 grid points
 
+    capsys.readouterr()
+    for points in ("0", "-3"):
+        rc = main(["sweep", "--run-dir", run_dir, "--criterion", "max_prob", "--points", points])
+        assert rc == 1
+        assert "--points must be at least 1" in capsys.readouterr().err
+
 
 def test_run_replay_flag(world_run, capsys):
     tmp_path, config_path = world_run

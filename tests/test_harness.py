@@ -1,10 +1,12 @@
 import json
 import os
 import shutil
+from dataclasses import dataclass
 
 import pytest
 
 from logicpool.errors import ConfigError
+from logicpool.inference import MockBackend
 from logicpool.harness.config import (
     BackendConfig,
     ExperimentConfig,
@@ -17,7 +19,7 @@ from logicpool.harness.report import stratify
 from logicpool.harness.run import build_corpus, run
 from logicpool.selection import CanonicalAnswer
 
-from conftest import ClosedWorld
+from conftest import STRATEGY_SENTINELS, ClosedWorld
 
 
 def mock_config(tmp_path, world_paths, run_name="run", **overrides):
@@ -182,11 +184,14 @@ def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world):
     config_b = mock_config(tmp_path, paths, run_name="runB", replay=True)
     result_b = run(config_b)
     assert result_b.backend_calls == 0
-    for name in ("records.jsonl", "selections.jsonl", "tokens.jsonl", "report.md",
+    for name in ("records.jsonl", "selections.jsonl", "report.md",
                  "report_kk.csv", "report_zebra.csv", "clue_accuracy.csv"):
         a = open(os.path.join(config_a.run_dir, name), "rb").read()
         b = open(run_b_dir / name, "rb").read()
         assert a == b, f"{name} differs between original and replay"
+    # token data lives only in the journal
+    for run_dir in (config_a.run_dir, run_b_dir):
+        assert not os.path.exists(os.path.join(run_dir, "tokens.jsonl"))
 
 
 def test_oracle_only_run_never_verifies(tmp_path, world):
@@ -221,18 +226,32 @@ def test_resumed_run_backfills_verifier_scores(tmp_path, world):
     assert sum(1 for r in reloaded if r.verifier is not None) == len(verified)
 
 
-def test_partial_failure_sets_exit_code(tmp_path, world):
-    world_obj, paths = world
-    # drop kkB's fallback rule: its no_strategy prompt then matches nothing
+def write_script(tmp_path, script, name):
+    script_path = tmp_path / f"{name}.json"
+    with open(script_path, "w") as handle:
+        json.dump(script, handle)
+    return str(script_path)
+
+
+def broken_kkb_script(tmp_path, world_obj):
+    """The closed world without kkB's fallback rule: its no_strategy prompt
+    then matches nothing and its generation fails."""
     script = world_obj.mock_script()
     script["responses"] = [
         r for r in script["responses"] if r.get("match") != world_obj.question_needle("kkB")
     ]
-    script_path = tmp_path / "broken.json"
-    with open(script_path, "w") as handle:
-        json.dump(script, handle)
+    return write_script(tmp_path, script, "broken")
+
+
+def without_timing(records):
+    return [{**r.to_obj(), "elapsed_s": None} for r in records]
+
+
+def test_partial_failure_sets_exit_code(tmp_path, world):
+    world_obj, paths = world
+    script_path = broken_kkb_script(tmp_path, world_obj)
     config = mock_config(
-        tmp_path, {"corpus": paths["corpus"], "script": str(script_path)}, run_name="broken"
+        tmp_path, {"corpus": paths["corpus"], "script": script_path}, run_name="broken"
     )
     result = run(config)
     assert result.exit_code == 2
@@ -243,6 +262,104 @@ def test_partial_failure_sets_exit_code(tmp_path, world):
     assert failed[0].finish_reason == "error"
     assert not failed[0].answer.parse_ok
     assert os.path.exists(os.path.join(config.run_dir, "failures.jsonl"))
+
+
+def test_failed_generation_is_retried_on_resume(tmp_path, world):
+    world_obj, paths = world
+    broken = mock_config(
+        tmp_path,
+        {"corpus": paths["corpus"], "script": broken_kkb_script(tmp_path, world_obj)},
+        run_name="retry",
+    )
+    assert run(broken).exit_code == 2
+    failures_path = os.path.join(broken.run_dir, "failures.jsonl")
+    assert os.path.exists(failures_path)
+
+    resumed = run(mock_config(tmp_path, paths, run_name="retry"))
+    assert resumed.exit_code == 0
+    assert resumed.failures == []
+    assert not os.path.exists(failures_path)
+    journal = read_jsonl(os.path.join(broken.run_dir, "journal.jsonl"))
+    assert sum(1 for e in journal if e["kind"] == "generate") == 20
+    assert not any(r.error for r in resumed.records)
+    # the retried record replaces the failed line in place
+    stored = load_records(os.path.join(broken.run_dir, "records.jsonl"))
+    assert [r.to_obj() for r in stored] == [r.to_obj() for r in resumed.records]
+    fresh = run(mock_config(tmp_path, paths, run_name="retry_fresh"))
+    assert without_timing(stored) == without_timing(fresh.records)
+
+
+def test_scoring_error_costs_one_record(tmp_path, world):
+    world_obj, paths = world
+    script = world_obj.mock_script()
+    needles = [world_obj.question_needle("kkB"), STRATEGY_SENTINELS["supposition_following"]]
+    rule = next(r for r in script["responses"] if r.get("match_all") == needles)
+    text = world_obj.response_text("kkB", "supposition_following")
+    head, _, block = text.partition("Answer:")
+    # top-K mass exp(-0.1) + exp(-0.2) = 1.72 is not a distribution
+    rule.pop("text")
+    rule["tokens"] = [
+        {"text": head, "logprob": -0.2},
+        {"text": "Answer:", "logprob": -0.1, "alternatives": [["Answer:", -0.1], ["x", -0.2]]},
+        {"text": block, "logprob": -0.2},
+    ]
+    config = mock_config(
+        tmp_path,
+        {"corpus": paths["corpus"], "script": write_script(tmp_path, script, "bad_mass")},
+        run_name="bad_mass",
+    )
+    result = run(config)
+    assert result.exit_code == 2
+    assert [(f["kind"], f["strategy"]) for f in result.failures] == [("score", "supposition_following")]
+    assert len(result.records) == 20
+    bad = [r for r in result.records if r.error]
+    assert len(bad) == 1
+    assert bad[0].response_text == text
+    assert bad[0].answer.parse_ok
+    assert bad[0].confidence is None
+    assert "above 1" in bad[0].error
+    assert len(load_records(os.path.join(config.run_dir, "records.jsonl"))) == 20
+    assert len({(s.puzzle_id, s.sample) for s in result.selections}) == 4
+
+
+class CrashingMock(MockBackend):
+    """A mock whose generations raise a non-package error on one puzzle."""
+
+    def __init__(self, script, needle):
+        super().__init__(script)
+        self.needle = needle
+
+    def generate(self, prompt, params):
+        if self.needle in prompt:
+            raise RuntimeError("backend crashed")
+        return super().generate(prompt, params)
+
+
+@dataclass
+class CrashingBackendConfig(BackendConfig):
+    needle: str = ""
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return CrashingMock(json.load(handle), self.needle)
+
+
+def test_pools_are_persisted_as_they_complete(tmp_path, world):
+    world_obj, paths = world
+    backend = CrashingBackendConfig(
+        kind="mock", script_path=paths["script"], needle=world_obj.question_needle("zebraA")
+    )
+    config = mock_config(tmp_path, paths, run_name="crash", backend=backend)
+    with pytest.raises(RuntimeError):
+        run(config)
+    stored = load_records(os.path.join(config.run_dir, "records.jsonl"))
+    kk_ids = [world_obj.puzzles[name].puzzle_id for name in ("kkA", "kkB")]
+    assert [r.puzzle_id for r in stored] == [kk_ids[0]] * 5 + [kk_ids[1]] * 5
+
+    resumed = run(mock_config(tmp_path, paths, run_name="crash"))
+    assert resumed.exit_code == 0
+    assert len(resumed.records) == 20
+    assert len(load_records(os.path.join(config.run_dir, "records.jsonl"))) == 20
 
 
 def test_sweep_midpoint_matches_run_selection(tmp_path, world):
