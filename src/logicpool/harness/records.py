@@ -1,5 +1,6 @@
 """Persisted experiment units: per-response EvalRecords and per-puzzle
-selection rows, stored as JSONL."""
+selection rows, stored as JSONL, and the candidate pool rebuilt from a
+pool's records."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ..prompts import Strategy
 from ..scoring import ConfidenceScore
-from ..selection import CanonicalAnswer
+from ..selection import Candidate, CandidatePool, CanonicalAnswer
 from ..verifier import VerifierScore
 
 RecordKey = tuple[str, str, int, str]  # (puzzle_id, strategy_key, sample, prompt_sha256)
@@ -81,6 +83,24 @@ class EvalRecord:
             error=obj.get("error"),
             annotations=obj.get("annotations"),
         )
+
+
+def candidate_pool(records: list[EvalRecord]) -> CandidatePool:
+    """The candidate pool of one (puzzle, sample), one candidate per record
+    in the order given; selection needs only the stored answers and scores."""
+    return CandidatePool(
+        puzzle_id=records[0].puzzle_id,
+        family=records[0].family,
+        candidates=[
+            Candidate(
+                strategy=Strategy.from_key(r.strategy),
+                answer=r.answer,
+                confidence=r.confidence,
+                verifier_score=r.verifier,
+            )
+            for r in records
+        ],
+    )
 
 
 @dataclass

@@ -9,6 +9,8 @@ one) reproduces records and reports byte-for-byte with zero backend calls.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -30,7 +32,6 @@ from ..selection import (
     VERIFIER,
     VOTE_PROB,
     VOTE_VERIFIER,
-    Candidate,
     CandidatePool,
     SelectionResult,
     majority_groups,
@@ -46,7 +47,15 @@ from ..selection import (
 )
 from ..verifier import chunk, verify
 from .config import ExperimentConfig
-from .records import EvalRecord, SelectionRow, append_jsonl, load_records, read_jsonl, write_jsonl
+from .records import (
+    EvalRecord,
+    SelectionRow,
+    append_jsonl,
+    candidate_pool,
+    load_records,
+    read_jsonl,
+    write_jsonl,
+)
 from .report import ReportTable, clue_count_series, clue_series_csv, stratify
 
 RECORDS_FILE = "records.jsonl"
@@ -71,28 +80,20 @@ class RunResult:
     exit_code: int
 
 
-class _RunLock:
-    """One process owns a run directory at a time."""
-
-    def __init__(self, run_dir: str) -> None:
-        self.path = os.path.join(run_dir, LOCK_FILE)
-
-    def __enter__(self) -> "_RunLock":
+@contextlib.contextmanager
+def _run_lock(run_dir: str):
+    """One process owns a run directory at a time: it holds an exclusive
+    flock on the directory's lock file for the whole run. The lock goes
+    with the process however it ends, so a lock file left behind blocks
+    nothing. The file itself stays; removing it would let two processes
+    lock different files."""
+    path = os.path.join(run_dir, LOCK_FILE)
+    with open(path, "a") as handle:  # closing the file releases the lock
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"run directory is locked by {self.path}; remove it if the owner is gone"
-            ) from None
-        with os.fdopen(fd, "w") as handle:
-            handle.write(str(os.getpid()))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"run directory is in use by another process ({path})") from None
+        yield
 
 
 def build_corpus(config: ExperimentConfig) -> list[Puzzle]:
@@ -123,6 +124,26 @@ def _sha256_file(path: str) -> str:
 
 def _prompt_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def apply_criterion(
+    criterion: str, pool: CandidatePool, lambda_p: float, lambda_e: float
+) -> SelectionResult:
+    """Apply one criterion other than the oracle to a pool. The lambdas
+    weight the stored segment scores here, for the run and the sweep alike."""
+    if criterion == MAJORITY_VOTE:
+        return majority_vote(pool)
+    if criterion == MAX_PROB:
+        return select_max_prob(pool, lambda_p)
+    if criterion == MIN_ENTROPY:
+        return select_min_entropy(pool, lambda_e)
+    if criterion == VERIFIER:
+        return select_verifier(pool)
+    if criterion == VOTE_PROB:
+        return vote_plus_prob(pool, lambda_p)
+    if criterion == VOTE_VERIFIER:
+        return vote_plus_verifier(pool)
+    raise ConfigError(f"unknown criterion {criterion!r}")
 
 
 @dataclass
@@ -174,12 +195,7 @@ class _Runner:
             text = response.full_text
             finish_reason = response.finish_reason
             try:
-                confidence = score_response(
-                    segment(response),
-                    lambda_p=self.config.lambda_p,
-                    lambda_e=self.config.lambda_e,
-                    entropy_tail=self.config.entropy_tail,
-                )
+                confidence = score_response(segment(response), entropy_tail=self.config.entropy_tail)
             except LogicPoolError as exc:
                 error = self._fail("score", task, exc)
         answer = extract_answer(text, puzzle)
@@ -246,19 +262,7 @@ class _Runner:
         sample = pool_tasks[0].sample
         question = pool_tasks[0].prompt.question
         truth = truth_answer(puzzle)
-        pool = CandidatePool(
-            puzzle_id=puzzle.puzzle_id,
-            family=puzzle.family,
-            candidates=[
-                Candidate(
-                    strategy=t.strategy,
-                    answer=t.record.answer,
-                    confidence=t.record.confidence,
-                    verifier_score=t.record.verifier,
-                )
-                for t in pool_tasks
-            ],
-        )
+        pool = candidate_pool([t.record for t in pool_tasks])
         parse_ok_indices = [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
 
         if VERIFIER in self.config.criteria:
@@ -284,7 +288,7 @@ class _Runner:
                 )
                 continue
             try:
-                result = self._apply_criterion(criterion, pool)
+                result = apply_criterion(criterion, pool, self.config.lambda_p, self.config.lambda_e)
             except (NoAnswerError, ValueError) as exc:
                 self.selections.append(
                     SelectionRow(criterion=criterion, correct=False, error=str(exc), sample=sample, **base)
@@ -303,27 +307,12 @@ class _Runner:
                 )
             )
 
-    def _apply_criterion(self, criterion: str, pool: CandidatePool) -> SelectionResult:
-        if criterion == MAJORITY_VOTE:
-            return majority_vote(pool)
-        if criterion == MAX_PROB:
-            return select_max_prob(pool, self.config.lambda_p)
-        if criterion == MIN_ENTROPY:
-            return select_min_entropy(pool, self.config.lambda_e)
-        if criterion == VERIFIER:
-            return select_verifier(pool)
-        if criterion == VOTE_PROB:
-            return vote_plus_prob(pool, self.config.lambda_p)
-        if criterion == VOTE_VERIFIER:
-            return vote_plus_verifier(pool)
-        raise ConfigError(f"unknown criterion {criterion!r}")
-
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunResult:
         config = self.config
         os.makedirs(config.run_dir, exist_ok=True)
-        with _RunLock(config.run_dir):
+        with _run_lock(config.run_dir):
             return self._run_locked()
 
     def _run_locked(self) -> RunResult:
@@ -340,14 +329,13 @@ class _Runner:
             corpus = build_corpus(config)
             write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
 
-        journal_path = os.path.join(run_dir, JOURNAL_FILE)
-        mode = "replay" if config.replay else "record"
+        # replay means no inner client: a journal miss is an error
         inner = None if config.replay else config.backend.build()
-        client = JournalingClient(journal_path, inner, mode=mode)
+        client = JournalingClient(os.path.join(run_dir, JOURNAL_FILE), inner)
         if config.verifier_backend is not None:
             verifier_inner = None if config.replay else config.verifier_backend.build()
             verifier_client = JournalingClient(
-                os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner, mode=mode
+                os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner
             )
         else:
             verifier_client = client
@@ -364,7 +352,8 @@ class _Runner:
 
         strategies = config.strategy_pool()
 
-        with ThreadPoolExecutor(max_workers=config.concurrency) as executor:
+        executor = ThreadPoolExecutor(max_workers=config.concurrency)
+        try:
             # fan out every missing generation, in deterministic task order
             tasks: list[_CandidateTask] = []
             for puzzle in corpus:
@@ -398,6 +387,10 @@ class _Runner:
                 self.records.extend(task.record for task in pool_tasks)
                 for task in new:
                     append_jsonl(records_path, task.record.to_obj())
+        finally:
+            # an error leaving the loop must not wait for every queued
+            # generation: drop those not started, finish the running ones
+            executor.shutdown(cancel_futures=True)
 
         if stored and self.records_dirty:
             # lazily computed verifier scores and retried failures must land

@@ -4,48 +4,11 @@ per-segment scores across a grid of lambda values, no backend calls."""
 from __future__ import annotations
 
 from ..errors import ConfigError, NoAnswerError
-from ..prompts import Strategy
-from ..selection import (
-    MAX_PROB,
-    MIN_ENTROPY,
-    Candidate,
-    CandidatePool,
-    select_max_prob,
-    select_min_entropy,
-)
-from .records import EvalRecord
+from ..selection import MAX_PROB, MIN_ENTROPY
+from .records import EvalRecord, candidate_pool
+from .run import apply_criterion
 
 DEFAULT_GRID = tuple(i / 100 for i in range(100))  # 0.00, 0.01, ..., 0.99
-
-
-def pools_from_records(records: list[EvalRecord]) -> list[tuple[CandidatePool, list[EvalRecord]]]:
-    """Rebuild per-(puzzle, sample) pools; selection needs only the stored
-    answers and segment scores."""
-    grouped: dict[tuple[str, int], list[EvalRecord]] = {}
-    order: list[tuple[str, int]] = []
-    for record in records:
-        key = (record.puzzle_id, record.sample)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(record)
-    pools = []
-    for key in order:
-        members = sorted(grouped[key], key=lambda r: Strategy.from_key(r.strategy))
-        pool = CandidatePool(
-            puzzle_id=key[0],
-            family=members[0].family,
-            candidates=[
-                Candidate(
-                    strategy=Strategy.from_key(r.strategy),
-                    answer=r.answer,
-                    confidence=r.confidence,
-                )
-                for r in members
-            ],
-        )
-        pools.append((pool, members))
-    return pools
 
 
 def sweep(
@@ -55,25 +18,26 @@ def sweep(
 ) -> list[tuple[float, float, int]]:
     """(lambda, accuracy, pool count) per grid point.
 
-    A pool with no scorable candidate counts as incorrect, mirroring the
-    run-time handling.
+    Pools are selected exactly as a run selects them, with the grid value
+    as both lambdas. A pool with no scorable candidate counts as incorrect,
+    mirroring the run-time handling.
     """
     if criterion not in (MAX_PROB, MIN_ENTROPY):
         raise ConfigError(f"sweep supports {MAX_PROB} and {MIN_ENTROPY}, not {criterion!r}")
     if any(not 0 <= lam <= 1 for lam in grid):
         raise ConfigError("sweep grid values must lie in [0, 1]")
-    pools = pools_from_records(records)
-    if not pools:
+    grouped: dict[tuple[str, int], list[EvalRecord]] = {}
+    for record in records:
+        grouped.setdefault((record.puzzle_id, record.sample), []).append(record)
+    if not grouped:
         raise ConfigError("no records to sweep")
+    pools = [(candidate_pool(members), members) for members in grouped.values()]
     rows = []
     for lam in grid:
         correct = 0
         for pool, members in pools:
             try:
-                if criterion == MAX_PROB:
-                    result = select_max_prob(pool, lambda_p=lam)
-                else:
-                    result = select_min_entropy(pool, lambda_e=lam)
+                result = apply_criterion(criterion, pool, lam, lam)
             except (NoAnswerError, ValueError):
                 continue
             if members[result.chosen_index].correct:

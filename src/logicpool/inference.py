@@ -405,25 +405,15 @@ class JournalStats:
 class JournalingClient:
     """Wraps a client with an append-only request/response journal.
 
-    In "record" mode, requests already present in the journal are served
-    from it (no backend call); new ones hit the inner client and are
-    appended. In "replay" mode there is no inner client and a missing entry
-    is an error, so completed runs re-execute bit-for-bit offline.
+    Requests already present in the journal are served from it (no backend
+    call); new ones hit the inner client and are appended. Without an inner
+    client the journal is replayed: a missing entry is an error, so
+    completed runs re-execute bit-for-bit offline.
     """
 
-    def __init__(
-        self,
-        journal_path: str,
-        inner: InferenceClient | None = None,
-        mode: str = "record",
-    ) -> None:
-        if mode not in ("record", "replay"):
-            raise ValueError(f"mode must be 'record' or 'replay', got {mode!r}")
-        if mode == "record" and inner is None:
-            raise ValueError("record mode needs an inner client")
+    def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
         self.journal_path = journal_path
         self.inner = inner
-        self.mode = mode
         self.stats = JournalStats()
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, Any]] = {}
@@ -496,7 +486,7 @@ class JournalingClient:
             with self._lock:
                 self.stats.served_from_journal += 1
             return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
-        if self.mode == "replay" or self.inner is None:
+        if self.inner is None:
             raise ReplayMissError(f"no journaled response for prompt starting {text[:60]!r}")
         started = time.monotonic()
         response = self.inner.generate(text, params)
@@ -529,7 +519,7 @@ class JournalingClient:
             with self._lock:
                 self.stats.served_from_journal += 1
             return dict(entry["response"])
-        if self.mode == "replay" or self.inner is None:
+        if self.inner is None:
             raise ReplayMissError(
                 f"no journaled verification for prompt starting {prompt_text_[:60]!r}"
             )

@@ -1,10 +1,12 @@
 """Confidence scores over a segmented response.
 
 A response splits at the last "Answer:" marker into a rational segment and
-an answer segment. Per-segment confidence is the geometric mean of token
-probabilities (computed in log space) or the mean token entropy; the two
-segments combine through lambda weights, with lambda = 0.5 giving the plain
-product / plain average.
+an answer segment. Each segment keeps two numbers: its mean token logprob
+(the log of the geometric-mean probability) and its mean token entropy.
+A ConfidenceScore holds only these four. The lambda weights that combine
+the two segments are applied when a criterion runs, with lambda = 0.5
+giving the plain product / plain average, so one stored score serves every
+lambda.
 """
 
 from __future__ import annotations
@@ -132,23 +134,18 @@ def combined_entropy(h_rational: float, h_answer: float, lambda_e: float = 0.5) 
 
 @dataclass(frozen=True)
 class ConfidenceScore:
-    """All confidence numbers for one response; answer-side fields are None
-    when the response has no (or an empty) answer segment."""
+    """Per-segment mean logprob and mean entropy of one response; the
+    answer-side fields are None when the response has no (or an empty)
+    answer segment."""
 
-    lambda_p: float
-    lambda_e: float
     log_p_rational: float | None
     log_p_answer: float | None
-    p_rational: float | None
-    p_answer: float | None
-    p_combined: float | None
     h_rational: float | None
     h_answer: float | None
-    h_combined: float | None
 
     @property
     def defined(self) -> bool:
-        return self.p_rational is not None and self.p_answer is not None
+        return self.log_p_rational is not None and self.log_p_answer is not None
 
     def recombined_logprob(self, lambda_p: float) -> float:
         if self.log_p_rational is None or self.log_p_answer is None:
@@ -165,16 +162,16 @@ class ConfidenceScore:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "ConfidenceScore":
-        return cls(**obj)
+        return cls(
+            log_p_rational=obj["log_p_rational"],
+            log_p_answer=obj["log_p_answer"],
+            h_rational=obj["h_rational"],
+            h_answer=obj["h_answer"],
+        )
 
 
-def score_response(
-    segmented: SegmentedResponse,
-    lambda_p: float = 0.5,
-    lambda_e: float = 0.5,
-    entropy_tail: bool = True,
-) -> ConfidenceScore:
-    """Compute every confidence number for one segmented response."""
+def score_response(segmented: SegmentedResponse, entropy_tail: bool = True) -> ConfidenceScore:
+    """Mean logprob and mean entropy of each non-empty segment."""
     log_p_rational = h_rational = None
     if segmented.rational_tokens:
         log_p_rational = mean_logprob(segmented.rational_tokens)
@@ -183,28 +180,4 @@ def score_response(
     if segmented.answer_tokens:
         log_p_answer = mean_logprob(segmented.answer_tokens)
         h_answer = mean_entropy(segmented.answer_tokens, tail=entropy_tail)
-
-    p_rational = math.exp(log_p_rational) if log_p_rational is not None else None
-    p_answer = math.exp(log_p_answer) if log_p_answer is not None else None
-    p_combined = (
-        combined_prob(p_rational, p_answer, lambda_p)
-        if p_rational is not None and p_answer is not None
-        else None
-    )
-    h_combined = (
-        combined_entropy(h_rational, h_answer, lambda_e)
-        if h_rational is not None and h_answer is not None
-        else None
-    )
-    return ConfidenceScore(
-        lambda_p=lambda_p,
-        lambda_e=lambda_e,
-        log_p_rational=log_p_rational,
-        log_p_answer=log_p_answer,
-        p_rational=p_rational,
-        p_answer=p_answer,
-        p_combined=p_combined,
-        h_rational=h_rational,
-        h_answer=h_answer,
-        h_combined=h_combined,
-    )
+    return ConfidenceScore(log_p_rational, log_p_answer, h_rational, h_answer)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import NoAnswerError, StructureError
-from .inference import ModelResponse
 from .prompts import ANSWER_MARKER, Strategy
 from .puzzles import KnightsKnavesPuzzle, Puzzle, ZebraPuzzle
 from .scoring import ConfidenceScore
@@ -26,7 +25,6 @@ VOTE_PROB = "vote_prob"
 VOTE_VERIFIER = "vote_verifier"
 ORACLE = "oracle"
 CRITERIA = (MAJORITY_VOTE, MAX_PROB, MIN_ENTROPY, VERIFIER, VOTE_PROB, VOTE_VERIFIER, ORACLE)
-VERIFIER_CRITERIA = (VERIFIER, VOTE_VERIFIER)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ class Candidate:
     answer: CanonicalAnswer
     confidence: ConfidenceScore | None = None
     verifier_score: VerifierScore | None = None
-    response: ModelResponse | None = None
 
 
 @dataclass
@@ -264,13 +261,7 @@ def select_max_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResu
 def select_min_entropy(pool: CandidatePool, lambda_e: float = 0.5) -> SelectionResult:
     """Argmin of the combined entropy; same exclusion and tie rules as
     select_max_prob."""
-    indices = [
-        i
-        for i in _parseable(pool)
-        if pool.candidates[i].confidence is not None
-        and pool.candidates[i].confidence.h_rational is not None
-        and pool.candidates[i].confidence.h_answer is not None
-    ]
+    indices = [i for i in _parseable(pool) if _score_defined(pool.candidates[i])]
     if not indices:
         raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
     chosen, tie = _argbest(

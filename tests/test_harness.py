@@ -1,7 +1,10 @@
+import fcntl
 import json
+import math
 import os
 import shutil
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -14,10 +17,17 @@ from logicpool.harness.config import (
     config_from_obj,
     desk_generate_spec,
 )
-from logicpool.harness.records import EvalRecord, SelectionRow, load_records, read_jsonl
+from logicpool.harness.records import (
+    EvalRecord,
+    SelectionRow,
+    candidate_pool,
+    load_records,
+    read_jsonl,
+)
 from logicpool.harness.report import stratify
-from logicpool.harness.run import build_corpus, run
-from logicpool.selection import CanonicalAnswer
+from logicpool.harness.run import apply_criterion, build_corpus, run
+from logicpool.harness.sweep import sweep
+from logicpool.selection import CRITERIA, ORACLE, CanonicalAnswer
 
 from conftest import STRATEGY_SENTINELS, ClosedWorld
 
@@ -323,25 +333,33 @@ def test_scoring_error_costs_one_record(tmp_path, world):
 
 
 class CrashingMock(MockBackend):
-    """A mock whose generations raise a non-package error on one puzzle."""
+    """A mock whose generations raise a non-package error on one puzzle and,
+    optionally, take 0.2 s on another (those prompts are logged)."""
 
-    def __init__(self, script, needle):
+    def __init__(self, script, needle, slow_needle="", slow_calls=None):
         super().__init__(script)
         self.needle = needle
+        self.slow_needle = slow_needle
+        self.slow_calls = slow_calls
 
     def generate(self, prompt, params):
         if self.needle in prompt:
             raise RuntimeError("backend crashed")
+        if self.slow_needle and self.slow_needle in prompt:
+            self.slow_calls.append(prompt)
+            time.sleep(0.2)
         return super().generate(prompt, params)
 
 
 @dataclass
 class CrashingBackendConfig(BackendConfig):
     needle: str = ""
+    slow_needle: str = ""
+    slow_calls: list = field(default_factory=list)
 
     def build(self):
         with open(self.script_path) as handle:
-            return CrashingMock(json.load(handle), self.needle)
+            return CrashingMock(json.load(handle), self.needle, self.slow_needle, self.slow_calls)
 
 
 def test_pools_are_persisted_as_they_complete(tmp_path, world):
@@ -362,9 +380,94 @@ def test_pools_are_persisted_as_they_complete(tmp_path, world):
     assert len(load_records(os.path.join(config.run_dir, "records.jsonl"))) == 20
 
 
-def test_sweep_midpoint_matches_run_selection(tmp_path, world):
-    from logicpool.harness.sweep import sweep
+def test_crash_does_not_wait_for_queued_generations(tmp_path, world):
+    # verifier criteria are left out: verification shares the executor's
+    # queue and would wait behind it
+    world_obj, paths = world
+    backend = CrashingBackendConfig(
+        kind="mock",
+        script_path=paths["script"],
+        needle=world_obj.question_needle("zebraA"),
+        slow_needle=world_obj.question_needle("zebraB"),
+    )
+    config = mock_config(
+        tmp_path,
+        paths,
+        run_name="crash_queue",
+        backend=backend,
+        concurrency=1,
+        criteria=("majority_vote", "max_prob", "oracle"),
+    )
+    with pytest.raises(RuntimeError):
+        run(config)
+    # zebraB's five generations are queued behind zebraA's; at most the
+    # one or two already started may run
+    assert len(backend.slow_calls) <= 2
 
+
+def test_lambda_change_on_resume_matches_fresh_replay(tmp_path, world):
+    _, paths = world
+    first = run(mock_config(tmp_path, paths, run_name="lam"))
+    assert first.backend_calls > 0
+    resumed = run(mock_config(tmp_path, paths, run_name="lam", lambda_p=0.2, lambda_e=0.2))
+    assert resumed.backend_calls == 0
+    replay_dir = tmp_path / "lam_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(tmp_path / "lam" / "journal.jsonl", replay_dir / "journal.jsonl")
+    replayed = run(
+        mock_config(tmp_path, paths, run_name="lam_replay", lambda_p=0.2, lambda_e=0.2, replay=True)
+    )
+    assert replayed.backend_calls == 0
+    for name in ("records.jsonl", "selections.jsonl", "report.md", "manifest.json"):
+        resumed_bytes = (tmp_path / "lam" / name).read_bytes()
+        assert resumed_bytes == (replay_dir / name).read_bytes(), (
+            f"{name} differs between the resumed and the replayed run"
+        )
+
+
+def ten_key_confidence(obj):
+    """A record object with its confidence as earlier versions stored it:
+    the four segment scores plus six numbers derived at lambda 0.5."""
+    c = obj["confidence"]
+    p_r, p_a = (None if c[k] is None else math.exp(c[k]) for k in ("log_p_rational", "log_p_answer"))
+    h_r, h_a = c["h_rational"], c["h_answer"]
+    old = {
+        "lambda_p": 0.5,
+        "lambda_e": 0.5,
+        "log_p_rational": c["log_p_rational"],
+        "log_p_answer": c["log_p_answer"],
+        "p_rational": p_r,
+        "p_answer": p_a,
+        "p_combined": p_r * p_a if p_r is not None and p_a is not None else None,
+        "h_rational": h_r,
+        "h_answer": h_a,
+        "h_combined": (h_r + h_a) / 2 if h_r is not None and h_a is not None else None,
+    }
+    return {**obj, "confidence": old}
+
+
+def test_ten_key_records_select_like_four_key_records(tmp_path, world):
+    _, paths = world
+    result = run(mock_config(tmp_path, paths))
+    current = [EvalRecord.from_obj(r.to_obj()) for r in result.records]
+    older = [EvalRecord.from_obj(ten_key_confidence(r.to_obj())) for r in result.records]
+    assert [r.confidence for r in older] == [r.confidence for r in current]
+    assert [r.to_obj() for r in older] == [r.to_obj() for r in current]
+    for start in range(0, len(current), 5):
+        new_pool = candidate_pool(current[start : start + 5])
+        old_pool = candidate_pool(older[start : start + 5])
+        for criterion in CRITERIA:
+            if criterion == ORACLE:
+                continue
+            for lam in (0.0, 0.2, 0.5, 1.0):
+                assert apply_criterion(criterion, old_pool, lam, lam) == apply_criterion(
+                    criterion, new_pool, lam, lam
+                )
+    for criterion in ("max_prob", "min_entropy"):
+        assert sweep(older, criterion) == sweep(current, criterion)
+
+
+def test_sweep_midpoint_matches_run_selection(tmp_path, world):
     _, paths = world
     result = run(mock_config(tmp_path, paths))
     for criterion in ("max_prob", "min_entropy"):
@@ -413,10 +516,23 @@ def test_run_directory_lock(tmp_path, world):
     _, paths = world
     config = mock_config(tmp_path, paths, run_name="locked")
     os.makedirs(config.run_dir)
+    with open(os.path.join(config.run_dir, ".lock"), "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(ConfigError):
+            run(config)
+
+
+def test_leftover_lock_file_does_not_block(tmp_path, world):
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="stale")
+    os.makedirs(config.run_dir)
+    # what a killed holder leaves behind: the file, without a lock on it
     with open(os.path.join(config.run_dir, ".lock"), "w") as handle:
         handle.write("12345")
-    with pytest.raises(ConfigError):
-        run(config)
+    assert run(config).exit_code == 0
+    # the run released its lock on the way out
+    with open(os.path.join(config.run_dir, ".lock")) as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
 
 def test_separate_verifier_backend_uses_own_journal(tmp_path, world):

@@ -153,7 +153,7 @@ class _CountingBackend:
 def test_journal_records_and_serves_repeats(tmp_path):
     inner = _CountingBackend()
     journal = tmp_path / "journal.jsonl"
-    client = JournalingClient(str(journal), inner, mode="record")
+    client = JournalingClient(str(journal), inner)
     params = SamplingParams()
     first = client.generate("p", params)
     again = client.generate("p", params)
@@ -169,12 +169,12 @@ def test_journal_records_and_serves_repeats(tmp_path):
 def test_journal_replay_without_backend(tmp_path):
     inner = _CountingBackend()
     journal = tmp_path / "journal.jsonl"
-    recorder = JournalingClient(str(journal), inner, mode="record")
+    recorder = JournalingClient(str(journal), inner)
     params = SamplingParams()
     recorded = recorder.generate("p", params)
     recorded_probs = recorder.completion_probability("q", ["Yes"])
 
-    replayer = JournalingClient(str(journal), mode="replay")
+    replayer = JournalingClient(str(journal))
     assert replayer.generate("p", params) == recorded
     assert replayer.completion_probability("q", ["Yes"]) == recorded_probs
     assert replayer.stats.backend_calls == 0
@@ -187,9 +187,9 @@ def test_journal_replay_without_backend(tmp_path):
 def test_journal_timing_is_stable_across_replays(tmp_path):
     inner = _CountingBackend()
     journal = tmp_path / "journal.jsonl"
-    recorder = JournalingClient(str(journal), inner, mode="record")
+    recorder = JournalingClient(str(journal), inner)
     _, elapsed = recorder.generate_timed("p", SamplingParams())
-    replayer = JournalingClient(str(journal), mode="replay")
+    replayer = JournalingClient(str(journal))
     _, replay_elapsed = replayer.generate_timed("p", SamplingParams())
     assert replay_elapsed == elapsed
 
@@ -197,7 +197,7 @@ def test_journal_timing_is_stable_across_replays(tmp_path):
 def test_journal_lines_are_json(tmp_path):
     inner = _CountingBackend()
     journal = tmp_path / "journal.jsonl"
-    client = JournalingClient(str(journal), inner, mode="record")
+    client = JournalingClient(str(journal), inner)
     client.generate("p", SamplingParams())
     lines = journal.read_text().strip().splitlines()
     assert len(lines) == 1
@@ -207,7 +207,7 @@ def test_journal_lines_are_json(tmp_path):
 
 
 def _record_two(journal):
-    client = JournalingClient(str(journal), _CountingBackend(), mode="record")
+    client = JournalingClient(str(journal), _CountingBackend())
     client.generate("p", SamplingParams())
     client.generate("q", SamplingParams())
 
@@ -220,7 +220,7 @@ def test_journal_torn_final_line_is_truncated(tmp_path, caplog):
         handle.write(b'{"key": "abc", "kind": "gen')  # a write cut short
     inner = _CountingBackend()
     with caplog.at_level("WARNING", logger="logicpool"):
-        client = JournalingClient(str(journal), inner, mode="record")
+        client = JournalingClient(str(journal), inner)
     assert journal.read_bytes() == intact
     assert any("torn" in r.getMessage() and r.name.startswith("logicpool") for r in caplog.records)
     client.generate("p", SamplingParams())
@@ -236,7 +236,7 @@ def test_journal_malformed_inner_line_raises_data_error(tmp_path):
     first, second = journal.read_text().splitlines()
     journal.write_text(first + "\n" + second[:20] + "\n" + first + "\n")
     with pytest.raises(DataError, match="line 2"):
-        JournalingClient(str(journal), mode="replay")
+        JournalingClient(str(journal))
     journal.write_text(first + "\n" + '["no key"]' + "\n")
     with pytest.raises(DataError, match="line 2"):
-        JournalingClient(str(journal), mode="replay")
+        JournalingClient(str(journal))

@@ -245,20 +245,21 @@ def test_score_response_full():
     )
     score = score_response(segment(response))
     assert score.defined
-    assert score.p_rational == pytest.approx(0.8, rel=1e-12)
-    assert score.p_answer == pytest.approx(0.9, rel=1e-12)
-    assert score.p_combined == pytest.approx(score.p_rational * score.p_answer, rel=1e-12)
-    assert score.h_combined == pytest.approx((score.h_rational + score.h_answer) / 2, rel=1e-12)
+    assert math.exp(score.log_p_rational) == pytest.approx(0.8, rel=1e-12)
+    assert math.exp(score.log_p_answer) == pytest.approx(0.9, rel=1e-12)
+    assert math.exp(score.recombined_logprob(0.5)) == pytest.approx(0.8 * 0.9, rel=1e-12)
+    assert score.recombined_entropy(0.5) == pytest.approx((score.h_rational + score.h_answer) / 2, rel=1e-12)
 
 
 def test_score_response_without_marker_is_undefined():
     response = response_from([("no answer block", -0.1)])
     score = score_response(segment(response))
     assert not score.defined
-    assert score.p_answer is None and score.h_answer is None
-    assert score.p_combined is None
+    assert score.log_p_answer is None and score.h_answer is None
     with pytest.raises(UndefinedScoreError):
         score.recombined_logprob(0.5)
+    with pytest.raises(UndefinedScoreError):
+        score.recombined_entropy(0.5)
 
 
 def test_score_roundtrip():
@@ -273,5 +274,5 @@ def test_recombination_matches_fresh_computation():
     response = response_from([("x.", -0.4), (" Answer:", -0.1), (" y", -0.2)])
     score = score_response(segment(response))
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        expected = combined_prob(score.p_rational, score.p_answer, lam)
+        expected = combined_prob(math.exp(score.log_p_rational), math.exp(score.log_p_answer), lam)
         assert math.exp(score.recombined_logprob(lam)) == pytest.approx(expected, rel=1e-10)

@@ -28,31 +28,19 @@ STRATEGIES = list(Strategy)
 
 def confidence(p_rational=0.9, p_answer=0.9, h_rational=0.1, h_answer=0.1):
     return ConfidenceScore(
-        lambda_p=0.5,
-        lambda_e=0.5,
         log_p_rational=math.log(p_rational),
         log_p_answer=math.log(p_answer),
-        p_rational=p_rational,
-        p_answer=p_answer,
-        p_combined=p_rational * p_answer,
         h_rational=h_rational,
         h_answer=h_answer,
-        h_combined=(h_rational + h_answer) / 2,
     )
 
 
 def undefined_confidence():
     return ConfidenceScore(
-        lambda_p=0.5,
-        lambda_e=0.5,
         log_p_rational=math.log(0.9),
         log_p_answer=None,
-        p_rational=0.9,
-        p_answer=None,
-        p_combined=None,
         h_rational=0.1,
         h_answer=None,
-        h_combined=None,
     )
 
 
@@ -517,15 +505,9 @@ def test_max_prob_invariant_under_positive_scaling(pool, scale):
         if conf is None or not conf.defined:
             continue
         candidate.confidence = ConfidenceScore(
-            lambda_p=conf.lambda_p,
-            lambda_e=conf.lambda_e,
             log_p_rational=conf.log_p_rational + log_scale,
             log_p_answer=conf.log_p_answer + log_scale,
-            p_rational=conf.p_rational,
-            p_answer=conf.p_answer,
-            p_combined=conf.p_combined,
             h_rational=conf.h_rational,
             h_answer=conf.h_answer,
-            h_combined=conf.h_combined,
         )
     assert select_max_prob(pool).chosen_index == baseline.chosen_index

@@ -12,16 +12,10 @@ from logicpool.selection import CanonicalAnswer
 def record(puzzle_id, strategy, correct, p_rational, p_answer, h_rational=0.1, h_answer=0.1):
     answer = CanonicalAnswer.from_kk({"A": "knight" if correct else "knave"})
     confidence = ConfidenceScore(
-        lambda_p=0.5,
-        lambda_e=0.5,
         log_p_rational=math.log(p_rational),
         log_p_answer=math.log(p_answer),
-        p_rational=p_rational,
-        p_answer=p_answer,
-        p_combined=p_rational * p_answer,
         h_rational=h_rational,
         h_answer=h_answer,
-        h_combined=(h_rational + h_answer) / 2,
     )
     return EvalRecord(
         puzzle_id=puzzle_id,
