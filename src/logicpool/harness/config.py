@@ -8,16 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ConfigError
-from ..inference import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_TEMPERATURE,
-    DEFAULT_TOP_K,
-    DEFAULT_TOP_P,
-    InferenceClient,
-    MockBackend,
-    OpenAIClient,
-    SamplingParams,
-)
+from ..inference import InferenceClient, MockBackend, OpenAIClient, SamplingParams
 from ..prompts import Strategy
 from ..selection import CRITERIA
 
@@ -95,7 +86,6 @@ class ExperimentConfig:
     sampling: SamplingParams = field(default_factory=SamplingParams)
     lambda_p: float = 0.5
     lambda_e: float = 0.5
-    entropy_tail: bool = True
     instruction_tags: bool = False
     samples: int = 1
     concurrency: int = 4
@@ -130,7 +120,20 @@ class ExperimentConfig:
         return [Strategy.from_key(k) for k in self.strategies]
 
 
-def _backend_from_obj(obj: dict[str, Any]) -> BackendConfig:
+def _known(obj: Any, where: str, keys: tuple[str, ...]) -> dict[str, Any]:
+    """``obj`` as the config object at ``where``; a key the loader does not
+    read is an error, so a misspelt setting never falls back silently."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {where} must be an object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys in {where}: {unknown}; known: {list(keys)}")
+    return obj
+
+
+def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
+    keys = ("kind", "base_url", "model", "api", "api_key", "api_key_env", "script", "max_retries", "timeout")
+    obj = _known(obj, where, keys)
     api_key = obj.get("api_key")
     if api_key is None and obj.get("api_key_env"):
         api_key = os.environ.get(str(obj["api_key_env"]))
@@ -153,33 +156,46 @@ def _apply_env_overrides(backend: BackendConfig) -> BackendConfig:
     return backend
 
 
+# how each key of the sampling block is read; the seed is kept as given
+_SAMPLING_CASTS = {
+    "top_p": float, "temperature": float, "max_tokens": int, "seed": lambda v: v, "top_k": int
+}
+_TOP_KEYS = (
+    "run_dir", "corpus", "strategies", "criteria", "sampling", "lambda_p", "lambda_e",
+    "instruction_tags", "samples", "concurrency", "replay", "backend", "verifier_backend",
+)
+
+
 def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfig:
     def resolve(path: str | None) -> str | None:
         if path is None:
             return None
         return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
-    corpus = obj.get("corpus", {})
+    obj = _known(obj, "top level", _TOP_KEYS)
+    corpus = _known(obj.get("corpus", {}), "corpus", ("path", "generate"))
     generate = None
     if "generate" in corpus:
-        gen = corpus["generate"]
-        generate = GenerateSpec(
-            kk_sizes=tuple(gen.get("kk_sizes", ())),
-            kk_per_size=int(gen.get("kk_per_size", 0)),
-            zebra_configs=tuple(tuple(c) for c in gen.get("zebra_configs", ())),
-            seed=int(gen.get("seed", 0)),
+        gen = _known(
+            corpus["generate"], "corpus.generate", ("preset", "kk_sizes", "kk_per_size", "zebra_configs", "seed")
         )
-        if gen.get("preset") == "desk":
+        if "preset" not in gen:
+            generate = GenerateSpec(
+                kk_sizes=tuple(gen.get("kk_sizes", ())),
+                kk_per_size=int(gen.get("kk_per_size", 0)),
+                zebra_configs=tuple(tuple(c) for c in gen.get("zebra_configs", ())),
+                seed=int(gen.get("seed", 0)),
+            )
+        elif gen["preset"] == "desk" and set(gen) <= {"preset", "seed"}:
             generate = desk_generate_spec(int(gen.get("seed", 0)))
+        else:
+            raise ConfigError(f"corpus.generate {gen}: the one preset is 'desk', and it takes only a seed")
 
-    sampling_obj = obj.get("sampling", {})
-    sampling = SamplingParams(
-        top_p=float(sampling_obj.get("top_p", DEFAULT_TOP_P)),
-        temperature=float(sampling_obj.get("temperature", DEFAULT_TEMPERATURE)),
-        max_tokens=int(sampling_obj.get("max_tokens", DEFAULT_MAX_TOKENS)),
-        seed=sampling_obj.get("seed"),
-        top_k=int(sampling_obj.get("top_k", DEFAULT_TOP_K)),
-    )
+    sampling_obj = _known(obj.get("sampling", {}), "sampling", tuple(_SAMPLING_CASTS))
+    try:
+        sampling = SamplingParams(**{k: _SAMPLING_CASTS[k](v) for k, v in sampling_obj.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sampling: {exc}") from None
 
     strategies = obj.get("strategies", "all")
     if isinstance(strategies, str):
@@ -187,12 +203,12 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
             raise ConfigError(f"unknown strategy preset {strategies!r}")
         strategies = STRATEGY_POOL_PRESETS[strategies]
 
-    backend = _apply_env_overrides(_backend_from_obj(obj.get("backend", {})))
+    backend = _apply_env_overrides(_backend_from_obj(obj.get("backend", {}), "backend"))
     if backend.script_path:
         backend.script_path = resolve(backend.script_path)
     verifier_backend = None
     if "verifier_backend" in obj:
-        verifier_backend = _backend_from_obj(obj["verifier_backend"])
+        verifier_backend = _backend_from_obj(obj["verifier_backend"], "verifier_backend")
         if verifier_backend.script_path:
             verifier_backend.script_path = resolve(verifier_backend.script_path)
 
@@ -205,7 +221,6 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         sampling=sampling,
         lambda_p=float(obj.get("lambda_p", 0.5)),
         lambda_e=float(obj.get("lambda_e", 0.5)),
-        entropy_tail=bool(obj.get("entropy_tail", True)),
         instruction_tags=bool(obj.get("instruction_tags", False)),
         samples=int(obj.get("samples", 1)),
         concurrency=int(obj.get("concurrency", 4)),

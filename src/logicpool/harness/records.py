@@ -13,20 +13,20 @@ from ..scoring import ConfidenceScore
 from ..selection import Candidate, CandidatePool, CanonicalAnswer
 from ..verifier import VerifierScore
 
-RecordKey = tuple[str, str, int, str]  # (puzzle_id, strategy_key, sample, prompt_sha256)
-
 
 @dataclass
 class EvalRecord:
     """One puzzle x strategy x sample: the response, its scores, and the
-    correctness verdict. Token arrays live only in the run's journal."""
+    correctness verdict. Token arrays live only in the run's journal, under
+    the record's key: ``request_sha256``, the journal key of the generation
+    request (prompt, sampling and sample tag)."""
 
     puzzle_id: str
     family: str
     difficulty: str
     strategy: str
     sample: int
-    prompt_sha256: str
+    request_sha256: str
     response_text: str
     finish_reason: str
     answer: CanonicalAnswer
@@ -40,8 +40,8 @@ class EvalRecord:
     annotations: dict[str, Any] | None = None
 
     @property
-    def key(self) -> RecordKey:
-        return (self.puzzle_id, self.strategy, self.sample, self.prompt_sha256)
+    def key(self) -> str:
+        return self.request_sha256
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -50,7 +50,7 @@ class EvalRecord:
             "difficulty": self.difficulty,
             "strategy": self.strategy,
             "sample": self.sample,
-            "prompt_sha256": self.prompt_sha256,
+            "request_sha256": self.request_sha256,
             "response_text": self.response_text,
             "finish_reason": self.finish_reason,
             "answer": self.answer.to_obj(),
@@ -71,7 +71,8 @@ class EvalRecord:
             difficulty=obj["difficulty"],
             strategy=obj["strategy"],
             sample=int(obj["sample"]),
-            prompt_sha256=obj["prompt_sha256"],
+            # records written before the request key match no request
+            request_sha256=obj.get("request_sha256", ""),
             response_text=obj["response_text"],
             finish_reason=obj["finish_reason"],
             answer=CanonicalAnswer.from_obj(obj["answer"]),

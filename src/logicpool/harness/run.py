@@ -10,6 +10,7 @@ one) reproduces records and reports byte-for-byte with zero backend calls.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError, NoAnswerError
-from ..inference import JournalingClient
+from ..inference import JournalingClient, generate_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from ..scoring import score_response, segment
@@ -122,10 +123,6 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _prompt_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def apply_criterion(
     criterion: str, pool: CandidatePool, lambda_p: float, lambda_e: float
 ) -> SelectionResult:
@@ -152,7 +149,7 @@ class _CandidateTask:
     strategy: Strategy
     sample: int
     prompt: RenderedPrompt
-    prompt_sha256: str
+    request_sha256: str
     future: Future | None = None  # set while a new generation is pending
     record: EvalRecord | None = None
 
@@ -163,7 +160,6 @@ class _Runner:
         self.failures: list[dict] = []
         self.records: list[EvalRecord] = []
         self.selections: list[SelectionRow] = []
-        self.records_dirty: set[tuple] = set()
 
     # -- record construction -------------------------------------------------
 
@@ -195,7 +191,7 @@ class _Runner:
             text = response.full_text
             finish_reason = response.finish_reason
             try:
-                confidence = score_response(segment(response), entropy_tail=self.config.entropy_tail)
+                confidence = score_response(segment(response))
             except LogicPoolError as exc:
                 error = self._fail("score", task, exc)
         answer = extract_answer(text, puzzle)
@@ -205,7 +201,7 @@ class _Runner:
             difficulty=puzzle.difficulty,
             strategy=task.strategy.key,
             sample=task.sample,
-            prompt_sha256=task.prompt_sha256,
+            request_sha256=task.request_sha256,
             response_text=text,
             finish_reason=finish_reason,
             answer=answer,
@@ -226,9 +222,9 @@ class _Runner:
         question: str,
         verifier_client,
         executor: ThreadPoolExecutor,
-    ) -> bool:
-        """Verify the given candidates (skipping cached scores); returns
-        False if any verification failed outright."""
+    ) -> None:
+        """Verify the given candidates, skipping cached scores. A verified
+        record is replaced by a scored copy, so the run sees that it changed."""
         pending = [
             task
             for i in indices
@@ -241,15 +237,11 @@ class _Runner:
             return verify(question, chunk(task.record.response_text), verifier_client)
 
         futures = [(task, executor.submit(verify_task, task)) for task in pending]
-        ok = True
         for task, future in futures:
             try:
-                task.record.verifier = future.result()
-                self.records_dirty.add(task.record.key)
+                task.record = dataclasses.replace(task.record, verifier=future.result())
             except LogicPoolError as exc:
-                ok = False
                 self._fail("verify", task, exc)
-        return ok
 
     # -- selection -------------------------------------------------------------
 
@@ -342,13 +334,9 @@ class _Runner:
 
         records_path = os.path.join(run_dir, RECORDS_FILE)
         stored = load_records(records_path) if os.path.exists(records_path) else []
-        existing: dict = {}
-        for record in stored:
-            if record.error is None:
-                existing[record.key] = record
-            else:
-                # retried below; the rewrite at the end drops the failed line
-                self.records_dirty.add(record.key)
+        # a stored record is reused only for the very request it answers
+        # (two puzzles may render the same prompt); failed ones are retried
+        existing = {(r.puzzle_id, r.key): r for r in stored if r.error is None}
 
         strategies = config.strategy_pool()
 
@@ -360,19 +348,18 @@ class _Runner:
                 for sample in range(config.samples):
                     for strategy in strategies:
                         prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
+                        keyed = generate_request(prompt, config.sampling, f"s{sample}")
                         task = _CandidateTask(
                             puzzle=puzzle,
                             strategy=strategy,
                             sample=sample,
                             prompt=prompt,
-                            prompt_sha256=_prompt_hash(prompt.full_text),
+                            request_sha256=keyed[0],
+                            record=existing.get((puzzle.puzzle_id, keyed[0])),
                         )
-                        key = (puzzle.puzzle_id, strategy.key, sample, task.prompt_sha256)
-                        if key in existing:
-                            task.record = existing[key]
-                        else:
+                        if task.record is None:
                             task.future = executor.submit(
-                                client.generate_timed, prompt, config.sampling, tag=f"s{sample}"
+                                client.generate_timed, prompt, config.sampling, keyed
                             )
                         tasks.append(task)
 
@@ -392,9 +379,9 @@ class _Runner:
             # generation: drop those not started, finish the running ones
             executor.shutdown(cancel_futures=True)
 
-        if stored and self.records_dirty:
-            # lazily computed verifier scores and retried failures must land
-            # back in the records
+        # the file must hold exactly this run's records: the appends already
+        # do unless a resume dropped, replaced or added some
+        if stored and list(map(id, self.records)) != list(map(id, stored)):
             tmp = records_path + ".tmp"
             write_jsonl(tmp, [r.to_obj() for r in self.records])
             os.replace(tmp, records_path)
@@ -433,15 +420,8 @@ class _Runner:
             "criteria": list(config.criteria),
             "lambda_p": config.lambda_p,
             "lambda_e": config.lambda_e,
-            "entropy_tail": config.entropy_tail,
             "samples": config.samples,
-            "sampling": {
-                "top_p": config.sampling.top_p,
-                "temperature": config.sampling.temperature,
-                "max_tokens": config.sampling.max_tokens,
-                "seed": config.sampling.seed,
-                "top_k": config.sampling.top_k,
-            },
+            "sampling": dataclasses.asdict(config.sampling),
             "backend_kind": config.backend.kind,
             "record_count": len(self.records),
         }

@@ -27,7 +27,6 @@ DEFAULT_TOP_P = 0.9
 DEFAULT_TEMPERATURE = 0.6
 DEFAULT_MAX_TOKENS = 3072
 DEFAULT_TOP_K = 20
-VERIFIER_MIN_TOP_K = 8
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ class MockBackend:
         self._distributions = list(script.get("first_token_distributions", []))
         self.generate_calls = 0
         self.probability_calls = 0
-        self.generate_prompts: list[str] = []
         self.probability_prompts: list[str] = []
 
     @classmethod
@@ -207,7 +205,6 @@ class MockBackend:
     def generate(self, prompt: RenderedPrompt | str, params: SamplingParams) -> ModelResponse:
         text = prompt_text(prompt)
         self.generate_calls += 1
-        self.generate_prompts.append(text)
         rule = self._pick(self._responses, text)
         if "tokens" in rule:
             tokens = [
@@ -345,12 +342,7 @@ class OpenAIClient:
     def completion_probability(
         self, prompt_text_: str, candidates: Sequence[str]
     ) -> dict[str, float]:
-        params = SamplingParams(
-            temperature=0.0,
-            top_p=1.0,
-            max_tokens=1,
-            top_k=max(DEFAULT_TOP_K, VERIFIER_MIN_TOP_K),
-        )
+        params = SamplingParams(temperature=0.0, top_p=1.0, max_tokens=1)
         response = self.generate(prompt_text_, params)
         if not response.tokens:
             raise ProtocolError("backend returned an empty first position")
@@ -394,6 +386,24 @@ def response_from_obj(obj: dict[str, Any]) -> ModelResponse:
 def _request_key(kind: str, request: dict[str, Any]) -> str:
     canonical = json.dumps({"kind": kind, **request}, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def generate_request(
+    prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
+) -> tuple[str, dict[str, Any]]:
+    """The journaled form of one generation and its key: the sha256 of the
+    prompt text, every sampling parameter and the tag. The key is the one
+    identity of a response, in the journal and in the run's records."""
+    request = {
+        "prompt": prompt_text(prompt),
+        "top_p": params.top_p,
+        "temperature": params.temperature,
+        "max_tokens": params.max_tokens,
+        "seed": params.seed,
+        "top_k": params.top_k,
+        "tag": tag,
+    }
+    return _request_key("generate", request), request
 
 
 @dataclass
@@ -461,31 +471,26 @@ class JournalingClient:
             return self._entries.get(key)
 
     def generate_timed(
-        self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
+        self,
+        prompt: RenderedPrompt | str,
+        params: SamplingParams,
+        keyed: tuple[str, dict[str, Any]] | None = None,
     ) -> tuple[ModelResponse, float]:
         """Like generate, but also returns the backend latency. Latency is
         journaled with the response, so journal hits report the original
         timing and replays stay bit-identical.
 
-        ``tag`` distinguishes otherwise-identical requests (e.g. repeated
-        samples of one prompt) in the journal.
+        ``keyed`` is the request's ``generate_request`` result, whose tag
+        tells otherwise-identical requests (e.g. repeated samples of one
+        prompt) apart; without it the request is untagged.
         """
-        text = prompt_text(prompt)
-        request = {
-            "prompt": text,
-            "top_p": params.top_p,
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
-            "seed": params.seed,
-            "top_k": params.top_k,
-            "tag": tag,
-        }
-        key = _request_key("generate", request)
+        key, request = keyed or generate_request(prompt, params)
         entry = self._lookup(key)
         if entry is not None:
             with self._lock:
                 self.stats.served_from_journal += 1
             return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
+        text = request["prompt"]
         if self.inner is None:
             raise ReplayMissError(f"no journaled response for prompt starting {text[:60]!r}")
         started = time.monotonic()
@@ -507,7 +512,7 @@ class JournalingClient:
     def generate(
         self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
     ) -> ModelResponse:
-        return self.generate_timed(prompt, params, tag)[0]
+        return self.generate_timed(prompt, params, generate_request(prompt, params, tag))[0]
 
     def completion_probability(
         self, prompt_text_: str, candidates: Sequence[str]

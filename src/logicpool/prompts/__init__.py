@@ -8,6 +8,7 @@ placeholders), so identical inputs always produce identical prompt text.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -76,9 +77,9 @@ class RenderedPrompt:
     strategy_description: str
     formatting_instructions: str
     full_text: str
-    answer_marker: str = ANSWER_MARKER
 
 
+@functools.cache
 def _load_template(name: str) -> str:
     return (resources.files(__package__) / "templates" / name).read_text(encoding="utf-8")
 

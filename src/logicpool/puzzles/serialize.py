@@ -70,22 +70,22 @@ def _clue_to_obj(clue: Clue, puzzle: ZebraPuzzle) -> dict[str, Any]:
     return obj
 
 
-def puzzle_from_obj(obj: dict[str, Any], verify: bool = True) -> Puzzle:
+def puzzle_from_obj(obj: dict[str, Any]) -> Puzzle:
     if obj.get("version") != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema version {obj.get('version')!r}")
     family = obj.get("family")
     if family == "kk":
-        return _kk_from_obj(obj, verify)
+        return _kk_from_obj(obj)
     if family == "zebra":
-        return _zebra_from_obj(obj, verify)
+        return _zebra_from_obj(obj)
     raise StructureError(f"unknown puzzle family {family!r}")
 
 
-def puzzle_from_json(text: str, verify: bool = True) -> Puzzle:
-    return puzzle_from_obj(json.loads(text), verify=verify)
+def puzzle_from_json(text: str) -> Puzzle:
+    return puzzle_from_obj(json.loads(text))
 
 
-def _kk_from_obj(obj: dict[str, Any], verify: bool) -> KnightsKnavesPuzzle:
+def _kk_from_obj(obj: dict[str, Any]) -> KnightsKnavesPuzzle:
     n_chars = int(obj["structure"]["n_chars"])
     statements = tuple(statement_from_obj(s) for s in obj["statements"])
     solution_map = {str(k).upper(): str(v).lower() for k, v in obj["solution"].items()}
@@ -99,7 +99,7 @@ def _kk_from_obj(obj: dict[str, Any], verify: bool) -> KnightsKnavesPuzzle:
         solution=solution,
         seed=obj.get("seed"),
     )
-    if verify and not check_assignment(puzzle.statements, puzzle.solution):
+    if not check_assignment(puzzle.statements, puzzle.solution):
         raise StructureError(f"puzzle {puzzle.puzzle_id}: bundled solution is inconsistent")
     return puzzle
 
@@ -111,7 +111,7 @@ def _require_type(solution_map: dict[str, str], label: str) -> str:
     return value
 
 
-def _zebra_from_obj(obj: dict[str, Any], verify: bool) -> ZebraPuzzle:
+def _zebra_from_obj(obj: dict[str, Any]) -> ZebraPuzzle:
     structure = obj["structure"]
     n_houses = int(structure["n_houses"])
     attributes = tuple(
@@ -155,10 +155,9 @@ def _zebra_from_obj(obj: dict[str, Any], verify: bool) -> ZebraPuzzle:
         solution=grid,
         seed=obj.get("seed"),
     )
-    if verify:
-        for clue in puzzle.clues:
-            if not clue_holds(clue, grid):
-                raise StructureError(
-                    f"puzzle {puzzle.puzzle_id}: bundled solution violates a {clue.kind} clue"
-                )
+    for clue in puzzle.clues:
+        if not clue_holds(clue, grid):
+            raise StructureError(
+                f"puzzle {puzzle.puzzle_id}: bundled solution violates a {clue.kind} clue"
+            )
     return puzzle

@@ -17,8 +17,8 @@ from typing import Any, Sequence
 
 from .errors import DataError, UndefinedScoreError
 from .inference import ModelResponse, TokenInfo
+from .prompts import ANSWER_MARKER
 
-DEFAULT_MARKER = "Answer:"
 ENTROPY_TAIL_EPSILON = 1e-9
 PROB_SUM_TOLERANCE = 1e-6
 
@@ -42,12 +42,10 @@ class SegmentedResponse:
         return "".join(t.text for t in self.answer_tokens)
 
 
-def segment(response: ModelResponse, marker: str = DEFAULT_MARKER) -> SegmentedResponse:
-    """Split at the LAST occurrence of ``marker``; without one the whole
-    response is rational."""
-    if not marker:
-        raise ValueError("marker must be non-empty")
-    position = response.full_text.rfind(marker)
+def segment(response: ModelResponse) -> SegmentedResponse:
+    """Split at the LAST answer marker; without one the whole response is
+    rational."""
+    position = response.full_text.rfind(ANSWER_MARKER)
     if position < 0:
         return SegmentedResponse(tuple(response.tokens), (), marker_found=False)
     offset = 0
@@ -97,9 +95,9 @@ def combined_logprob(log_p_rational: float, log_p_answer: float, lambda_p: float
     return 2 * (1 - lambda_p) * log_p_rational + 2 * lambda_p * log_p_answer
 
 
-def token_entropy(token: TokenInfo, tail: bool = True) -> float:
+def token_entropy(token: TokenInfo) -> float:
     """Entropy (nats) over the observed top-K alternatives, plus one
-    pseudo-outcome for the residual mass when ``tail`` is on.
+    pseudo-outcome for the residual mass.
 
     The single-bucket tail makes this a lower bound on the entropy of any
     full distribution agreeing on the observed outcomes; it is exact when
@@ -110,17 +108,16 @@ def token_entropy(token: TokenInfo, tail: bool = True) -> float:
     if total > 1 + PROB_SUM_TOLERANCE:
         raise DataError(f"alternative probabilities sum to {total}, above 1")
     entropy = -sum(p * math.log(p) for p in probs if p > 0)
-    if tail:
-        residual = 1.0 - total
-        if residual > ENTROPY_TAIL_EPSILON:
-            entropy -= residual * math.log(residual)
+    residual = 1.0 - total
+    if residual > ENTROPY_TAIL_EPSILON:
+        entropy -= residual * math.log(residual)
     return max(entropy, 0.0)
 
 
-def mean_entropy(tokens: Sequence[TokenInfo], tail: bool = True) -> float:
+def mean_entropy(tokens: Sequence[TokenInfo]) -> float:
     if not tokens:
         raise UndefinedScoreError("cannot score an empty token segment")
-    return sum(token_entropy(t, tail=tail) for t in tokens) / len(tokens)
+    return sum(token_entropy(t) for t in tokens) / len(tokens)
 
 
 def combined_entropy(h_rational: float, h_answer: float, lambda_e: float = 0.5) -> float:
@@ -170,14 +167,14 @@ class ConfidenceScore:
         )
 
 
-def score_response(segmented: SegmentedResponse, entropy_tail: bool = True) -> ConfidenceScore:
+def score_response(segmented: SegmentedResponse) -> ConfidenceScore:
     """Mean logprob and mean entropy of each non-empty segment."""
     log_p_rational = h_rational = None
     if segmented.rational_tokens:
         log_p_rational = mean_logprob(segmented.rational_tokens)
-        h_rational = mean_entropy(segmented.rational_tokens, tail=entropy_tail)
+        h_rational = mean_entropy(segmented.rational_tokens)
     log_p_answer = h_answer = None
     if segmented.answer_tokens:
         log_p_answer = mean_logprob(segmented.answer_tokens)
-        h_answer = mean_entropy(segmented.answer_tokens, tail=entropy_tail)
+        h_answer = mean_entropy(segmented.answer_tokens)
     return ConfidenceScore(log_p_rational, log_p_answer, h_rational, h_answer)

@@ -83,15 +83,15 @@ _KK_LINE = re.compile(r"^[\s>*_#`|-]*([A-Za-z])[\s*_`]*[:\-][\s*_`]*(knight|knav
 _HOUSE_LINE = re.compile(r"^[\s>*_#`|-]*house\s+(\d+)\b(.*)$", re.IGNORECASE)
 
 
-def extract_answer(text: str, puzzle: Puzzle, marker: str = ANSWER_MARKER) -> CanonicalAnswer:
-    """Parse the canonical answer from the text after the LAST marker.
+def extract_answer(text: str, puzzle: Puzzle) -> CanonicalAnswer:
+    """Parse the canonical answer from the text after the LAST answer marker.
 
     Failures never raise; they come back as parse_ok=False.
     """
-    position = text.rfind(marker)
+    position = text.rfind(ANSWER_MARKER)
     if position < 0:
         return CanonicalAnswer.unparsed(puzzle.family)
-    tail = text[position + len(marker):]
+    tail = text[position + len(ANSWER_MARKER):]
     if isinstance(puzzle, KnightsKnavesPuzzle):
         return _extract_kk(tail, puzzle)
     return _extract_zebra(tail, puzzle)

@@ -22,7 +22,6 @@ _SENTENCE_END = (".", "!", "?")
 @dataclass(frozen=True)
 class ChunkedAnswer:
     chunks: tuple[str, ...]
-    source: str
 
 
 @dataclass(frozen=True)
@@ -77,20 +76,14 @@ def chunk(text: str, target_words: int = TARGET_WORDS) -> ChunkedAnswer:
             chunks.append(" ".join(words[start:end]))
             chunks.append(" ".join(words[end:]))
             break
-    return ChunkedAnswer(tuple(chunks), text)
+    return ChunkedAnswer(tuple(chunks))
 
 
-def build_verification_prompt(question: str, chunks: Sequence[str], template: str | None = None) -> str:
-    template = verifier_template() if template is None else template
-    return template.replace("{question}", question).replace("{answer}", " ".join(chunks))
+def build_verification_prompt(question: str, chunks: Sequence[str]) -> str:
+    return verifier_template().replace("{question}", question).replace("{answer}", " ".join(chunks))
 
 
-def verify(
-    question: str,
-    chunked: ChunkedAnswer,
-    client: InferenceClient,
-    template: str | None = None,
-) -> VerifierScore:
+def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> VerifierScore:
     """Cumulative-prefix verification: prompt i embeds chunks 0..i, and the
     score is the mean P("Yes") over all prefixes.
 
@@ -99,10 +92,9 @@ def verify(
     """
     if not chunked.chunks:
         raise ValueError("need at least one chunk to verify")
-    template = verifier_template() if template is None else template
     per_chunk: list[float | None] = []
     for i in range(len(chunked.chunks)):
-        prompt = build_verification_prompt(question, chunked.chunks[: i + 1], template)
+        prompt = build_verification_prompt(question, chunked.chunks[: i + 1])
         try:
             mass = client.completion_probability(prompt, [YES])
             per_chunk.append(mass[YES])

@@ -12,6 +12,7 @@ import random
 import shutil
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -354,8 +355,8 @@ def test_criterion_7_end_to_end_closed_world(tmp_path):
         assert result_b.backend_calls == 0
         for name in ("records.jsonl", "selections.jsonl", "report.md", "report_kk.csv",
                      "report_zebra.csv", "clue_accuracy.csv"):
-            a = open(os.path.join(config.run_dir, name), "rb").read()
-            b = open(run_b / name, "rb").read()
+            a = Path(config.run_dir, name).read_bytes()
+            b = (run_b / name).read_bytes()
             assert a == b, f"{name} differs under replay"
         assert time.perf_counter() - started < 60.0
 

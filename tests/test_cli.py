@@ -125,6 +125,15 @@ def test_fatal_error_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
+def test_bad_sampling_value_is_a_config_error(tmp_path, capsys):
+    config = {"run_dir": "r", "corpus": {"path": "c.jsonl"}, "sampling": {"top_p": 2},
+              "backend": {"kind": "mock", "script": "m.json"}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error: sampling: top_p must be in (0, 1]" in capsys.readouterr().err
+
+
 def test_torn_and_malformed_journal(world_run, capsys):
     tmp_path, config_path = world_run
     assert main(["run", "--config", str(config_path)]) == 0

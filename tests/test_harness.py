@@ -1,15 +1,18 @@
 import fcntl
+import hashlib
 import json
 import math
 import os
 import shutil
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
+from logicpool.cli import main as cli_main
 from logicpool.errors import ConfigError
-from logicpool.inference import MockBackend
+from logicpool.inference import MockBackend, SamplingParams
 from logicpool.harness.config import (
     BackendConfig,
     ExperimentConfig,
@@ -27,6 +30,8 @@ from logicpool.harness.records import (
 from logicpool.harness.report import stratify
 from logicpool.harness.run import apply_criterion, build_corpus, run
 from logicpool.harness.sweep import sweep
+from logicpool.prompts import Strategy, render
+from logicpool.puzzles import puzzle_to_obj
 from logicpool.selection import CRITERIA, ORACLE, CanonicalAnswer
 
 from conftest import STRATEGY_SENTINELS, ClosedWorld
@@ -99,6 +104,36 @@ def test_config_from_obj_with_presets(tmp_path):
         "concatenation_strategy",
     )
     assert config.backend.script_path == str(tmp_path / "mock.json")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"sampling": {"temprature": 0.0}},
+        {"lamda_p": 0.9},
+        {"entropy_tail": False},
+        {"corpus": {"path": "c.jsonl", "pth": "d.jsonl"}},
+        {"corpus": {"generate": {"preset": "desk", "sed": 1}}},
+        {"corpus": {"generate": {"kk_sizes": [3], "kk_per_size": 1, "zebra_config": []}}},
+        {"backend": {"kind": "mock", "scrpt": "mock.json"}},
+        {"verifier_backend": {"kind": "mock", "script": "mock.json", "modle": "m"}},
+        {"sampling": [0.6]},
+    ],
+)
+def test_config_rejects_keys_it_does_not_read(tmp_path, change):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "mock.json"}}
+    with pytest.raises(ConfigError):
+        config_from_obj({**obj, **change}, base_dir=str(tmp_path))
+
+
+def test_config_rejects_unknown_preset_and_bad_sampling(tmp_path):
+    obj = {"run_dir": "rd", "backend": {"kind": "mock", "script": "mock.json"}}
+    with pytest.raises(ConfigError, match="preset"):
+        config_from_obj({**obj, "corpus": {"generate": {"preset": "dsk"}}}, base_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="top_p"):
+        config_from_obj(
+            {**obj, "corpus": {"path": "c.jsonl"}, "sampling": {"top_p": 2}}, base_dir=str(tmp_path)
+        )
 
 
 def test_env_overrides_backend(monkeypatch, tmp_path):
@@ -176,10 +211,10 @@ def test_rerun_issues_zero_backend_calls(tmp_path, world):
     config = mock_config(tmp_path, paths)
     first = run(config)
     assert first.backend_calls > 0
-    records_before = open(os.path.join(config.run_dir, "records.jsonl"), "rb").read()
+    records_before = Path(config.run_dir, "records.jsonl").read_bytes()
     second = run(mock_config(tmp_path, paths))
     assert second.backend_calls == 0
-    records_after = open(os.path.join(config.run_dir, "records.jsonl"), "rb").read()
+    records_after = Path(config.run_dir, "records.jsonl").read_bytes()
     assert records_before == records_after
     assert [r.to_obj() for r in first.records] == [r.to_obj() for r in second.records]
 
@@ -196,8 +231,8 @@ def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world):
     assert result_b.backend_calls == 0
     for name in ("records.jsonl", "selections.jsonl", "report.md",
                  "report_kk.csv", "report_zebra.csv", "clue_accuracy.csv"):
-        a = open(os.path.join(config_a.run_dir, name), "rb").read()
-        b = open(run_b_dir / name, "rb").read()
+        a = Path(config_a.run_dir, name).read_bytes()
+        b = (run_b_dir / name).read_bytes()
         assert a == b, f"{name} differs between original and replay"
     # token data lives only in the journal
     for run_dir in (config_a.run_dir, run_b_dir):
@@ -425,6 +460,103 @@ def test_lambda_change_on_resume_matches_fresh_replay(tmp_path, world):
         )
 
 
+def test_temperature_change_on_resume_regenerates_every_record(tmp_path, world):
+    _, paths = world
+    assert run(mock_config(tmp_path, paths, run_name="temp")).backend_calls > 20
+    cold = SamplingParams(temperature=0.0)
+    resumed = run(mock_config(tmp_path, paths, run_name="temp", sampling=cold))
+    assert resumed.backend_calls == 20
+    replay_dir = tmp_path / "temp_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(tmp_path / "temp" / "journal.jsonl", replay_dir / "journal.jsonl")
+    run(mock_config(tmp_path, paths, run_name="temp_replay", sampling=cold, replay=True))
+    for name in ("records.jsonl", "selections.jsonl", "report.md", "manifest.json"):
+        assert (tmp_path / "temp" / name).read_bytes() == (replay_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "change, calls, count",
+    [
+        ({"instruction_tags": True}, 20, 20),
+        ({"strategies": ("supposition_following", "chain_construction")}, 0, 8),
+    ],
+)
+def test_resume_keeps_only_this_runs_records(tmp_path, world, change, calls, count):
+    _, paths = world
+    criteria = ("majority_vote", "max_prob", "oracle")
+    run(mock_config(tmp_path, paths, criteria=criteria))
+    resumed = run(mock_config(tmp_path, paths, criteria=criteria, **change))
+    assert resumed.backend_calls == calls
+    assert len(resumed.records) == count
+    run_dir = Path(resumed.run_dir)
+    stored = load_records(str(run_dir / "records.jsonl"))
+    assert [r.to_obj() for r in stored] == [r.to_obj() for r in resumed.records]
+    assert sweep(stored, "max_prob")
+    tables = {name: (run_dir / name).read_bytes() for name in ("report.md", "report_kk.csv")}
+    assert cli_main(["report", "--run-dir", str(run_dir)]) == 0
+    assert tables == {name: (run_dir / name).read_bytes() for name in tables}
+
+
+def test_records_without_request_key_resume_from_the_journal(tmp_path, world):
+    """Records written before they carried their request key (with the
+    prompt's sha256 instead) match no request: a resume rebuilds them from
+    the journal with zero backend calls."""
+    _, paths = world
+    first = run(mock_config(tmp_path, paths, run_name="old"))
+    corpus = {p.puzzle_id: p for p in build_corpus(mock_config(tmp_path, paths))}
+    old_lines = []
+    for record in first.records:
+        prompt = render(Strategy.from_key(record.strategy), corpus[record.puzzle_id])
+        obj = record.to_obj()
+        del obj["request_sha256"]
+        obj["prompt_sha256"] = hashlib.sha256(prompt.full_text.encode("utf-8")).hexdigest()
+        old_lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    records_path = tmp_path / "old" / "records.jsonl"
+    records_path.write_text("".join(old_lines), encoding="utf-8")
+    assert len(load_records(str(records_path))) == 20  # still loads for report and sweep
+
+    resumed = run(mock_config(tmp_path, paths, run_name="old"))
+    assert resumed.backend_calls == 0
+    replay_dir = tmp_path / "old_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(tmp_path / "old" / "journal.jsonl", replay_dir / "journal.jsonl")
+    run(mock_config(tmp_path, paths, run_name="old_replay", replay=True))
+    assert records_path.read_bytes() == (replay_dir / "records.jsonl").read_bytes()
+    journal_keys = {e["key"] for e in read_jsonl(str(tmp_path / "old" / "journal.jsonl"))}
+    assert all(obj["request_sha256"] in journal_keys for obj in read_jsonl(str(records_path)))
+
+
+def test_noop_rerun_leaves_records_file_untouched(tmp_path, world):
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="noop")
+    run(config)
+    records_path = Path(config.run_dir, "records.jsonl")
+    before = records_path.stat()
+    assert run(config).backend_calls == 0
+    after = records_path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_puzzles_with_one_prompt_keep_their_own_records(tmp_path, world):
+    """Two puzzles that render the same prompts share journal entries, but
+    each keeps its own records across reruns."""
+    world_obj, paths = world
+    obj = puzzle_to_obj(world_obj.puzzles["kkA"])
+    corpus_path = tmp_path / "twins.jsonl"
+    twin = json.dumps({**obj, "id": obj["id"] + "-twin"})
+    corpus_path.write_text(Path(paths["corpus"]).read_text() + twin + "\n")
+    twins = {"corpus": str(corpus_path), "script": paths["script"]}
+    config = mock_config(tmp_path, twins, run_name="twins")
+    first = run(config)
+    assert len({r.key for r in first.records}) == len(first.records) - 5
+    records_path = Path(config.run_dir, "records.jsonl")
+    before = records_path.stat()
+    second = run(mock_config(tmp_path, twins, run_name="twins"))
+    assert second.backend_calls == 0
+    assert [r.puzzle_id for r in second.records] == [r.puzzle_id for r in first.records]
+    assert records_path.stat().st_ino == before.st_ino
+
+
 def ten_key_confidence(obj):
     """A record object with its confidence as earlier versions stored it:
     the four segment scores plus six numbers derived at lambda 0.5."""
@@ -598,7 +730,7 @@ def _record(puzzle_id, difficulty, strategy, correct, family="kk"):
         difficulty=difficulty,
         strategy=strategy,
         sample=0,
-        prompt_sha256="h",
+        request_sha256="h",
         response_text="",
         finish_reason="stop",
         answer=CanonicalAnswer.unparsed(family),

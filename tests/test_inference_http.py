@@ -7,6 +7,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from logicpool.errors import BackendError, ProtocolError
 from logicpool.inference import OpenAIClient, SamplingParams
@@ -41,6 +42,15 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def session():
+    """The HTTP session a test hands its client, closed after the test so
+    no connection outlives it."""
+    with requests.Session() as session:
+        yield session
 
 
 def _chat_payload(tokens):
@@ -65,12 +75,12 @@ def _chat_payload(tokens):
     }
 
 
-def test_chat_parse(stub_server):
+def test_chat_parse(stub_server, session):
     base_url, handler = stub_server
     handler.script.append(
         (200, _chat_payload([("Hello", -0.1, [(" Hi", -2.0)]), (" there", -0.2, [])]))
     )
-    client = OpenAIClient(base_url, model="m", api="chat", max_retries=0)
+    client = OpenAIClient(base_url, model="m", api="chat", max_retries=0, session=session)
     response = client.generate("prompt text", SamplingParams(max_tokens=16))
     assert response.full_text == "Hello there"
     assert response.tokens[0].top_alternatives == (("Hello", -0.1), (" Hi", -2.0))
@@ -81,7 +91,7 @@ def test_chat_parse(stub_server):
     assert body["top_p"] == 0.9 and body["temperature"] == 0.6
 
 
-def test_completions_parse(stub_server):
+def test_completions_parse(stub_server, session):
     base_url, handler = stub_server
     handler.script.append(
         (
@@ -100,7 +110,7 @@ def test_completions_parse(stub_server):
             },
         )
     )
-    client = OpenAIClient(base_url, model="m", api="completions", max_retries=0)
+    client = OpenAIClient(base_url, model="m", api="completions", max_retries=0, session=session)
     response = client.generate("p", SamplingParams(max_tokens=2))
     assert response.full_text == "A:"
     assert response.finish_reason == "length"
@@ -108,43 +118,43 @@ def test_completions_parse(stub_server):
     assert handler.requests[0]["body"]["logprobs"] == 20
 
 
-def test_retry_then_success(stub_server):
+def test_retry_then_success(stub_server, session):
     base_url, handler = stub_server
     handler.script.append((500, {"error": "boom"}))
     handler.script.append((200, _chat_payload([("ok", -0.1, [])])))
-    client = OpenAIClient(base_url, model="m", max_retries=2, backoff=0.01)
+    client = OpenAIClient(base_url, model="m", max_retries=2, backoff=0.01, session=session)
     response = client.generate("p", SamplingParams())
     assert response.full_text == "ok"
     assert len(handler.requests) == 2
 
 
-def test_retries_exhausted_raise_backend_error(stub_server):
+def test_retries_exhausted_raise_backend_error(stub_server, session):
     base_url, handler = stub_server
     handler.script.extend([(503, {"error": "down"})] * 3)
-    client = OpenAIClient(base_url, model="m", max_retries=2, backoff=0.01)
+    client = OpenAIClient(base_url, model="m", max_retries=2, backoff=0.01, session=session)
     with pytest.raises(BackendError):
         client.generate("p", SamplingParams())
     assert len(handler.requests) == 3
 
 
-def test_client_error_is_not_retried(stub_server):
+def test_client_error_is_not_retried(stub_server, session):
     base_url, handler = stub_server
     handler.script.append((400, {"error": "bad request"}))
-    client = OpenAIClient(base_url, model="m", max_retries=3, backoff=0.01)
+    client = OpenAIClient(base_url, model="m", max_retries=3, backoff=0.01, session=session)
     with pytest.raises(ProtocolError):
         client.generate("p", SamplingParams())
     assert len(handler.requests) == 1
 
 
-def test_missing_logprobs_is_protocol_error(stub_server):
+def test_missing_logprobs_is_protocol_error(stub_server, session):
     base_url, handler = stub_server
     handler.script.append((200, {"choices": [{"finish_reason": "stop"}]}))
-    client = OpenAIClient(base_url, model="m", max_retries=0)
+    client = OpenAIClient(base_url, model="m", max_retries=0, session=session)
     with pytest.raises(ProtocolError):
         client.generate("p", SamplingParams())
 
 
-def test_completion_probability_uses_first_position(stub_server):
+def test_completion_probability_uses_first_position(stub_server, session):
     base_url, handler = stub_server
     handler.script.append(
         (
@@ -154,14 +164,14 @@ def test_completion_probability_uses_first_position(stub_server):
             ),
         )
     )
-    client = OpenAIClient(base_url, model="m", max_retries=0)
+    client = OpenAIClient(base_url, model="m", max_retries=0, session=session)
     mass = client.completion_probability("is it sound?", ["Yes", "No"])
     assert mass["Yes"] == pytest.approx(0.65)
     assert mass["No"] == pytest.approx(0.3)
     assert handler.requests[0]["body"]["max_tokens"] == 1
 
 
-def test_api_key_header(stub_server):
+def test_api_key_header(stub_server, session):
     base_url, handler = stub_server
 
     captured = {}
@@ -174,7 +184,7 @@ def test_api_key_header(stub_server):
     _StubHandler.do_POST = spy
     try:
         handler.script.append((200, _chat_payload([("x", -0.1, [])])))
-        client = OpenAIClient(base_url, model="m", api_key="sk-test", max_retries=0)
+        client = OpenAIClient(base_url, model="m", api_key="sk-test", max_retries=0, session=session)
         client.generate("p", SamplingParams())
     finally:
         _StubHandler.do_POST = original

@@ -102,7 +102,6 @@ def test_answer_marker_appears_once_in_instructions(kk_puzzle, zebra_puzzle):
     for puzzle in (kk_puzzle, zebra_puzzle):
         for strategy in Strategy:
             prompt = render(strategy, puzzle)
-            assert prompt.answer_marker == ANSWER_MARKER
             # once in the preamble format hint, once in the instruction block
             assert prompt.full_text.count(ANSWER_MARKER) == 2
             assert prompt.formatting_instructions.count(ANSWER_MARKER) == 1

@@ -181,13 +181,6 @@ def test_entropy_tail_rule():
     assert expected == pytest.approx(0.8018, abs=5e-4)
 
 
-def test_entropy_tail_can_be_disabled():
-    without_tail = -(0.7 * math.log(0.7) + 0.2 * math.log(0.2))
-    assert token_entropy(dist_token([0.7, 0.2]), tail=False) == pytest.approx(
-        without_tail, abs=1e-12
-    )
-
-
 def test_entropy_rejects_excess_mass():
     with pytest.raises(DataError):
         token_entropy(dist_token([0.8, 0.3]))

@@ -23,7 +23,7 @@ def record(puzzle_id, strategy, correct, p_rational, p_answer, h_rational=0.1, h
         difficulty="3 Person",
         strategy=strategy,
         sample=0,
-        prompt_sha256="h",
+        request_sha256="h",
         response_text="",
         finish_reason="stop",
         answer=answer,
