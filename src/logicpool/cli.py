@@ -128,9 +128,8 @@ def _cmd_verify_one(args: argparse.Namespace) -> int:
     chunked = chunk(response_text, target_words=args.target_words)
     score = verify(question, chunked, client)
     for i, value in enumerate(score.per_chunk):
-        rendered = "failed" if value is None else f"{value:.4f}"
-        print(f"chunk {i}: P(Yes) = {rendered}")
-    print(f"mean: {score.mean:.4f}" + (" (some chunks failed)" if score.any_failed else ""))
+        print(f"chunk {i}: P(Yes) = {value:.4f}")
+    print(f"mean: {score.mean:.4f}")
     return 0
 
 

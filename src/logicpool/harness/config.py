@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import ConfigError
 from ..inference import InferenceClient, MockBackend, OpenAIClient, SamplingParams
@@ -131,6 +131,18 @@ def _known(obj: Any, where: str, keys: tuple[str, ...]) -> dict[str, Any]:
     return obj
 
 
+def _cast(obj: dict[str, Any], key: str, cast: Callable[[Any], Any], default: Any, where: str = "") -> Any:
+    """``cast(obj[key])``, or the default when the key is absent; a value
+    the cast rejects is a ConfigError naming the setting."""
+    if key not in obj:
+        return default
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError) as exc:
+        setting = f"{where}.{key}" if where else key
+        raise ConfigError(f"config {setting}: {obj[key]!r} is not a valid value ({exc})") from None
+
+
 def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
     keys = ("kind", "base_url", "model", "api", "api_key", "api_key_env", "script", "max_retries", "timeout")
     obj = _known(obj, where, keys)
@@ -144,8 +156,8 @@ def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
         api=obj.get("api", "chat"),
         api_key=api_key,
         script_path=obj.get("script"),
-        max_retries=int(obj.get("max_retries", 3)),
-        timeout=float(obj.get("timeout", 120.0)),
+        max_retries=_cast(obj, "max_retries", int, 3, where),
+        timeout=_cast(obj, "timeout", float, 120.0, where),
     )
 
 
@@ -182,19 +194,21 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         if "preset" not in gen:
             generate = GenerateSpec(
                 kk_sizes=tuple(gen.get("kk_sizes", ())),
-                kk_per_size=int(gen.get("kk_per_size", 0)),
+                kk_per_size=_cast(gen, "kk_per_size", int, 0, "corpus.generate"),
                 zebra_configs=tuple(tuple(c) for c in gen.get("zebra_configs", ())),
-                seed=int(gen.get("seed", 0)),
+                seed=_cast(gen, "seed", int, 0, "corpus.generate"),
             )
         elif gen["preset"] == "desk" and set(gen) <= {"preset", "seed"}:
-            generate = desk_generate_spec(int(gen.get("seed", 0)))
+            generate = desk_generate_spec(_cast(gen, "seed", int, 0, "corpus.generate"))
         else:
             raise ConfigError(f"corpus.generate {gen}: the one preset is 'desk', and it takes only a seed")
 
     sampling_obj = _known(obj.get("sampling", {}), "sampling", tuple(_SAMPLING_CASTS))
     try:
-        sampling = SamplingParams(**{k: _SAMPLING_CASTS[k](v) for k, v in sampling_obj.items()})
-    except (TypeError, ValueError) as exc:
+        sampling = SamplingParams(
+            **{key: _cast(sampling_obj, key, _SAMPLING_CASTS[key], None, "sampling") for key in sampling_obj}
+        )
+    except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from None
 
     strategies = obj.get("strategies", "all")
@@ -219,11 +233,11 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         strategies=tuple(strategies),
         criteria=tuple(obj.get("criteria", CRITERIA)),
         sampling=sampling,
-        lambda_p=float(obj.get("lambda_p", 0.5)),
-        lambda_e=float(obj.get("lambda_e", 0.5)),
+        lambda_p=_cast(obj, "lambda_p", float, 0.5),
+        lambda_e=_cast(obj, "lambda_e", float, 0.5),
         instruction_tags=bool(obj.get("instruction_tags", False)),
-        samples=int(obj.get("samples", 1)),
-        concurrency=int(obj.get("concurrency", 4)),
+        samples=_cast(obj, "samples", int, 1),
+        concurrency=_cast(obj, "concurrency", int, 4),
         replay=bool(obj.get("replay", False)),
         backend=backend,
         verifier_backend=verifier_backend,

@@ -4,10 +4,11 @@ pool's records."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
+# run files are read and written through this module
+from ..jsonl import append_jsonl, read_jsonl, write_jsonl  # noqa: F401
 from ..prompts import Strategy
 from ..scoring import ConfidenceScore
 from ..selection import Candidate, CandidatePool, CanonicalAnswer
@@ -78,12 +79,20 @@ class EvalRecord:
             answer=CanonicalAnswer.from_obj(obj["answer"]),
             correct=bool(obj["correct"]),
             confidence=ConfidenceScore.from_obj(obj["confidence"]) if obj.get("confidence") else None,
-            verifier=VerifierScore.from_obj(obj["verifier"]) if obj.get("verifier") else None,
+            verifier=_verifier_from_obj(obj.get("verifier")),
             elapsed_s=float(obj.get("elapsed_s", 0.0)),
             n_clues=obj.get("n_clues"),
             error=obj.get("error"),
             annotations=obj.get("annotations"),
         )
+
+
+def _verifier_from_obj(obj: dict[str, Any] | None) -> VerifierScore | None:
+    # older versions stored a score with failed prefixes as any_failed;
+    # it counts as unverified, so a resume verifies it again
+    if not obj or obj.get("any_failed"):
+        return None
+    return VerifierScore.from_obj(obj)
 
 
 def candidate_pool(records: list[EvalRecord]) -> CandidatePool:
@@ -150,27 +159,6 @@ class SelectionRow:
             error=obj.get("error"),
             n_clues=obj.get("n_clues"),
         )
-
-
-def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def append_jsonl(path: str, obj: dict[str, Any]) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def read_jsonl(path: str) -> list[dict[str, Any]]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
 
 
 def load_records(path: str) -> list[EvalRecord]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError, NoAnswerError
-from ..inference import JournalingClient, generate_request
+from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from ..scoring import score_response, segment
@@ -100,7 +100,7 @@ def _run_lock(run_dir: str):
 def build_corpus(config: ExperimentConfig) -> list[Puzzle]:
     """Deterministic corpus: generated from the spec or loaded from JSONL."""
     if config.corpus_path:
-        return [puzzle_from_obj(obj) for obj in read_jsonl(config.corpus_path)]
+        return [puzzle_from_obj(obj) for obj in read_jsonl(config.corpus_path, repair=False)]
     spec = config.generate
     assert spec is not None
     puzzles: list[Puzzle] = []
@@ -191,7 +191,7 @@ class _Runner:
             text = response.full_text
             finish_reason = response.finish_reason
             try:
-                confidence = score_response(segment(response))
+                confidence = score_response(response, segment(response))
             except LogicPoolError as exc:
                 error = self._fail("score", task, exc)
         answer = extract_answer(text, puzzle)
@@ -316,7 +316,7 @@ class _Runner:
             shutil.copyfile(config.corpus_path, corpus_path)
             corpus = build_corpus(config)
         elif os.path.exists(corpus_path):
-            corpus = [puzzle_from_obj(obj) for obj in read_jsonl(corpus_path)]
+            corpus = [puzzle_from_obj(obj) for obj in read_jsonl(corpus_path, repair=False)]
         else:
             corpus = build_corpus(config)
             write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
@@ -423,6 +423,7 @@ class _Runner:
             "samples": config.samples,
             "sampling": dataclasses.asdict(config.sampling),
             "backend_kind": config.backend.kind,
+            "journal_format": JOURNAL_FORMAT,
             "record_count": len(self.records),
         }
         with open(os.path.join(run_dir, MANIFEST_FILE), "w", encoding="utf-8") as handle:

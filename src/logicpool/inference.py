@@ -5,28 +5,36 @@ makes every run replayable without a live endpoint.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-import logging
 import math
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
 
+import numpy as np
 import requests
 
-from .errors import BackendError, DataError, ProtocolError, ReplayMissError
+from .errors import BackendError, ConfigError, DataError, ProtocolError, ReplayMissError
+from .jsonl import read_lines
 from .prompts import RenderedPrompt
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_P = 0.9
 DEFAULT_TEMPERATURE = 0.6
 DEFAULT_MAX_TOKENS = 3072
 DEFAULT_TOP_K = 20
+
+# Version 2: a generation's logprobs are arrays (see response_to_obj);
+# version 1 stored one JSON object per token and per alternative.
+JOURNAL_FORMAT = 2
+_ENTRY_START = re.compile(rb'\{"key": "([0-9a-f]{64})"')
+_OLD_FORMAT = b'"tokens": [{'  # a version 1 generation; JSON escapes quotes inside strings
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -86,20 +94,55 @@ def make_token(text: str, logprob: float, alternatives: Iterable[tuple[str, floa
     return TokenInfo(text=text, logprob=logprob, top_alternatives=tuple(alts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelResponse:
-    tokens: tuple[TokenInfo, ...]
-    full_text: str
+    """One generation as arrays: the token texts, the sampled logprobs (T,)
+    and the top-K logprobs (T, K) of each position, sorted descending and
+    padded with -inf where a row has fewer alternatives. The alternatives'
+    texts are not kept: nothing downstream of a generation reads them."""
+
+    tokens: tuple[str, ...]
+    logprobs: np.ndarray
+    top_logprobs: np.ndarray
     finish_reason: str  # stop | length | error
+    full_text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        joined = "".join(t.text for t in self.tokens)
-        if joined != self.full_text:
-            raise DataError("full_text does not equal the token concatenation")
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "full_text", "".join(self.tokens))
+        n, logprobs, top = len(self.tokens), self.logprobs, self.top_logprobs
+        if logprobs.shape != (n,) or top.ndim != 2 or top.shape[0] != n:
+            raise DataError(f"{n} tokens with logprobs {logprobs.shape} and top logprobs {top.shape}")
+        if n:
+            if top.shape[1] == 0 or np.isneginf(top[:, 0]).any():
+                raise DataError("token needs at least one alternative")
+            if not (logprobs <= 1e-6).all() or not (top <= 1e-6).all():
+                raise DataError("logprobs must be <= 0")
+            if not (top[:, :-1] >= top[:, 1:]).all():
+                raise DataError("alternatives must be sorted by logprob descending")
+        logprobs.flags.writeable = False
+        top.flags.writeable = False
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[TokenInfo], finish_reason: str) -> "ModelResponse":
-        return cls(tuple(tokens), "".join(t.text for t in tokens), finish_reason)
+        """Pack wire tokens into arrays."""
+        widths = np.array([len(t.top_alternatives) for t in tokens], dtype=np.int64)
+        top = np.full((len(tokens), widths.max(initial=0)), -np.inf)
+        # a boolean mask assigns in row-major order: each row's alternatives, left-aligned
+        filled = np.arange(top.shape[1]) < widths[:, None]
+        top[filled] = [lp for t in tokens for _, lp in t.top_alternatives]
+        logprobs = np.array([t.logprob for t in tokens], dtype=np.float64)
+        return cls([t.text for t in tokens], logprobs, top, finish_reason)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelResponse):
+            return NotImplemented
+        return (
+            self.tokens == other.tokens
+            and self.finish_reason == other.finish_reason
+            and np.array_equal(self.logprobs, other.logprobs)
+            and np.array_equal(self.top_logprobs, other.top_logprobs)
+        )
 
 
 class InferenceClient(Protocol):
@@ -327,8 +370,7 @@ class OpenAIClient:
             raise ProtocolError(f"malformed logprobs payload: {exc}") from exc
         return tokens
 
-    def generate(self, prompt: RenderedPrompt | str, params: SamplingParams) -> ModelResponse:
-        text = prompt_text(prompt)
+    def _complete(self, text: str, params: SamplingParams) -> tuple[list[TokenInfo], str]:
         path, payload = self._payload(text, params)
         data = self._post(path, payload)
         try:
@@ -336,17 +378,19 @@ class OpenAIClient:
             finish_reason = choice.get("finish_reason") or "stop"
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion payload: {exc}") from exc
-        tokens = self._parse_tokens(choice)
-        return ModelResponse.from_tokens(tokens, finish_reason)
+        return self._parse_tokens(choice), finish_reason
+
+    def generate(self, prompt: RenderedPrompt | str, params: SamplingParams) -> ModelResponse:
+        return ModelResponse.from_tokens(*self._complete(prompt_text(prompt), params))
 
     def completion_probability(
         self, prompt_text_: str, candidates: Sequence[str]
     ) -> dict[str, float]:
         params = SamplingParams(temperature=0.0, top_p=1.0, max_tokens=1)
-        response = self.generate(prompt_text_, params)
-        if not response.tokens:
+        tokens, _ = self._complete(prompt_text_, params)
+        if not tokens:
             raise ProtocolError("backend returned an empty first position")
-        return first_token_candidate_mass(response.tokens[0].top_alternatives, candidates)
+        return first_token_candidate_mass(tokens[0].top_alternatives, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +398,34 @@ class OpenAIClient:
 # ---------------------------------------------------------------------------
 
 
-def token_to_obj(token: TokenInfo) -> dict[str, Any]:
-    return {
-        "text": token.text,
-        "logprob": token.logprob,
-        "alternatives": [[t, lp] for t, lp in token.top_alternatives],
-    }
+def _pack(array: np.ndarray) -> str:
+    return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
 
 
-def token_from_obj(obj: dict[str, Any]) -> TokenInfo:
-    return TokenInfo(
-        text=obj["text"],
-        logprob=float(obj["logprob"]),
-        top_alternatives=tuple((t, float(lp)) for t, lp in obj["alternatives"]),
-    )
+def _unpack(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
 
 
 def response_to_obj(response: ModelResponse) -> dict[str, Any]:
+    """The journaled form of a response: the token texts as a list, both
+    logprob arrays as base64 of little-endian f8, so a replay scores
+    exactly the numbers the original run scored."""
     return {
-        "tokens": [token_to_obj(t) for t in response.tokens],
+        "tokens": list(response.tokens),
+        "logprobs": _pack(response.logprobs),
+        "top_logprobs": _pack(response.top_logprobs),
         "finish_reason": response.finish_reason,
     }
 
 
 def response_from_obj(obj: dict[str, Any]) -> ModelResponse:
-    return ModelResponse.from_tokens(
-        [token_from_obj(t) for t in obj["tokens"]], obj["finish_reason"]
+    tokens = obj["tokens"]
+    top = _unpack(obj["top_logprobs"])
+    if tokens and top.size % len(tokens):
+        raise ValueError(f"{top.size} top logprobs do not fill {len(tokens)} rows")
+    width = top.size // len(tokens) if tokens else 0
+    return ModelResponse(
+        tokens, _unpack(obj["logprobs"]), top.reshape(len(tokens), width), obj["finish_reason"]
     )
 
 
@@ -419,6 +465,10 @@ class JournalingClient:
     call); new ones hit the inner client and are appended. Without an inner
     client the journal is replayed: a missing entry is an error, so
     completed runs re-execute bit-for-bit offline.
+
+    Opening the journal reads only each line's key and byte offset; an
+    entry is parsed when a lookup asks for it, so a fully cached rerun
+    decodes nothing.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -426,49 +476,57 @@ class JournalingClient:
         self.inner = inner
         self.stats = JournalStats()
         self._lock = threading.Lock()
-        self._entries: dict[str, dict[str, Any]] = {}
+        self._index: dict[str, tuple[int, int, int]] = {}  # key -> (offset, length, line)
+        self._lines = 0
         self._load()
 
     def _load(self) -> None:
-        """Read the journal. Every entry is written with its newline, so a
-        final line without one is a write cut short: it is truncated away
-        with a warning. Any other line that is not an entry is a DataError."""
-        try:
-            handle = open(self.journal_path, "rb")
-        except FileNotFoundError:
+        """Index the journal under the JSON-lines rule (a torn final line is
+        truncated away). Every entry is written key first, so a line that
+        does not start with its key and end with ``}`` is a DataError."""
+        if not os.path.exists(self.journal_path):
             return
-        torn_at = None
-        with handle:
-            offset = 0
-            for number, raw in enumerate(handle, 1):
-                if not raw.endswith(b"\n"):
-                    torn_at = offset
-                    break
-                offset += len(raw)
-                if not raw.strip():
-                    continue
-                try:
-                    entry = json.loads(raw)
-                    self._entries[entry["key"]] = entry
-                except (ValueError, TypeError, KeyError) as exc:
-                    raise DataError(
-                        f"{self.journal_path}: line {number} is not a journal entry ({exc!r})"
-                    ) from None
-        if torn_at is not None:
-            logger.warning(
-                "%s: truncating a torn final line at byte %d", self.journal_path, torn_at
-            )
-            os.truncate(self.journal_path, torn_at)
+
+        def key_of(raw: bytes) -> tuple[str, int]:
+            match = _ENTRY_START.match(raw)
+            if match is None or not raw.endswith(b"}\n"):
+                raise ValueError("not a journal entry")
+            if _OLD_FORMAT in raw:
+                raise ConfigError(
+                    f"{self.journal_path} is in the old journal format (per-token JSON), which this "
+                    f"version cannot read; it reads journal_format {JOURNAL_FORMAT}. "
+                    "Run into a fresh directory."
+                )
+            return match.group(1).decode("ascii"), len(raw)
+
+        for number, offset, (key, length) in read_lines(self.journal_path, key_of):
+            self._index[key] = (offset, length, number)
+            self._lines = number
 
     def _append(self, entry: dict[str, Any]) -> None:
+        line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-            self._entries[entry["key"]] = entry
+            with open(self.journal_path, "ab") as handle:
+                offset = handle.seek(0, os.SEEK_END)
+                handle.write(line)
+            self._lines += 1
+            self._index[entry["key"]] = (offset, len(line), self._lines)
 
-    def _lookup(self, key: str) -> dict[str, Any] | None:
+    def _lookup(self, key: str, decode: Callable[[dict[str, Any]], T]) -> T | None:
+        """Parse the entry under ``key`` and decode its response, or None."""
         with self._lock:
-            return self._entries.get(key)
+            found = self._index.get(key)
+            if found is None:
+                return None
+            self.stats.served_from_journal += 1
+        offset, length, number = found
+        with open(self.journal_path, "rb") as handle:
+            handle.seek(offset)
+            raw = handle.read(length)
+        try:
+            return decode(json.loads(raw))
+        except (ValueError, TypeError, KeyError, DataError) as exc:
+            raise DataError(f"{self.journal_path}: line {number} is not a journal entry ({exc!r})") from None
 
     def generate_timed(
         self,
@@ -485,11 +543,11 @@ class JournalingClient:
         prompt) apart; without it the request is untagged.
         """
         key, request = keyed or generate_request(prompt, params)
-        entry = self._lookup(key)
-        if entry is not None:
-            with self._lock:
-                self.stats.served_from_journal += 1
-            return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
+        hit = self._lookup(
+            key, lambda entry: (response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0)))
+        )
+        if hit is not None:
+            return hit
         text = request["prompt"]
         if self.inner is None:
             raise ReplayMissError(f"no journaled response for prompt starting {text[:60]!r}")
@@ -519,11 +577,9 @@ class JournalingClient:
     ) -> dict[str, float]:
         request = {"prompt": prompt_text_, "candidates": sorted(candidates)}
         key = _request_key("completion_probability", request)
-        entry = self._lookup(key)
-        if entry is not None:
-            with self._lock:
-                self.stats.served_from_journal += 1
-            return dict(entry["response"])
+        hit = self._lookup(key, lambda entry: dict(entry["response"]))
+        if hit is not None:
+            return hit
         if self.inner is None:
             raise ReplayMissError(
                 f"no journaled verification for prompt starting {prompt_text_[:60]!r}"

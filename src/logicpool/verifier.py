@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import BackendError
 from .inference import InferenceClient
 from .prompts import verifier_template
 
@@ -26,19 +25,17 @@ class ChunkedAnswer:
 
 @dataclass(frozen=True)
 class VerifierScore:
-    """Per-prefix P("Yes") values and their mean. A backend failure leaves
-    None in per_chunk and sets any_failed; the mean is over the successes."""
+    """Per-prefix P("Yes") values and their mean."""
 
-    per_chunk: tuple[float | None, ...]
+    per_chunk: tuple[float, ...]
     mean: float
-    any_failed: bool
 
     def to_obj(self) -> dict[str, Any]:
-        return {"per_chunk": list(self.per_chunk), "mean": self.mean, "any_failed": self.any_failed}
+        return {"per_chunk": list(self.per_chunk), "mean": self.mean}
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "VerifierScore":
-        return cls(tuple(obj["per_chunk"]), float(obj["mean"]), bool(obj["any_failed"]))
+        return cls(tuple(obj["per_chunk"]), float(obj["mean"]))
 
 
 def _is_sentence_end(word: str) -> bool:
@@ -88,23 +85,15 @@ def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> Ve
     score is the mean P("Yes") over all prefixes.
 
     Prefix prompts go out sequentially: each embeds all prior chunks, and
-    sequential issue keeps the journal in a reproducible order.
+    sequential issue keeps the journal in a reproducible order. A failed
+    prefix (BackendError) fails the whole verification: a partial mean is
+    never a score. The prefixes already answered stay in the journal, so a
+    retry asks only for the rest.
     """
     if not chunked.chunks:
         raise ValueError("need at least one chunk to verify")
-    per_chunk: list[float | None] = []
+    per_chunk = []
     for i in range(len(chunked.chunks)):
         prompt = build_verification_prompt(question, chunked.chunks[: i + 1])
-        try:
-            mass = client.completion_probability(prompt, [YES])
-            per_chunk.append(mass[YES])
-        except BackendError:
-            per_chunk.append(None)
-    scores = [p for p in per_chunk if p is not None]
-    if not scores:
-        raise BackendError("verification failed for every chunk")
-    return VerifierScore(
-        per_chunk=tuple(per_chunk),
-        mean=sum(scores) / len(scores),
-        any_failed=any(p is None for p in per_chunk),
-    )
+        per_chunk.append(client.completion_probability(prompt, [YES])[YES])
+    return VerifierScore(per_chunk=tuple(per_chunk), mean=sum(per_chunk) / len(per_chunk))

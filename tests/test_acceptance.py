@@ -19,7 +19,7 @@ import pytest
 from logicpool.harness.config import BackendConfig, ExperimentConfig
 from logicpool.harness.run import run
 from logicpool.harness.sweep import sweep
-from logicpool.inference import TokenInfo, MockBackend
+from logicpool.inference import MockBackend, ModelResponse, TokenInfo
 from logicpool.prompts import Strategy
 from logicpool.puzzles import (
     KNIGHT,
@@ -32,12 +32,7 @@ from logicpool.puzzles import (
 )
 from logicpool.puzzles.statements import Atom, Iff, Implies
 from logicpool.puzzles.zebra import Clue, LEFT_OF, SAME_HOUSE
-from logicpool.scoring import (
-    combined_entropy,
-    combined_prob,
-    geometric_mean_prob,
-    token_entropy,
-)
+from logicpool.scoring import combined_entropy, combined_logprob, score_response, segment
 from logicpool.selection import select_max_prob, select_min_entropy
 from logicpool.verifier import chunk, verify
 
@@ -117,9 +112,13 @@ def test_criterion_2_solver_completeness():
 
 
 def _scoring_fixtures():
-    """(description, got, expected) triples; every expected value computed
-    with an independent direct formula."""
+    """(description, got, expected) triples: what the package's scorer gives
+    for a response, against an independent direct formula."""
     fixtures = []
+
+    def score(tokens):
+        response = ModelResponse.from_tokens(tokens, "stop")  # no marker: all rational
+        return score_response(response, segment(response))
 
     def geom_tokens(probabilities):
         tokens = tuple(
@@ -127,7 +126,8 @@ def _scoring_fixtures():
             for i, p in enumerate(probabilities)
         )
         direct = math.prod(probabilities) ** (1.0 / len(probabilities))
-        fixtures.append((f"geometric mean {probabilities}", geometric_mean_prob(tokens), direct))
+        got = math.exp(score(tokens).log_p_rational)
+        fixtures.append((f"geometric mean {probabilities}", got, direct))
 
     geom_tokens([0.25, 1.0])           # sqrt(0.25) = 0.5
     geom_tokens([0.9])                 # identity
@@ -143,7 +143,11 @@ def _scoring_fixtures():
     ]:
         direct = (p_r ** (2 * (1 - lam))) * (p_a ** (2 * lam))
         fixtures.append(
-            (f"combined prob ({p_r}, {p_a}, lambda={lam})", combined_prob(p_r, p_a, lam), direct)
+            (
+                f"combined prob ({p_r}, {p_a}, lambda={lam})",
+                math.exp(combined_logprob(math.log(p_r), math.log(p_a), lam)),
+                direct,
+            )
         )
 
     def entropy_token(probabilities):
@@ -155,7 +159,7 @@ def _scoring_fixtures():
         direct = -sum(p * math.log(p) for p in probabilities)
         if residual > 1e-9:
             direct -= residual * math.log(residual)
-        fixtures.append((f"token entropy {probabilities}", token_entropy(token), direct))
+        fixtures.append((f"token entropy {probabilities}", score((token,)).h_rational, direct))
 
     entropy_token([1.0])               # deterministic -> 0
     entropy_token([0.5, 0.5])          # ln 2

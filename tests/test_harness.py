@@ -1,17 +1,20 @@
 import fcntl
 import hashlib
+import importlib
 import json
 import math
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from logicpool import inference
 from logicpool.cli import main as cli_main
-from logicpool.errors import ConfigError
+from logicpool.errors import BackendError, ConfigError
 from logicpool.inference import MockBackend, SamplingParams
 from logicpool.harness.config import (
     BackendConfig,
@@ -33,6 +36,7 @@ from logicpool.harness.sweep import sweep
 from logicpool.prompts import Strategy, render
 from logicpool.puzzles import puzzle_to_obj
 from logicpool.selection import CRITERIA, ORACLE, CanonicalAnswer
+from logicpool.verifier import chunk
 
 from conftest import STRATEGY_SENTINELS, ClosedWorld
 
@@ -787,3 +791,169 @@ def test_stratify_exact_percentages():
     assert "| No strategy" in markdown and "66.7%" in markdown
     csv = table.to_csv()
     assert csv.splitlines()[0] == "row,3 Person,4 Person,5 Person,6 Person,Avg."
+
+
+# ---------------------------------------------------------------------------
+# config casts, torn records, verifier failures, the lazy journal
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "change, setting",
+    [
+        ({"samples": "two"}, "samples"),
+        ({"concurrency": "many"}, "concurrency"),
+        ({"lambda_p": "half"}, "lambda_p"),
+        ({"lambda_e": [0.5]}, "lambda_e"),
+        ({"corpus": {"generate": {"kk_sizes": [3], "kk_per_size": "ten"}}}, "corpus.generate.kk_per_size"),
+        ({"corpus": {"generate": {"kk_sizes": [3], "kk_per_size": 1, "seed": "s"}}}, "corpus.generate.seed"),
+        ({"corpus": {"generate": {"preset": "desk", "seed": None}}}, "corpus.generate.seed"),
+        ({"backend": {"kind": "mock", "script": "m.json", "max_retries": "three"}}, "backend.max_retries"),
+        ({"verifier_backend": {"kind": "mock", "script": "m.json", "timeout": "x"}}, "verifier_backend.timeout"),
+    ],
+)
+def test_config_values_that_do_not_cast_are_config_errors(tmp_path, change, setting):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
+    with pytest.raises(ConfigError, match=f"config {setting}: "):
+        config_from_obj({**obj, **change}, base_dir=str(tmp_path))
+
+
+def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys):
+    """A kill during a pool's append leaves a torn last record: report and
+    resume truncate it with a warning, and the resume rebuilds the record
+    from the journal."""
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="torn")
+    run(config)
+    records_path = Path(config.run_dir, "records.jsonl")
+    intact = records_path.read_bytes()
+    last = intact[: len(intact) - 1].rfind(b"\n") + 1
+    records_path.write_bytes(intact[: last + 60])
+
+    assert cli_main(["report", "--run-dir", config.run_dir]) == 0
+    assert records_path.read_bytes() == intact[:last]
+    records_path.write_bytes(intact[: last + 60])
+    resumed = run(mock_config(tmp_path, paths, run_name="torn"))
+    assert resumed.backend_calls == 0
+    assert resumed.exit_code == 0
+    assert records_path.read_bytes() == intact
+    capsys.readouterr()
+    assert cli_main(["report", "--run-dir", config.run_dir]) == 0
+    assert "Oracle" in capsys.readouterr().out
+
+
+def test_malformed_records_line_is_a_data_error(tmp_path, world, capsys):
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="garbled")
+    run(config)
+    records_path = Path(config.run_dir, "records.jsonl")
+    lines = records_path.read_bytes().splitlines(keepends=True)
+    records_path.write_bytes(lines[0] + lines[1][:50] + b"\n" + b"".join(lines[2:]))
+    capsys.readouterr()
+    assert cli_main(["report", "--run-dir", config.run_dir]) == 1
+    assert "records.jsonl: line 2" in capsys.readouterr().err
+    assert cli_main(["sweep", "--run-dir", config.run_dir, "--criterion", "max_prob"]) == 1
+    assert "records.jsonl: line 2" in capsys.readouterr().err
+
+
+class FlakyVerifierMock(MockBackend):
+    """Fails every third prefix call with a BackendError."""
+
+    def __init__(self, script, counts):
+        super().__init__(script)
+        self.counts = counts
+        self.lock = threading.Lock()
+
+    def completion_probability(self, prompt_text_, candidates):
+        with self.lock:
+            self.counts["calls"] += 1
+            failing = self.counts["calls"] % 3 == 0
+            self.counts["failed" if failing else "answered"] += 1
+        if failing:
+            raise BackendError("prefix call failed")
+        return super().completion_probability(prompt_text_, candidates)
+
+
+@dataclass
+class FlakyBackendConfig(BackendConfig):
+    counts: dict = field(default_factory=lambda: {"calls": 0, "failed": 0, "answered": 0})
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return FlakyVerifierMock(json.load(handle), self.counts)
+
+
+def test_failed_verifier_prefix_is_a_failure_and_is_retried(tmp_path, world, monkeypatch):
+    """With 3-word chunks every response has several prefixes. A failed
+    prefix fails its candidate's verification: a "verify" failure row, exit
+    code 2 and no stored score; a healthy resume verifies it again, asking
+    the backend only for the prefixes the journal lacks."""
+    _, paths = world
+    # the package exports the function run under the module's name
+    run_module = importlib.import_module("logicpool.harness.run")
+    monkeypatch.setattr(run_module, "chunk", lambda text: chunk(text, target_words=3))
+    criteria = ("verifier", "oracle")
+    flaky = FlakyBackendConfig(kind="mock", script_path=paths["script"])
+    first = run(mock_config(tmp_path, paths, run_name="flaky", criteria=criteria, backend=flaky))
+    assert flaky.counts["failed"] > 0
+    assert first.exit_code == 2
+    assert {f["kind"] for f in first.failures} == {"verify"}
+    failed = {(f["puzzle_id"], f["strategy"]) for f in first.failures}
+    for record in load_records(os.path.join(tmp_path, "flaky", "records.jsonl")):
+        prefixes = len(chunk(record.response_text, target_words=3).chunks)
+        if (record.puzzle_id, record.strategy) in failed:
+            assert record.verifier is None
+        elif record.answer.parse_ok:
+            assert len(record.verifier.per_chunk) == prefixes > 1
+
+    resumed = run(mock_config(tmp_path, paths, run_name="flaky", criteria=criteria))
+    assert resumed.exit_code == 0
+    verified = [r for r in resumed.records if r.answer.parse_ok]
+    prefixes = sum(len(chunk(r.response_text, target_words=3).chunks) for r in verified)
+    assert resumed.backend_calls == prefixes - flaky.counts["answered"]
+    fresh = run(mock_config(tmp_path, paths, run_name="flaky_fresh", criteria=criteria))
+    assert without_timing(resumed.records) == without_timing(fresh.records)
+
+
+def test_partial_verifier_score_from_older_versions_is_reverified(tmp_path, world):
+    """Older versions stored a score with a failed prefix as ``any_failed``;
+    it counts as unverified, and a resume verifies it from the journal."""
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="partial", criteria=("verifier", "oracle"))
+    run(config)
+    records_path = Path(config.run_dir, "records.jsonl")
+    intact = records_path.read_bytes()
+    objs = read_jsonl(str(records_path))
+    verified = next(obj for obj in objs if obj["verifier"])
+    verified["verifier"] = {"per_chunk": [None], "mean": 0.0, "any_failed": True}
+    records_path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs))
+    resumed = run(config)
+    assert resumed.backend_calls == 0
+    assert records_path.read_bytes() == intact
+
+
+def test_cached_rerun_decodes_no_journal_entry(tmp_path, world, monkeypatch):
+    """A fully cached rerun reads only the journal's keys: it runs even when
+    every entry's body is unreadable, and never calls response_from_obj."""
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="lazy")
+    run(config)
+    journal = Path(config.run_dir, "journal.jsonl")
+    records_before = Path(config.run_dir, "records.jsonl").read_bytes()
+    lines = journal.read_bytes().splitlines()
+    journal.write_bytes(b"".join(line[: line.index(b'"kind"')] + b"unreadable}\n" for line in lines))
+    decoded = []
+    real = inference.response_from_obj
+    monkeypatch.setattr(inference, "response_from_obj", lambda obj: decoded.append(obj) or real(obj))
+    rerun = run(config)
+    assert rerun.backend_calls == 0 and rerun.exit_code == 0
+    assert decoded == []
+    assert Path(config.run_dir, "records.jsonl").read_bytes() == records_before
+
+    replay_dir = tmp_path / "lazy_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(journal, replay_dir / "journal.jsonl")
+    replay = run(mock_config(tmp_path, paths, run_name="lazy_replay", replay=True))
+    assert replay.exit_code == 2
+    assert len(replay.failures) == 20
+    assert all(f["kind"] == "generate" and "journal.jsonl: line" in f["error"] for f in replay.failures)

@@ -1,9 +1,13 @@
 import json
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logicpool.errors import DataError, ProtocolError, ReplayMissError
+from logicpool.errors import ConfigError, DataError, ProtocolError, ReplayMissError
 from logicpool.inference import (
     JournalingClient,
     MockBackend,
@@ -64,8 +68,15 @@ def test_model_response_concat_invariant():
     tokens = (make_token("Hello", -0.1), make_token(" world", -0.2))
     response = ModelResponse.from_tokens(tokens, "stop")
     assert response.full_text == "Hello world"
-    with pytest.raises(DataError):
-        ModelResponse(tokens, "Hello", "stop")
+    assert response.tokens == ("Hello", " world")
+    with pytest.raises(DataError):  # one logprob for two tokens
+        ModelResponse(("Hello", " world"), np.zeros(1), np.zeros((2, 1)), "stop")
+    with pytest.raises(DataError):  # a row sorted ascending
+        ModelResponse(("Hello",), np.array([-1.0]), np.array([[-1.0, -0.5]]), "stop")
+    with pytest.raises(DataError):  # a positive logprob
+        ModelResponse(("Hello",), np.array([0.5]), np.array([[0.5]]), "stop")
+    with pytest.raises(DataError):  # a row of padding only
+        ModelResponse(("Hello",), np.array([-1.0]), np.array([[-np.inf]]), "stop")
 
 
 def test_mock_echoes_scripted_tokens():
@@ -76,7 +87,7 @@ def test_mock_echoes_scripted_tokens():
     response = backend.generate("whatever prompt", SamplingParams())
     assert response.full_text == "Answer:\nA: knight"
     assert response.finish_reason == "stop"
-    assert all(t.logprob == lp for t in response.tokens)
+    assert (response.logprobs == lp).all()
     assert backend.generate_calls == 1
 
 
@@ -240,3 +251,127 @@ def test_journal_malformed_inner_line_raises_data_error(tmp_path):
     journal.write_text(first + "\n" + '["no key"]' + "\n")
     with pytest.raises(DataError, match="line 2"):
         JournalingClient(str(journal))
+
+
+# ---------------------------------------------------------------------------
+# the array codec and the indexed journal
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def wire_token(draw):
+    """A wire token with 1-5 alternatives; when the sampled token is not
+    among them ``make_token`` adds it, so rows differ in width."""
+    logprobs = sorted(
+        draw(st.lists(st.floats(min_value=-50.0, max_value=0.0), min_size=1, max_size=5)), reverse=True
+    )
+    text = draw(_TEXT)
+    listed = draw(st.booleans())
+    sampled = logprobs[0] if listed else draw(st.floats(min_value=-50.0, max_value=0.0))
+    alternatives = [(text if listed and i == 0 else f"\x00{i}", lp) for i, lp in enumerate(logprobs)]
+    return make_token(text, sampled, alternatives)
+
+
+@given(st.lists(wire_token(), min_size=1, max_size=12), st.sampled_from(["stop", "length"]))
+@settings(max_examples=200, deadline=None)
+def test_response_codec_round_trip_is_bit_exact(tokens, finish_reason):
+    response = ModelResponse.from_tokens(tokens, finish_reason)
+    line = json.dumps(response_to_obj(response), ensure_ascii=False)
+    clone = response_from_obj(json.loads(line))
+    assert clone == response
+    assert clone.tokens == tuple(t.text for t in tokens)
+    assert clone.logprobs.tobytes() == response.logprobs.tobytes()
+    assert clone.top_logprobs.tobytes() == response.top_logprobs.tobytes()
+    widths = {len(t.top_alternatives) for t in tokens}
+    assert response.top_logprobs.shape == (len(tokens), max(widths))
+    if len(widths) > 1:  # ragged rows are padded with -inf
+        assert np.isneginf(response.top_logprobs).any()
+
+
+def test_response_codec_pads_a_ragged_row():
+    # the sampled token is not listed in the first row, so make_token adds it
+    tokens = (make_token("é", -0.5, [("x", -0.1), ("y", -2.0)]), make_token(" 🙂", -0.2))
+    response = ModelResponse.from_tokens(tokens, "stop")
+    assert response.top_logprobs.tolist() == [[-0.1, -0.5, -2.0], [-0.2, -np.inf, -np.inf]]
+    assert response_from_obj(response_to_obj(response)) == response
+
+
+def test_one_token_response_round_trips(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    recorded = JournalingClient(str(journal), _CountingBackend()).generate("p", SamplingParams())
+    assert len(recorded.tokens) == 1
+    assert JournalingClient(str(journal)).generate("p", SamplingParams()) == recorded
+
+
+def test_old_format_journal_is_a_config_error(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    first = json.loads(journal.read_text().splitlines()[0])
+    first["response"] = {
+        "tokens": [{"text": "hi", "logprob": -0.1, "alternatives": [["hi", -0.1]]}],
+        "finish_reason": "stop",
+    }
+    with open(journal, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(first) + "\n")
+    with pytest.raises(ConfigError, match="old journal format"):
+        JournalingClient(str(journal))
+
+
+def test_journal_entries_are_parsed_on_lookup(tmp_path):
+    """Opening reads keys only: a line with a key and a broken body opens,
+    and the lookup that reads it is a DataError naming the line."""
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    first, second = journal.read_text().splitlines()
+    broken = second[: second.index('"kind"')] + "not json}"
+    journal.write_text(first + "\n" + broken + "\n")
+    client = JournalingClient(str(journal), _CountingBackend())
+    assert client.generate("p", SamplingParams()).full_text == "hi"
+    with pytest.raises(DataError, match="line 2"):
+        client.generate("q", SamplingParams())
+    # an appended entry is served from its own offset
+    client.generate("r", SamplingParams())
+    assert JournalingClient(str(journal)).generate("r", SamplingParams()).full_text == "hi"
+
+
+class _EchoBackend:
+    """One token per response: the prompt itself, with a logprob read from it."""
+
+    def generate(self, prompt, params):
+        return ModelResponse.from_tokens((make_token(prompt, -int(prompt[1:]) / 1000),), "stop")
+
+
+def test_concurrent_appends_and_lookups_keep_the_index_consistent(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    client = JournalingClient(str(journal), _EchoBackend())
+    prompts = [f"p{i}" for i in range(200)]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(offset, offset + len(prompts)):
+                prompt = prompts[i % len(prompts)]
+                response = client.generate(prompt, SamplingParams())
+                assert response.full_text == prompt
+                assert response.logprobs[0] == -int(prompt[1:]) / 1000
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert client.stats.backend_calls + client.stats.served_from_journal == 8 * len(prompts)
+    reopened = JournalingClient(str(journal))
+    for prompt in prompts:
+        assert reopened.generate(prompt, SamplingParams()).full_text == prompt

@@ -1,19 +1,101 @@
 import math
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from logicpool.errors import DataError, UndefinedScoreError
 from logicpool.inference import ModelResponse, TokenInfo, make_token
+from logicpool.prompts import ANSWER_MARKER
 from logicpool.scoring import (
+    ENTROPY_TAIL_EPSILON,
+    PROB_SUM_TOLERANCE,
+    ConfidenceScore,
     combined_entropy,
-    combined_prob,
-    geometric_mean_prob,
-    mean_entropy,
     score_response,
     segment,
-    token_entropy,
 )
+
+# ---------------------------------------------------------------------------
+# the independent reference: the scoring formulas per token, in plain Python
+# ---------------------------------------------------------------------------
+
+
+def mean_logprob(tokens: Sequence[TokenInfo]) -> float:
+    if not tokens:
+        raise UndefinedScoreError("cannot score an empty token segment")
+    return sum(t.logprob for t in tokens) / len(tokens)
+
+
+def geometric_mean_prob(tokens: Sequence[TokenInfo]) -> float:
+    """exp(mean logprob); stable for arbitrarily long sequences."""
+    return math.exp(mean_logprob(tokens))
+
+
+def combined_prob(p_rational: float, p_answer: float, lambda_p: float = 0.5) -> float:
+    """p_rational^(2(1-lambda)) * p_answer^(2*lambda), in log space; lambda =
+    0.5 is exactly the product and lambda in {0, 1} the square of one side."""
+    if not 0 <= lambda_p <= 1:
+        raise ValueError(f"lambda_p must be in [0, 1], got {lambda_p}")
+    if not (0 < p_rational <= 1 and 0 < p_answer <= 1):
+        raise ValueError("segment probabilities must be in (0, 1]")
+    if lambda_p == 0.5:
+        return p_rational * p_answer
+    if lambda_p == 0.0:
+        return p_rational * p_rational
+    if lambda_p == 1.0:
+        return p_answer * p_answer
+    return math.exp(2 * (1 - lambda_p) * math.log(p_rational) + 2 * lambda_p * math.log(p_answer))
+
+
+def token_entropy(token: TokenInfo) -> float:
+    """Entropy over the observed alternatives plus one pseudo-outcome for
+    the residual mass."""
+    probs = [math.exp(lp) for _, lp in token.top_alternatives]
+    total = sum(probs)
+    if total > 1 + PROB_SUM_TOLERANCE:
+        raise DataError(f"alternative probabilities sum to {total}, above 1")
+    entropy = -sum(p * math.log(p) for p in probs if p > 0)
+    residual = 1.0 - total
+    if residual > ENTROPY_TAIL_EPSILON:
+        entropy -= residual * math.log(residual)
+    return max(entropy, 0.0)
+
+
+def mean_entropy(tokens: Sequence[TokenInfo]) -> float:
+    if not tokens:
+        raise UndefinedScoreError("cannot score an empty token segment")
+    return sum(token_entropy(t) for t in tokens) / len(tokens)
+
+
+def segment_tokens(tokens: Sequence[TokenInfo]) -> tuple[tuple[TokenInfo, ...], tuple[TokenInfo, ...]]:
+    """(rational, answer): the answer starts at the token holding the first
+    character of the last marker; without one everything is rational."""
+    text = "".join(t.text for t in tokens)
+    position = text.rfind(ANSWER_MARKER)
+    if position < 0:
+        return tuple(tokens), ()
+    offset = 0
+    for index, token in enumerate(tokens):
+        if offset <= position < offset + len(token.text):
+            return tuple(tokens[:index]), tuple(tokens[index:])
+        offset += len(token.text)
+    raise AssertionError("marker position maps to no token")
+
+
+def reference_score(tokens: Sequence[TokenInfo]) -> tuple:
+    rational, answer = segment_tokens(tokens)
+    return (
+        mean_logprob(rational) if rational else None,
+        mean_logprob(answer) if answer else None,
+        mean_entropy(rational) if rational else None,
+        mean_entropy(answer) if answer else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
 
 
 def tokens_from(text_logprob_pairs):
@@ -32,6 +114,16 @@ def dist_token(probabilities):
     return TokenInfo(alternatives[0][0], alternatives[0][1], tuple(alternatives))
 
 
+def scored(tokens):
+    response = ModelResponse.from_tokens(tokens, "stop")
+    return score_response(response, segment(response))
+
+
+def split_texts(response):
+    split = segment(response)
+    return "".join(response.tokens[:split]), "".join(response.tokens[split:])
+
+
 # ---------------------------------------------------------------------------
 # segmentation
 # ---------------------------------------------------------------------------
@@ -41,10 +133,8 @@ def test_segment_at_single_marker():
     response = response_from(
         [("I reason", -0.1), (" a lot.", -0.2), (" Answer:", -0.3), (" A: knight", -0.4)]
     )
-    segmented = segment(response)
-    assert segmented.marker_found
-    assert segmented.rational_text == "I reason a lot."
-    assert segmented.answer_text == " Answer: A: knight"
+    assert segment(response) == 2
+    assert split_texts(response) == ("I reason a lot.", " Answer: A: knight")
 
 
 def test_segment_splits_at_last_marker():
@@ -56,26 +146,23 @@ def test_segment_splits_at_last_marker():
             (" B: knave", -0.4),
         ]
     )
-    segmented = segment(response)
-    assert segmented.marker_found
-    assert segmented.answer_text == " Answer: B: knave"
-    assert segmented.rational_text.startswith("Answer: format hint.")
+    assert segment(response) == 2
+    rational, answer = split_texts(response)
+    assert answer == " Answer: B: knave"
+    assert rational.startswith("Answer: format hint.")
 
 
 def test_segment_without_marker():
     response = response_from([("no marker here", -0.1)])
-    segmented = segment(response)
-    assert not segmented.marker_found
-    assert segmented.answer_tokens == ()
-    assert len(segmented.rational_tokens) == 1
+    assert segment(response) == len(response.tokens) == 1
+    assert split_texts(response) == ("no marker here", "")
 
 
 def test_segment_marker_inside_token():
     # marker spans into a token: the token containing its first char starts the answer
     response = response_from([("text ", -0.1), ("Ans", -0.2), ("wer: A: knight", -0.3)])
-    segmented = segment(response)
-    assert segmented.marker_found
-    assert segmented.answer_text == "Answer: A: knight"
+    assert segment(response) == 1
+    assert split_texts(response) == ("text ", "Answer: A: knight")
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +265,15 @@ def test_entropy_uniform_binary():
 def test_entropy_tail_rule():
     expected = -(0.7 * math.log(0.7) + 0.2 * math.log(0.2) + 0.1 * math.log(0.1))
     assert token_entropy(dist_token([0.7, 0.2])) == pytest.approx(expected, abs=1e-12)
+    assert scored((dist_token([0.7, 0.2]),)).h_rational == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.8018, abs=5e-4)
 
 
 def test_entropy_rejects_excess_mass():
     with pytest.raises(DataError):
         token_entropy(dist_token([0.8, 0.3]))
+    with pytest.raises(DataError, match="above 1"):
+        scored((make_token("a", -0.5), dist_token([0.8, 0.3])))
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8))
@@ -236,7 +326,7 @@ def test_score_response_full():
     response = response_from(
         [("thinking.", math.log(0.8)), (" Answer:", math.log(0.9)), (" A: knight", math.log(0.9))]
     )
-    score = score_response(segment(response))
+    score = score_response(response, segment(response))
     assert score.defined
     assert math.exp(score.log_p_rational) == pytest.approx(0.8, rel=1e-12)
     assert math.exp(score.log_p_answer) == pytest.approx(0.9, rel=1e-12)
@@ -246,7 +336,7 @@ def test_score_response_full():
 
 def test_score_response_without_marker_is_undefined():
     response = response_from([("no answer block", -0.1)])
-    score = score_response(segment(response))
+    score = score_response(response, segment(response))
     assert not score.defined
     assert score.log_p_answer is None and score.h_answer is None
     with pytest.raises(UndefinedScoreError):
@@ -257,15 +347,59 @@ def test_score_response_without_marker_is_undefined():
 
 def test_score_roundtrip():
     response = response_from([("x.", -0.2), (" Answer:", -0.1), (" y", -0.05)])
-    score = score_response(segment(response))
-    from logicpool.scoring import ConfidenceScore
-
+    score = score_response(response, segment(response))
     assert ConfidenceScore.from_obj(score.to_obj()) == score
 
 
 def test_recombination_matches_fresh_computation():
     response = response_from([("x.", -0.4), (" Answer:", -0.1), (" y", -0.2)])
-    score = score_response(segment(response))
+    score = score_response(response, segment(response))
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         expected = combined_prob(math.exp(score.log_p_rational), math.exp(score.log_p_answer), lam)
         assert math.exp(score.recombined_logprob(lam)) == pytest.approx(expected, rel=1e-10)
+
+
+def test_empty_response_scores_undefined():
+    response = ModelResponse.from_tokens((), "length")
+    assert segment(response) == 0
+    assert score_response(response, 0) == ConfidenceScore(None, None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized scorer against the reference
+# ---------------------------------------------------------------------------
+
+_TEXTS = st.sampled_from(["a", " b", "c.", "\n", ANSWER_MARKER, " Ans", "wer:", " ok", "é", ""])
+
+
+@st.composite
+def wire_token(draw):
+    """A token with 1-6 alternatives whose masses sum to at most 1. With
+    ``make_token`` the sampled token may arrive outside the alternatives
+    and be added as one more, so rows are ragged."""
+    weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=6))
+    mass = draw(st.floats(min_value=0.05, max_value=1.0))
+    # keep away from the tail cut-off, where the two summation orders may disagree
+    assume(abs((1.0 - mass) - ENTROPY_TAIL_EPSILON) > 1e-12)
+    total = sum(weights)
+    logprobs = sorted((math.log(w / total * mass) for w in weights), reverse=True)
+    text = draw(_TEXTS)
+    if draw(st.booleans()):  # the sampled token is listed
+        chosen = draw(st.integers(min_value=0, max_value=len(logprobs) - 1))
+        alternatives = [(text if i == chosen else f"~{i}", lp) for i, lp in enumerate(logprobs)]
+        return TokenInfo(text, logprobs[chosen], tuple(alternatives))
+    sampled = logprobs.pop()  # the sampled token arrives outside the listed ones
+    return make_token(text, sampled, [(f"~{i}", lp) for i, lp in enumerate(logprobs)])
+
+
+@given(st.lists(wire_token(), min_size=1, max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_vectorized_score_matches_reference(tokens):
+    response = ModelResponse.from_tokens(tokens, "stop")
+    rational, _ = segment_tokens(tokens)
+    assert segment(response) == len(rational)
+    got = score_response(response, segment(response))
+    expected = reference_score(tokens)
+    assert (got.log_p_rational, got.log_p_answer, got.h_rational, got.h_answer) == pytest.approx(
+        expected, abs=1e-12
+    )

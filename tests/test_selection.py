@@ -64,7 +64,7 @@ def make_pool(entries):
 
 
 def vscore(mean):
-    return VerifierScore(per_chunk=(mean,), mean=mean, any_failed=False)
+    return VerifierScore(per_chunk=(mean,), mean=mean)
 
 
 X = kk_answer(["knight", "knave", "knight"])

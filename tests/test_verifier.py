@@ -128,7 +128,6 @@ def test_constant_script_mean():
     score = verify("the question", chunked, backend)
     assert list(score.per_chunk) == pytest.approx([0.9, 0.9, 0.9])
     assert score.mean == pytest.approx(0.9)
-    assert not score.any_failed
 
 
 def test_prefix_prompts_embed_chunks_verbatim():
@@ -184,13 +183,14 @@ class _FlakyBackend:
         return {c: 0.6 for c in candidates}
 
 
-def test_failed_chunk_scores_as_missing():
+def test_failed_prefix_fails_the_verification():
     text = " ".join(sentence(40, i) for i in range(8))
     chunked = chunk(text)
-    score = verify("q", chunked, _FlakyBackend())
-    assert score.per_chunk[1] is None
-    assert score.any_failed
-    assert score.mean == pytest.approx(0.6)
+    assert len(chunked.chunks) == 3
+    backend = _FlakyBackend()
+    with pytest.raises(BackendError, match="transient"):
+        verify("q", chunked, backend)
+    assert backend.calls == 2  # no partial mean: the third prefix is not asked
 
 
 class _DeadBackend:
