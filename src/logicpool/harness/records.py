@@ -161,8 +161,8 @@ class SelectionRow:
         )
 
 
-def load_records(path: str) -> list[EvalRecord]:
-    return [EvalRecord.from_obj(obj) for obj in read_jsonl(path)]
+def load_records(path: str, torn: str = "skip") -> list[EvalRecord]:
+    return [EvalRecord.from_obj(obj) for obj in read_jsonl(path, torn)]
 
 
 def load_selections(path: str) -> list[SelectionRow]:

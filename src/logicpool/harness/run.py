@@ -100,7 +100,7 @@ def _run_lock(run_dir: str):
 def build_corpus(config: ExperimentConfig) -> list[Puzzle]:
     """Deterministic corpus: generated from the spec or loaded from JSONL."""
     if config.corpus_path:
-        return [puzzle_from_obj(obj) for obj in read_jsonl(config.corpus_path, repair=False)]
+        return [puzzle_from_obj(obj) for obj in read_jsonl(config.corpus_path, torn="read")]
     spec = config.generate
     assert spec is not None
     puzzles: list[Puzzle] = []
@@ -316,7 +316,7 @@ class _Runner:
             shutil.copyfile(config.corpus_path, corpus_path)
             corpus = build_corpus(config)
         elif os.path.exists(corpus_path):
-            corpus = [puzzle_from_obj(obj) for obj in read_jsonl(corpus_path, repair=False)]
+            corpus = [puzzle_from_obj(obj) for obj in read_jsonl(corpus_path, torn="read")]
         else:
             corpus = build_corpus(config)
             write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
@@ -333,7 +333,7 @@ class _Runner:
             verifier_client = client
 
         records_path = os.path.join(run_dir, RECORDS_FILE)
-        stored = load_records(records_path) if os.path.exists(records_path) else []
+        stored = load_records(records_path, torn="truncate") if os.path.exists(records_path) else []
         # a stored record is reused only for the very request it answers
         # (two puzzles may render the same prompt); failed ones are retried
         existing = {(r.puzzle_id, r.key): r for r in stored if r.error is None}

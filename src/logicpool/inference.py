@@ -14,7 +14,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
+from collections.abc import Sequence as SequenceABC
+from typing import Any, Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -101,16 +102,16 @@ class ModelResponse:
     padded with -inf where a row has fewer alternatives. The alternatives'
     texts are not kept: nothing downstream of a generation reads them."""
 
-    tokens: tuple[str, ...]
+    texts: tuple[str, ...]
     logprobs: np.ndarray
     top_logprobs: np.ndarray
     finish_reason: str  # stop | length | error
     full_text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "full_text", "".join(self.tokens))
-        n, logprobs, top = len(self.tokens), self.logprobs, self.top_logprobs
+        object.__setattr__(self, "texts", tuple(self.texts))
+        object.__setattr__(self, "full_text", "".join(self.texts))
+        n, logprobs, top = len(self.texts), self.logprobs, self.top_logprobs
         if logprobs.shape != (n,) or top.ndim != 2 or top.shape[0] != n:
             raise DataError(f"{n} tokens with logprobs {logprobs.shape} and top logprobs {top.shape}")
         if n:
@@ -134,14 +135,54 @@ class ModelResponse:
         logprobs = np.array([t.logprob for t in tokens], dtype=np.float64)
         return cls([t.text for t in tokens], logprobs, top, finish_reason)
 
+    @property
+    def tokens(self) -> "Positions":
+        """The positions, read like wire tokens (see ``Positions``)."""
+        return Positions(self)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModelResponse):
             return NotImplemented
         return (
-            self.tokens == other.tokens
+            self.texts == other.texts
             and self.finish_reason == other.finish_reason
             and np.array_equal(self.logprobs, other.logprobs)
             and np.array_equal(self.top_logprobs, other.top_logprobs)
+        )
+
+
+class Position(NamedTuple):
+    """One position of a ModelResponse, with TokenInfo's field names. The
+    alternatives' texts are not kept, so each alternative is
+    ``(None, logprob)``; the -inf padding is left out."""
+
+    text: str
+    logprob: float
+    top_alternatives: tuple[tuple[None, float], ...]
+
+
+class Positions(SequenceABC):
+    """A read-only view of a response's positions, built on access, so code
+    written against the per-token form (``response.tokens[i].logprob``)
+    still reads a response."""
+
+    __slots__ = ("_response",)
+
+    def __init__(self, response: ModelResponse) -> None:
+        self._response = response
+
+    def __len__(self) -> int:
+        return len(self._response.texts)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        response = self._response
+        row = response.top_logprobs[index]
+        return Position(
+            response.texts[index],
+            float(response.logprobs[index]),
+            tuple((None, float(lp)) for lp in row[row > -np.inf]),
         )
 
 
@@ -411,7 +452,7 @@ def response_to_obj(response: ModelResponse) -> dict[str, Any]:
     logprob arrays as base64 of little-endian f8, so a replay scores
     exactly the numbers the original run scored."""
     return {
-        "tokens": list(response.tokens),
+        "tokens": list(response.texts),
         "logprobs": _pack(response.logprobs),
         "top_logprobs": _pack(response.top_logprobs),
         "finish_reason": response.finish_reason,
@@ -499,7 +540,7 @@ class JournalingClient:
                 )
             return match.group(1).decode("ascii"), len(raw)
 
-        for number, offset, (key, length) in read_lines(self.journal_path, key_of):
+        for number, offset, (key, length) in read_lines(self.journal_path, key_of, torn="truncate"):
             self._index[key] = (offset, length, number)
             self._lines = number
 

@@ -1,9 +1,12 @@
 """JSON-lines files and the one rule for reading them.
 
 Every line is written with its newline in one write, so a final line
-without one is a write cut short (a killed run): it is truncated away with
-a warning, and the next append starts on a clean line. Any other line that
-cannot be read is a DataError naming the file and the line.
+without one is a write cut short (a killed run). The process that holds the
+run directory's lock truncates it away with a warning, so the next append
+starts on a clean line; any other reader (``report``, ``sweep``) skips it
+with a warning and writes nothing, because a run may still be appending
+that line. Any other line that cannot be read is a DataError naming the
+file and the line.
 """
 
 from __future__ import annotations
@@ -20,20 +23,21 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
-def read_lines(path: str, parse: Callable[[bytes], T], repair: bool = True) -> list[tuple[int, int, T]]:
+def read_lines(path: str, parse: Callable[[bytes], T], torn: str = "skip") -> list[tuple[int, int, T]]:
     """``(line number, byte offset, parse(line))`` for every non-blank line.
 
     ``parse`` raises ValueError, TypeError or KeyError on a line it cannot
-    read. With ``repair`` a final line without its newline is torn and
-    truncated away; without it (a file the program did not write, such as
-    an input corpus) that line is read like any other.
+    read. ``torn`` says what happens to a final line without its newline:
+    ``"truncate"`` it away (only under the run lock), ``"skip"`` it, or
+    ``"read"`` it like any other line (a file the program did not write,
+    such as an input corpus).
     """
     rows: list[tuple[int, int, T]] = []
     torn_at = None
     with open(path, "rb") as handle:
         offset = 0
         for number, raw in enumerate(handle, 1):
-            if repair and not raw.endswith(b"\n"):
+            if torn != "read" and not raw.endswith(b"\n"):
                 torn_at = offset
                 break
             if raw.strip():
@@ -42,9 +46,11 @@ def read_lines(path: str, parse: Callable[[bytes], T], repair: bool = True) -> l
                 except (ValueError, TypeError, KeyError) as exc:
                     raise DataError(f"{path}: line {number} is malformed ({exc!r})") from None
             offset += len(raw)
-    if torn_at is not None:
+    if torn_at is not None and torn == "truncate":
         logger.warning("%s: truncating a torn final line at byte %d", path, torn_at)
         os.truncate(path, torn_at)
+    elif torn_at is not None:
+        logger.warning("%s: skipping a torn final line at byte %d", path, torn_at)
     return rows
 
 
@@ -55,9 +61,9 @@ def _object(raw: bytes) -> dict[str, Any]:
     return obj
 
 
-def read_jsonl(path: str, repair: bool = True) -> list[dict[str, Any]]:
+def read_jsonl(path: str, torn: str = "skip") -> list[dict[str, Any]]:
     """The objects of a JSON-lines file, under the rule above."""
-    return [obj for _, _, obj in read_lines(path, _object, repair)]
+    return [obj for _, _, obj in read_lines(path, _object, torn)]
 
 
 def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:

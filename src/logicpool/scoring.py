@@ -32,8 +32,8 @@ def segment(response: ModelResponse) -> int:
     count, and the whole response is rational."""
     position = response.full_text.rfind(ANSWER_MARKER)
     if position < 0:
-        return len(response.tokens)
-    return bisect_right(list(accumulate(map(len, response.tokens))), position)
+        return len(response.texts)
+    return bisect_right(list(accumulate(map(len, response.texts))), position)
 
 
 def combined_logprob(log_p_rational: float, log_p_answer: float, lambda_p: float = 0.5) -> float:

@@ -818,21 +818,25 @@ def test_config_values_that_do_not_cast_are_config_errors(tmp_path, change, sett
         config_from_obj({**obj, **change}, base_dir=str(tmp_path))
 
 
-def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys):
+def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys, caplog):
     """A kill during a pool's append leaves a torn last record: report and
-    resume truncate it with a warning, and the resume rebuilds the record
-    from the journal."""
+    sweep skip it with a warning and write nothing to the file (a run may
+    still be appending that line); the resume truncates it and rebuilds the
+    record from the journal."""
     _, paths = world
     config = mock_config(tmp_path, paths, run_name="torn")
     run(config)
     records_path = Path(config.run_dir, "records.jsonl")
     intact = records_path.read_bytes()
     last = intact[: len(intact) - 1].rfind(b"\n") + 1
-    records_path.write_bytes(intact[: last + 60])
+    torn = intact[: last + 60]
+    records_path.write_bytes(torn)
 
-    assert cli_main(["report", "--run-dir", config.run_dir]) == 0
-    assert records_path.read_bytes() == intact[:last]
-    records_path.write_bytes(intact[: last + 60])
+    with caplog.at_level("WARNING", logger="logicpool"):
+        assert cli_main(["report", "--run-dir", config.run_dir]) == 0
+        assert cli_main(["sweep", "--run-dir", config.run_dir, "--criterion", "max_prob"]) == 0
+    assert records_path.read_bytes() == torn
+    assert sum("skipping a torn final line" in r.getMessage() for r in caplog.records) == 2
     resumed = run(mock_config(tmp_path, paths, run_name="torn"))
     assert resumed.backend_calls == 0
     assert resumed.exit_code == 0

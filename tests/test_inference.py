@@ -68,7 +68,7 @@ def test_model_response_concat_invariant():
     tokens = (make_token("Hello", -0.1), make_token(" world", -0.2))
     response = ModelResponse.from_tokens(tokens, "stop")
     assert response.full_text == "Hello world"
-    assert response.tokens == ("Hello", " world")
+    assert response.texts == ("Hello", " world")
     with pytest.raises(DataError):  # one logprob for two tokens
         ModelResponse(("Hello", " world"), np.zeros(1), np.zeros((2, 1)), "stop")
     with pytest.raises(DataError):  # a row sorted ascending
@@ -281,7 +281,7 @@ def test_response_codec_round_trip_is_bit_exact(tokens, finish_reason):
     line = json.dumps(response_to_obj(response), ensure_ascii=False)
     clone = response_from_obj(json.loads(line))
     assert clone == response
-    assert clone.tokens == tuple(t.text for t in tokens)
+    assert clone.texts == tuple(t.text for t in tokens)
     assert clone.logprobs.tobytes() == response.logprobs.tobytes()
     assert clone.top_logprobs.tobytes() == response.top_logprobs.tobytes()
     widths = {len(t.top_alternatives) for t in tokens}
@@ -296,6 +296,19 @@ def test_response_codec_pads_a_ragged_row():
     response = ModelResponse.from_tokens(tokens, "stop")
     assert response.top_logprobs.tolist() == [[-0.1, -0.5, -2.0], [-0.2, -np.inf, -np.inf]]
     assert response_from_obj(response_to_obj(response)) == response
+
+
+def test_response_positions_read_like_wire_tokens():
+    tokens = (make_token("é", -0.5, [("x", -0.1), ("y", -2.0)]), make_token(" 🙂", -0.2))
+    positions = ModelResponse.from_tokens(tokens, "stop").tokens
+    assert len(positions) == 2
+    assert positions[0] == ("é", -0.5, ((None, -0.1), (None, -0.5), (None, -2.0)))
+    # the -inf padding is not an alternative
+    assert positions[-1].top_alternatives == ((None, -0.2),)
+    assert [p.text for p in positions] == ["é", " 🙂"]
+    assert positions[1:] == (positions[1],)
+    with pytest.raises(IndexError):
+        positions[2]
 
 
 def test_one_token_response_round_trips(tmp_path):

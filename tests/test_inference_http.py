@@ -83,7 +83,7 @@ def test_chat_parse(stub_server, session):
     client = OpenAIClient(base_url, model="m", api="chat", max_retries=0, session=session)
     response = client.generate("prompt text", SamplingParams(max_tokens=16))
     assert response.full_text == "Hello there"
-    assert response.tokens == ("Hello", " there")
+    assert response.texts == ("Hello", " there")
     assert response.logprobs.tolist() == [-0.1, -0.2]
     # the second position has one alternative: its row is padded with -inf
     assert response.top_logprobs.tolist() == [[-0.1, -2.0], [-0.2, float("-inf")]]

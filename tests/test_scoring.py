@@ -121,7 +121,7 @@ def scored(tokens):
 
 def split_texts(response):
     split = segment(response)
-    return "".join(response.tokens[:split]), "".join(response.tokens[split:])
+    return "".join(response.texts[:split]), "".join(response.texts[split:])
 
 
 # ---------------------------------------------------------------------------
