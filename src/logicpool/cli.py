@@ -10,13 +10,12 @@ Exit codes: 0 success, 1 fatal error, 2 completed with partial failures.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import ConfigError, LogicPoolError
 from .harness.config import config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
-from .harness.records import load_records, load_selections, write_jsonl
+from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
 from .harness.sweep import sweep, sweep_csv
 from .prompts import Strategy, render
@@ -25,7 +24,10 @@ from .verifier import chunk, verify
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise ConfigError(f"--kk-sizes {text!r}: expected a comma list of integers, e.g. 3,4,5,6") from None
 
 
 def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -36,7 +38,10 @@ def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
             continue
         shape, _, count = part.partition(":")
         houses, _, attrs = shape.partition("x")
-        configs.append((int(houses), int(attrs), int(count) if count else 1))
+        try:
+            configs.append((int(houses), int(attrs), int(count) if count else 1))
+        except ValueError:
+            raise ConfigError(f"--zebra-configs {part!r}: expected HOUSESxATTRS[:COUNT], e.g. 2x3:4") from None
     return tuple(configs)
 
 
@@ -105,9 +110,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     strategy = Strategy.from_key(args.strategy)
     if args.puzzle_file:
-        with open(args.puzzle_file, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        puzzle = puzzle_from_obj(json.loads(lines[args.index]))
+        objs = read_jsonl(args.puzzle_file, torn="read")
+        if not 0 <= args.index < len(objs):
+            raise ConfigError(f"--index {args.index}: {args.puzzle_file} holds {len(objs)} puzzles")
+        puzzle = puzzle_from_obj(objs[args.index])
     elif args.family == "kk":
         puzzle = generate_kk(args.n_chars, seed=args.seed)
     else:

@@ -99,8 +99,9 @@ class ExperimentConfig:
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {list(CRITERIA)}")
-        for key in self.strategies:
-            Strategy.from_key(key)
+        unknown = [s for s in self.strategies if s not in ALL_STRATEGY_KEYS]
+        if unknown:
+            raise ConfigError(f"config strategies: unknown {unknown}; known: {list(ALL_STRATEGY_KEYS)}")
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError("strategy pool has duplicates")
         if not 0 <= self.lambda_p <= 1 or not 0 <= self.lambda_e <= 1:
@@ -108,9 +109,17 @@ class ExperimentConfig:
         if self.samples < 1 or self.concurrency < 1:
             raise ConfigError("samples and concurrency must be >= 1")
         if self.generate is not None:
+            for size in self.generate.kk_sizes:
+                if type(size) is not int or not 3 <= size <= 6:  # the sizes generate_kk makes
+                    raise ConfigError(f"config corpus.generate.kk_sizes: {size!r} is not an integer from 3 to 6")
             if self.generate.kk_sizes and self.generate.kk_per_size < 1:
                 raise ConfigError("kk_per_size must be >= 1")
-            for houses, attrs, count in self.generate.zebra_configs:
+            for entry in self.generate.zebra_configs:
+                if len(entry) != 3 or any(type(value) is not int for value in entry):
+                    raise ConfigError(
+                        f"config corpus.generate.zebra_configs: {list(entry)} is not [houses, attrs, count] integers"
+                    )
+                houses, attrs, count = entry
                 if count < 1:
                     raise ConfigError("zebra corpus counts must be >= 1")
                 if houses < 2 or attrs < 2:
@@ -143,6 +152,21 @@ def _cast(obj: dict[str, Any], key: str, cast: Callable[[Any], Any], default: An
         raise ConfigError(f"config {setting}: {obj[key]!r} is not a valid value ({exc})") from None
 
 
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _choice(obj: dict[str, Any], key: str, choices: tuple[str, ...], where: str) -> str:
+    """``obj[key]``, or the first choice when the key is absent; any value
+    that is not one of the choices is a ConfigError naming the setting."""
+    value = obj.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"config {where}.{key}: {value!r} is not one of {list(choices)}")
+    return value
+
+
 def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
     keys = ("kind", "base_url", "model", "api", "api_key", "api_key_env", "script", "max_retries", "timeout")
     obj = _known(obj, where, keys)
@@ -150,10 +174,10 @@ def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
     if api_key is None and obj.get("api_key_env"):
         api_key = os.environ.get(str(obj["api_key_env"]))
     return BackendConfig(
-        kind=obj.get("kind", "openai"),
+        kind=_choice(obj, "kind", ("openai", "mock"), where),
         base_url=obj.get("base_url", ""),
         model=obj.get("model", ""),
-        api=obj.get("api", "chat"),
+        api=_choice(obj, "api", ("chat", "completions"), where),
         api_key=api_key,
         script_path=obj.get("script"),
         max_retries=_cast(obj, "max_retries", int, 3, where),
@@ -193,9 +217,9 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         )
         if "preset" not in gen:
             generate = GenerateSpec(
-                kk_sizes=tuple(gen.get("kk_sizes", ())),
+                kk_sizes=_cast(gen, "kk_sizes", tuple, (), "corpus.generate"),
                 kk_per_size=_cast(gen, "kk_per_size", int, 0, "corpus.generate"),
-                zebra_configs=tuple(tuple(c) for c in gen.get("zebra_configs", ())),
+                zebra_configs=_cast(gen, "zebra_configs", lambda v: tuple(map(tuple, v)), (), "corpus.generate"),
                 seed=_cast(gen, "seed", int, 0, "corpus.generate"),
             )
         elif gen["preset"] == "desk" and set(gen) <= {"preset", "seed"}:
@@ -211,7 +235,7 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
     except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from None
 
-    strategies = obj.get("strategies", "all")
+    strategies = _cast(obj, "strategies", lambda v: v if isinstance(v, str) else tuple(v), "all")
     if isinstance(strategies, str):
         if strategies not in STRATEGY_POOL_PRESETS:
             raise ConfigError(f"unknown strategy preset {strategies!r}")
@@ -230,15 +254,15 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         run_dir=resolve(obj["run_dir"]),
         corpus_path=resolve(corpus.get("path")),
         generate=generate,
-        strategies=tuple(strategies),
-        criteria=tuple(obj.get("criteria", CRITERIA)),
+        strategies=strategies,
+        criteria=_cast(obj, "criteria", tuple, CRITERIA),
         sampling=sampling,
         lambda_p=_cast(obj, "lambda_p", float, 0.5),
         lambda_e=_cast(obj, "lambda_e", float, 0.5),
-        instruction_tags=bool(obj.get("instruction_tags", False)),
+        instruction_tags=_cast(obj, "instruction_tags", _boolean, False),
         samples=_cast(obj, "samples", int, 1),
         concurrency=_cast(obj, "concurrency", int, 4),
-        replay=bool(obj.get("replay", False)),
+        replay=_cast(obj, "replay", _boolean, False),
         backend=backend,
         verifier_backend=verifier_backend,
     )

@@ -1,6 +1,7 @@
 """Persisted experiment units: per-response EvalRecords and per-puzzle
-selection rows, stored as JSONL, and the candidate pool rebuilt from a
-pool's records."""
+selection rows, stored as JSONL with their dataclass fields as the schema
+(a line with a missing or an unknown key is malformed), and the candidate
+pool rebuilt from a pool's records."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from typing import Any
 
 # run files are read and written through this module
-from ..jsonl import append_jsonl, read_jsonl, write_jsonl  # noqa: F401
+from ..jsonl import append_jsonl, parse_object, read_jsonl, read_lines, write_jsonl  # noqa: F401
 from ..prompts import Strategy
 from ..scoring import ConfidenceScore
 from ..selection import Candidate, CandidatePool, CanonicalAnswer
@@ -45,54 +46,21 @@ class EvalRecord:
         return self.request_sha256
 
     def to_obj(self) -> dict[str, Any]:
-        return {
-            "puzzle_id": self.puzzle_id,
-            "family": self.family,
-            "difficulty": self.difficulty,
-            "strategy": self.strategy,
-            "sample": self.sample,
-            "request_sha256": self.request_sha256,
-            "response_text": self.response_text,
-            "finish_reason": self.finish_reason,
-            "answer": self.answer.to_obj(),
-            "correct": self.correct,
-            "confidence": self.confidence.to_obj() if self.confidence else None,
-            "verifier": self.verifier.to_obj() if self.verifier else None,
-            "elapsed_s": self.elapsed_s,
-            "n_clues": self.n_clues,
-            "error": self.error,
-            "annotations": self.annotations,
-        }
+        obj = dict(vars(self))  # the fields in order; asdict would deep-copy each value
+        obj["answer"] = self.answer.to_obj()
+        obj["confidence"] = None if self.confidence is None else self.confidence.to_obj()
+        obj["verifier"] = None if self.verifier is None else self.verifier.to_obj()
+        return obj
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "EvalRecord":
-        return cls(
-            puzzle_id=obj["puzzle_id"],
-            family=obj["family"],
-            difficulty=obj["difficulty"],
-            strategy=obj["strategy"],
-            sample=int(obj["sample"]),
-            # records written before the request key match no request
-            request_sha256=obj.get("request_sha256", ""),
-            response_text=obj["response_text"],
-            finish_reason=obj["finish_reason"],
-            answer=CanonicalAnswer.from_obj(obj["answer"]),
-            correct=bool(obj["correct"]),
-            confidence=ConfidenceScore.from_obj(obj["confidence"]) if obj.get("confidence") else None,
-            verifier=_verifier_from_obj(obj.get("verifier")),
-            elapsed_s=float(obj.get("elapsed_s", 0.0)),
-            n_clues=obj.get("n_clues"),
-            error=obj.get("error"),
-            annotations=obj.get("annotations"),
-        )
-
-
-def _verifier_from_obj(obj: dict[str, Any] | None) -> VerifierScore | None:
-    # older versions stored a score with failed prefixes as any_failed;
-    # it counts as unverified, so a resume verifies it again
-    if not obj or obj.get("any_failed"):
-        return None
-    return VerifierScore.from_obj(obj)
+        confidence, verifier = obj["confidence"], obj["verifier"]
+        return cls(**{
+            **obj,
+            "answer": CanonicalAnswer.from_obj(obj["answer"]),
+            "confidence": None if confidence is None else ConfidenceScore.from_obj(confidence),
+            "verifier": None if verifier is None else VerifierScore.from_obj(verifier),
+        })
 
 
 def candidate_pool(records: list[EvalRecord]) -> CandidatePool:
@@ -130,40 +98,17 @@ class SelectionRow:
     n_clues: int | None = None
 
     def to_obj(self) -> dict[str, Any]:
-        return {
-            "puzzle_id": self.puzzle_id,
-            "family": self.family,
-            "difficulty": self.difficulty,
-            "criterion": self.criterion,
-            "correct": self.correct,
-            "sample": self.sample,
-            "chosen_strategy": self.chosen_strategy,
-            "tie_occurred": self.tie_occurred,
-            "tie_breaker_used": self.tie_breaker_used,
-            "error": self.error,
-            "n_clues": self.n_clues,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "SelectionRow":
-        return cls(
-            puzzle_id=obj["puzzle_id"],
-            family=obj["family"],
-            difficulty=obj["difficulty"],
-            criterion=obj["criterion"],
-            correct=bool(obj["correct"]),
-            sample=int(obj.get("sample", 0)),
-            chosen_strategy=obj.get("chosen_strategy"),
-            tie_occurred=bool(obj.get("tie_occurred", False)),
-            tie_breaker_used=obj.get("tie_breaker_used"),
-            error=obj.get("error"),
-            n_clues=obj.get("n_clues"),
-        )
+        return cls(**obj)
 
 
 def load_records(path: str, torn: str = "skip") -> list[EvalRecord]:
-    return [EvalRecord.from_obj(obj) for obj in read_jsonl(path, torn)]
+    lines = read_lines(path, lambda raw: EvalRecord.from_obj(parse_object(raw)), torn)
+    return [record for _, _, record in lines]
 
 
 def load_selections(path: str) -> list[SelectionRow]:
-    return [SelectionRow.from_obj(obj) for obj in read_jsonl(path)]
+    return [row for _, _, row in read_lines(path, lambda raw: SelectionRow.from_obj(parse_object(raw)))]

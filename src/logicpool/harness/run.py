@@ -311,15 +311,14 @@ class _Runner:
         config = self.config
         run_dir = config.run_dir
 
+        # the corpus always comes from the config, so a resume under a new
+        # corpus path or generate spec runs the new corpus
+        corpus = build_corpus(config)
         corpus_path = os.path.join(run_dir, CORPUS_FILE)
-        if config.corpus_path and os.path.abspath(config.corpus_path) != os.path.abspath(corpus_path):
-            shutil.copyfile(config.corpus_path, corpus_path)
-            corpus = build_corpus(config)
-        elif os.path.exists(corpus_path):
-            corpus = [puzzle_from_obj(obj) for obj in read_jsonl(corpus_path, torn="read")]
-        else:
-            corpus = build_corpus(config)
+        if not config.corpus_path:
             write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
+        elif os.path.abspath(config.corpus_path) != os.path.abspath(corpus_path):
+            shutil.copyfile(config.corpus_path, corpus_path)
 
         # replay means no inner client: a journal miss is an error
         inner = None if config.replay else config.backend.build()

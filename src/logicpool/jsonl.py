@@ -54,7 +54,7 @@ def read_lines(path: str, parse: Callable[[bytes], T], torn: str = "skip") -> li
     return rows
 
 
-def _object(raw: bytes) -> dict[str, Any]:
+def parse_object(raw: bytes) -> dict[str, Any]:
     obj = json.loads(raw)
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
@@ -63,7 +63,7 @@ def _object(raw: bytes) -> dict[str, Any]:
 
 def read_jsonl(path: str, torn: str = "skip") -> list[dict[str, Any]]:
     """The objects of a JSON-lines file, under the rule above."""
-    return [obj for _, _, obj in read_lines(path, _object, torn)]
+    return [obj for _, _, obj in read_lines(path, parse_object, torn)]
 
 
 def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:

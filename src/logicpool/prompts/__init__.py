@@ -60,22 +60,13 @@ _TITLES = {
     Strategy.CONCATENATION_STRATEGY: "Concatenation Strategy",
 }
 
-# First line of each strategy-description block, used to carve the s segment
-# out of the rendered template.
-_STRATEGY_SENTINEL = "You will reason with"
-
-
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """One fully rendered prompt: question q, strategy description s (empty
-    for NO_STRATEGY), and the answer-format instructions x."""
+    """One fully rendered prompt and the puzzle question embedded in it."""
 
     strategy: Strategy
-    family: str
     puzzle_id: str
     question: str
-    strategy_description: str
-    formatting_instructions: str
     full_text: str
 
 
@@ -136,19 +127,17 @@ def render(
     if isinstance(puzzle, KnightsKnavesPuzzle):
         question = kk_question(puzzle)
         labels = [character_label(i) for i in range(puzzle.n_chars)]
-        answer_format = "\n".join(f"{label}: {{knight/knave}}" for label in labels)
         mapping = {
             "{AnswerLines}": "\n".join(f"{label}: ..." for label in labels),
-            "{AnswerTemplate}": answer_format,
+            "{AnswerTemplate}": "\n".join(f"{label}: {{knight/knave}}" for label in labels),
             "{number of characters}": str(puzzle.n_chars),
             "{Question}": question,
         }
     else:
         question = zebra_question(puzzle)
-        answer_format = zebra_answer_template(puzzle)
         mapping = {
             "{HouseLines}": "\n".join(f"House {h + 1}: ..." for h in range(puzzle.n_houses)),
-            "{Template}": answer_format,
+            "{Template}": zebra_answer_template(puzzle),
             "{number of houses}": str(puzzle.n_houses),
             "{number of features}": str(puzzle.n_attrs),
             "{Question}": question,
@@ -156,26 +145,7 @@ def render(
     full_text = _substitute(template, mapping)
     if instruction_tags:
         full_text = f"[INST] {full_text} [/INST]"
-
-    if strategy is Strategy.NO_STRATEGY:
-        description = ""
-    else:
-        block_start = full_text.index(_STRATEGY_SENTINEL)
-        block_end = full_text.index("### Now your turn ###", block_start)
-        marker_at = full_text.find(f"\n{ANSWER_MARKER}", block_start, block_end)
-        if marker_at >= 0:  # kk strategy blocks end in the answer-format excerpt
-            block_end = marker_at
-        description = full_text[block_start:block_end].rstrip("\n")
-
-    return RenderedPrompt(
-        strategy=strategy,
-        family=puzzle.family,
-        puzzle_id=puzzle.puzzle_id,
-        question=question,
-        strategy_description=description,
-        formatting_instructions=f"{ANSWER_MARKER}\n{answer_format}",
-        full_text=full_text,
-    )
+    return RenderedPrompt(strategy=strategy, puzzle_id=puzzle.puzzle_id, question=question, full_text=full_text)
 
 
 __all__ = [

@@ -123,14 +123,6 @@ def connective_count(statement: Statement) -> int:
     return 1 + connective_count(statement.left) + connective_count(statement.right)
 
 
-def referenced_characters(statement: Statement) -> set[int]:
-    if isinstance(statement, Atom):
-        return {statement.character}
-    if isinstance(statement, Not):
-        return referenced_characters(statement.operand)
-    return referenced_characters(statement.left) | referenced_characters(statement.right)
-
-
 def compile_statements(statements: list[Statement], n_chars: int) -> tuple[np.ndarray, np.ndarray]:
     """Flatten statements into postfix bytecode for the solver kernels.
 

@@ -12,7 +12,7 @@ lambda. Scores are computed with numpy on the response's logprob arrays.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any
 
@@ -79,16 +79,11 @@ class ConfidenceScore:
         return combined_entropy(self.h_rational, self.h_answer, lambda_e)
 
     def to_obj(self) -> dict[str, Any]:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "ConfidenceScore":
-        return cls(
-            log_p_rational=obj["log_p_rational"],
-            log_p_answer=obj["log_p_answer"],
-            h_rational=obj["h_rational"],
-            h_answer=obj["h_answer"],
-        )
+        return cls(**obj)
 
 
 def token_entropies(response: ModelResponse) -> np.ndarray:

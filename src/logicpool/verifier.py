@@ -30,12 +30,16 @@ class VerifierScore:
     per_chunk: tuple[float, ...]
     mean: float
 
+    def __post_init__(self) -> None:
+        # a stored score comes back from JSON with a list
+        object.__setattr__(self, "per_chunk", tuple(self.per_chunk))
+
     def to_obj(self) -> dict[str, Any]:
-        return {"per_chunk": list(self.per_chunk), "mean": self.mean}
+        return dict(vars(self))
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "VerifierScore":
-        return cls(tuple(obj["per_chunk"]), float(obj["mean"]))
+        return cls(**obj)
 
 
 def _is_sentence_end(word: str) -> bool:

@@ -54,6 +54,27 @@ def test_render_from_corpus_file(tmp_path, capsys):
     assert "features of each house" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["render", "--strategy", "no_strategy", "--puzzle-file", "{corpus}", "--index", "7"], "--index 7"),
+        (["render", "--strategy", "no_strategy", "--puzzle-file", "{garbled}"], "garbled.jsonl: line 1"),
+        (["gen", "--out", "{out}", "--zebra-configs", "2x"], "--zebra-configs '2x'"),
+        (["gen", "--out", "{out}", "--kk-sizes", "3,x", "--kk-per-size", "1"], "--kk-sizes '3,x'"),
+    ],
+    ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes"],
+)
+def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
+    corpus = tmp_path / "c.jsonl"
+    assert main(["gen", "--out", str(corpus), "--zebra-configs", "2x2:2"]) == 0
+    (tmp_path / "garbled.jsonl").write_text('{"family": \n' + corpus.read_text())
+    paths = {"corpus": corpus, "garbled": tmp_path / "garbled.jsonl", "out": tmp_path / "out.jsonl"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.fixture
 def world_run(tmp_path):
     world = ClosedWorld()

@@ -1,5 +1,4 @@
 import fcntl
-import hashlib
 import importlib
 import json
 import math
@@ -23,19 +22,12 @@ from logicpool.harness.config import (
     config_from_obj,
     desk_generate_spec,
 )
-from logicpool.harness.records import (
-    EvalRecord,
-    SelectionRow,
-    candidate_pool,
-    load_records,
-    read_jsonl,
-)
+from logicpool.harness.records import EvalRecord, SelectionRow, load_records, read_jsonl
 from logicpool.harness.report import stratify
-from logicpool.harness.run import apply_criterion, build_corpus, run
+from logicpool.harness.run import build_corpus, run
 from logicpool.harness.sweep import sweep
-from logicpool.prompts import Strategy, render
 from logicpool.puzzles import puzzle_to_obj
-from logicpool.selection import CRITERIA, ORACLE, CanonicalAnswer
+from logicpool.selection import CRITERIA, CanonicalAnswer
 from logicpool.verifier import chunk
 
 from conftest import STRATEGY_SENTINELS, ClosedWorld
@@ -153,6 +145,17 @@ def test_env_overrides_backend(monkeypatch, tmp_path):
     assert config.backend.base_url == "http://env-host/v1"
     assert config.backend.model == "env-model"
     assert config.backend.api_key == "env-key"
+
+
+def test_readme_config_example_loads(monkeypatch, tmp_path):
+    """The config example in README.md stays one the loader accepts."""
+    for name in [name for name in os.environ if name.startswith("LOGICPOOL_")]:
+        monkeypatch.delenv(name)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config = config_from_obj(json.loads(block), base_dir=str(tmp_path))
+    assert config.criteria == CRITERIA
+    assert config.backend.kind == "openai" and config.backend.model == "my-model"
 
 
 def test_desk_spec_counts():
@@ -501,35 +504,6 @@ def test_resume_keeps_only_this_runs_records(tmp_path, world, change, calls, cou
     assert tables == {name: (run_dir / name).read_bytes() for name in tables}
 
 
-def test_records_without_request_key_resume_from_the_journal(tmp_path, world):
-    """Records written before they carried their request key (with the
-    prompt's sha256 instead) match no request: a resume rebuilds them from
-    the journal with zero backend calls."""
-    _, paths = world
-    first = run(mock_config(tmp_path, paths, run_name="old"))
-    corpus = {p.puzzle_id: p for p in build_corpus(mock_config(tmp_path, paths))}
-    old_lines = []
-    for record in first.records:
-        prompt = render(Strategy.from_key(record.strategy), corpus[record.puzzle_id])
-        obj = record.to_obj()
-        del obj["request_sha256"]
-        obj["prompt_sha256"] = hashlib.sha256(prompt.full_text.encode("utf-8")).hexdigest()
-        old_lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
-    records_path = tmp_path / "old" / "records.jsonl"
-    records_path.write_text("".join(old_lines), encoding="utf-8")
-    assert len(load_records(str(records_path))) == 20  # still loads for report and sweep
-
-    resumed = run(mock_config(tmp_path, paths, run_name="old"))
-    assert resumed.backend_calls == 0
-    replay_dir = tmp_path / "old_replay"
-    os.makedirs(replay_dir)
-    shutil.copyfile(tmp_path / "old" / "journal.jsonl", replay_dir / "journal.jsonl")
-    run(mock_config(tmp_path, paths, run_name="old_replay", replay=True))
-    assert records_path.read_bytes() == (replay_dir / "records.jsonl").read_bytes()
-    journal_keys = {e["key"] for e in read_jsonl(str(tmp_path / "old" / "journal.jsonl"))}
-    assert all(obj["request_sha256"] in journal_keys for obj in read_jsonl(str(records_path)))
-
-
 def test_noop_rerun_leaves_records_file_untouched(tmp_path, world):
     _, paths = world
     config = mock_config(tmp_path, paths, run_name="noop")
@@ -559,48 +533,6 @@ def test_puzzles_with_one_prompt_keep_their_own_records(tmp_path, world):
     assert second.backend_calls == 0
     assert [r.puzzle_id for r in second.records] == [r.puzzle_id for r in first.records]
     assert records_path.stat().st_ino == before.st_ino
-
-
-def ten_key_confidence(obj):
-    """A record object with its confidence as earlier versions stored it:
-    the four segment scores plus six numbers derived at lambda 0.5."""
-    c = obj["confidence"]
-    p_r, p_a = (None if c[k] is None else math.exp(c[k]) for k in ("log_p_rational", "log_p_answer"))
-    h_r, h_a = c["h_rational"], c["h_answer"]
-    old = {
-        "lambda_p": 0.5,
-        "lambda_e": 0.5,
-        "log_p_rational": c["log_p_rational"],
-        "log_p_answer": c["log_p_answer"],
-        "p_rational": p_r,
-        "p_answer": p_a,
-        "p_combined": p_r * p_a if p_r is not None and p_a is not None else None,
-        "h_rational": h_r,
-        "h_answer": h_a,
-        "h_combined": (h_r + h_a) / 2 if h_r is not None and h_a is not None else None,
-    }
-    return {**obj, "confidence": old}
-
-
-def test_ten_key_records_select_like_four_key_records(tmp_path, world):
-    _, paths = world
-    result = run(mock_config(tmp_path, paths))
-    current = [EvalRecord.from_obj(r.to_obj()) for r in result.records]
-    older = [EvalRecord.from_obj(ten_key_confidence(r.to_obj())) for r in result.records]
-    assert [r.confidence for r in older] == [r.confidence for r in current]
-    assert [r.to_obj() for r in older] == [r.to_obj() for r in current]
-    for start in range(0, len(current), 5):
-        new_pool = candidate_pool(current[start : start + 5])
-        old_pool = candidate_pool(older[start : start + 5])
-        for criterion in CRITERIA:
-            if criterion == ORACLE:
-                continue
-            for lam in (0.0, 0.2, 0.5, 1.0):
-                assert apply_criterion(criterion, old_pool, lam, lam) == apply_criterion(
-                    criterion, new_pool, lam, lam
-                )
-    for criterion in ("max_prob", "min_entropy"):
-        assert sweep(older, criterion) == sweep(current, criterion)
 
 
 def test_sweep_midpoint_matches_run_selection(tmp_path, world):
@@ -635,7 +567,7 @@ def test_run_with_generated_corpus_and_unparseable_responses(tmp_path):
         assert not row.correct
         if row.criterion != "oracle":
             assert row.error  # no parseable candidate to select
-    # resume reuses the generated corpus and the journal
+    # a resume rebuilds the same corpus from the spec and reuses the journal
     second = run(
         ExperimentConfig(
             run_dir=config.run_dir,
@@ -646,6 +578,33 @@ def test_run_with_generated_corpus_and_unparseable_responses(tmp_path):
     )
     assert second.backend_calls == 0
     assert [r.to_obj() for r in second.records] == [r.to_obj() for r in result.records]
+
+
+def test_resume_with_a_new_generate_spec_runs_the_new_corpus(tmp_path):
+    """The corpus always comes from the config: a resume under a new seed
+    runs that seed's puzzles and writes the same files as replaying its
+    journal into a fresh directory."""
+    script_path = tmp_path / "generic.json"
+    script_path.write_text(json.dumps({"responses": [{"match": "", "text": "I have no conclusion."}]}))
+
+    def config(seed, run_name, replay=False):
+        return ExperimentConfig(
+            run_dir=str(tmp_path / run_name),
+            generate=GenerateSpec(kk_sizes=(3,), kk_per_size=1, zebra_configs=((2, 2, 1),), seed=seed),
+            backend=BackendConfig(kind="mock", script_path=str(script_path)),
+            criteria=("majority_vote", "max_prob", "oracle"),
+            replay=replay,
+        )
+
+    run(config(0, "seeded"))
+    resumed = run(config(5, "seeded"))
+    assert {r.puzzle_id for r in resumed.records} == {p.puzzle_id for p in build_corpus(config(5, "seeded"))}
+    replay_dir = tmp_path / "seeded_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(tmp_path / "seeded" / "journal.jsonl", replay_dir / "journal.jsonl")
+    assert run(config(5, "seeded_replay", replay=True)).exit_code == 0
+    for name in ("corpus.jsonl", "records.jsonl", "selections.jsonl", "report.md"):
+        assert (tmp_path / "seeded" / name).read_bytes() == (replay_dir / name).read_bytes(), name
 
 
 def test_run_directory_lock(tmp_path, world):
@@ -810,6 +769,16 @@ def test_stratify_exact_percentages():
         ({"corpus": {"generate": {"preset": "desk", "seed": None}}}, "corpus.generate.seed"),
         ({"backend": {"kind": "mock", "script": "m.json", "max_retries": "three"}}, "backend.max_retries"),
         ({"verifier_backend": {"kind": "mock", "script": "m.json", "timeout": "x"}}, "verifier_backend.timeout"),
+        ({"instruction_tags": "false"}, "instruction_tags"),
+        ({"replay": "no"}, "replay"),
+        ({"backend": {"kind": "mokc", "script": "m.json"}}, "backend.kind"),
+        ({"backend": {"kind": "openai", "base_url": "http://h/v1", "model": "m", "api": "chatt"}}, "backend.api"),
+        ({"strategies": ["no_strategy", "chain_constrution"]}, "strategies"),
+        ({"corpus": {"generate": {"zebra_configs": [[2, 2]]}}}, "corpus.generate.zebra_configs"),
+        ({"corpus": {"generate": {"kk_sizes": ["x"], "kk_per_size": 1}}}, "corpus.generate.kk_sizes"),
+        ({"corpus": {"generate": {"kk_sizes": [9], "kk_per_size": 1}}}, "corpus.generate.kk_sizes"),
+        ({"strategies": 5}, "strategies"),
+        ({"criteria": 5}, "criteria"),
     ],
 )
 def test_config_values_that_do_not_cast_are_config_errors(tmp_path, change, setting):
@@ -846,18 +815,71 @@ def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys,
     assert "Oracle" in capsys.readouterr().out
 
 
+def _ten_key_confidence(c):
+    """A confidence as versions before journal_format 2 stored it: the four
+    segment scores plus six numbers derived at lambda 0.5."""
+    p_r, p_a = math.exp(c["log_p_rational"]), math.exp(c["log_p_answer"])
+    h_combined = (c["h_rational"] + c["h_answer"]) / 2
+    derived = {"p_rational": p_r, "p_answer": p_a, "p_combined": p_r * p_a, "h_combined": h_combined}
+    return {"lambda_p": 0.5, "lambda_e": 0.5, **c, **derived}
+
+
+def _edited(change):
+    """A records line rewritten by applying ``change`` to its object."""
+    return lambda line: (json.dumps(change(json.loads(line))) + "\n").encode()
+
+
+# record lines that are not current records: cut short, a missing key, and
+# the shapes written before journal_format 2
+_NOT_RECORDS = {
+    "cut short": lambda line: line[:50] + b"\n",
+    "no family": _edited(lambda obj: {k: v for k, v in obj.items() if k != "family"}),
+    "prompt_sha256": _edited(
+        lambda obj: {("prompt_sha256" if k == "request_sha256" else k): v for k, v in obj.items()}
+    ),
+    "ten-key confidence": _edited(lambda obj: {**obj, "confidence": _ten_key_confidence(obj["confidence"])}),
+    "any_failed verifier": _edited(
+        lambda obj: {**obj, "verifier": {"per_chunk": [None], "mean": 0.0, "any_failed": True}}
+    ),
+}
+
+
 def test_malformed_records_line_is_a_data_error(tmp_path, world, capsys):
+    """A records line that is not a current record is a fatal error naming
+    the file and the line, for run, report and sweep alike, and none of them
+    writes to the file."""
     _, paths = world
     config = mock_config(tmp_path, paths, run_name="garbled")
     run(config)
+    config_path = tmp_path / "garbled.json"
+    config_path.write_text(
+        json.dumps({"run_dir": config.run_dir, "corpus": {"path": paths["corpus"]},
+                    "backend": {"kind": "mock", "script": paths["script"]}})
+    )
     records_path = Path(config.run_dir, "records.jsonl")
     lines = records_path.read_bytes().splitlines(keepends=True)
-    records_path.write_bytes(lines[0] + lines[1][:50] + b"\n" + b"".join(lines[2:]))
+    # a record with both scores, past the first line
+    index = next(i for i, line in enumerate(lines) if i and b'"verifier": {' in line and b'"confidence": {' in line)
+    for name, garble in _NOT_RECORDS.items():
+        records_path.write_bytes(b"".join(lines[:index]) + garble(lines[index]) + b"".join(lines[index + 1 :]))
+        garbled = records_path.read_bytes()
+        for command in (
+            ["run", "--config", str(config_path)],
+            ["report", "--run-dir", config.run_dir],
+            ["sweep", "--run-dir", config.run_dir, "--criterion", "max_prob"],
+        ):
+            capsys.readouterr()
+            assert cli_main(command) == 1, (name, command[0])
+            assert f"records.jsonl: line {index + 1} is malformed" in capsys.readouterr().err, (name, command[0])
+            assert records_path.read_bytes() == garbled, (name, command[0])
+
+    records_path.write_bytes(b"".join(lines))
+    selections_path = Path(config.run_dir, "selections.jsonl")
+    rows = selections_path.read_bytes().splitlines(keepends=True)
+    selections_path.write_bytes(rows[0] + rows[1].replace(b'"criterion"', b'"criteria"') + b"".join(rows[2:]))
     capsys.readouterr()
     assert cli_main(["report", "--run-dir", config.run_dir]) == 1
-    assert "records.jsonl: line 2" in capsys.readouterr().err
-    assert cli_main(["sweep", "--run-dir", config.run_dir, "--criterion", "max_prob"]) == 1
-    assert "records.jsonl: line 2" in capsys.readouterr().err
+    assert "selections.jsonl: line 2 is malformed" in capsys.readouterr().err
 
 
 class FlakyVerifierMock(MockBackend):
@@ -917,23 +939,6 @@ def test_failed_verifier_prefix_is_a_failure_and_is_retried(tmp_path, world, mon
     assert resumed.backend_calls == prefixes - flaky.counts["answered"]
     fresh = run(mock_config(tmp_path, paths, run_name="flaky_fresh", criteria=criteria))
     assert without_timing(resumed.records) == without_timing(fresh.records)
-
-
-def test_partial_verifier_score_from_older_versions_is_reverified(tmp_path, world):
-    """Older versions stored a score with a failed prefix as ``any_failed``;
-    it counts as unverified, and a resume verifies it from the journal."""
-    _, paths = world
-    config = mock_config(tmp_path, paths, run_name="partial", criteria=("verifier", "oracle"))
-    run(config)
-    records_path = Path(config.run_dir, "records.jsonl")
-    intact = records_path.read_bytes()
-    objs = read_jsonl(str(records_path))
-    verified = next(obj for obj in objs if obj["verifier"])
-    verified["verifier"] = {"per_chunk": [None], "mean": 0.0, "any_failed": True}
-    records_path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs))
-    resumed = run(config)
-    assert resumed.backend_calls == 0
-    assert records_path.read_bytes() == intact
 
 
 def test_cached_rerun_decodes_no_journal_entry(tmp_path, world, monkeypatch):

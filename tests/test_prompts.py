@@ -9,6 +9,7 @@ from logicpool.prompts import (
     zebra_answer_template,
 )
 from logicpool.puzzles import generate_kk, generate_zebra
+from logicpool.puzzles.statements import character_label
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,7 @@ def test_chain_construction_contains_expected_step(kk_puzzle):
 
 def test_no_strategy_has_no_strategy_sentence(kk_puzzle, zebra_puzzle):
     for puzzle in (kk_puzzle, zebra_puzzle):
-        prompt = render(Strategy.NO_STRATEGY, puzzle)
-        assert "You will reason with" not in prompt.full_text
-        assert prompt.strategy_description == ""
+        assert "You will reason with" not in render(Strategy.NO_STRATEGY, puzzle).full_text
 
 
 def test_supposition_contains_contradiction_step(kk_puzzle):
@@ -99,13 +98,14 @@ def test_house_lines_match_puzzle(zebra_puzzle):
 
 
 def test_answer_marker_appears_once_in_instructions(kk_puzzle, zebra_puzzle):
-    for puzzle in (kk_puzzle, zebra_puzzle):
+    kk_format = "\n".join(f"{character_label(i)}: {{knight/knave}}" for i in range(kk_puzzle.n_chars))
+    formats = {kk_puzzle: kk_format, zebra_puzzle: zebra_answer_template(zebra_puzzle)}
+    for puzzle, answer_format in formats.items():
         for strategy in Strategy:
-            prompt = render(strategy, puzzle)
+            text = render(strategy, puzzle).full_text
             # once in the preamble format hint, once in the instruction block
-            assert prompt.full_text.count(ANSWER_MARKER) == 2
-            assert prompt.formatting_instructions.count(ANSWER_MARKER) == 1
-            assert prompt.formatting_instructions in prompt.full_text
+            assert text.count(ANSWER_MARKER) == 2
+            assert f"{ANSWER_MARKER}\n{answer_format}" in text
 
 
 def test_question_embedded(kk_puzzle):
@@ -116,10 +116,9 @@ def test_question_embedded(kk_puzzle):
 
 
 def test_strategy_description_embedded(kk_puzzle):
-    prompt = render(Strategy.CONCATENATION_STRATEGY, kk_puzzle)
-    assert prompt.strategy_description.startswith("You will reason with concatenation strategy.")
-    assert "Step 4: Draw a final conclusion." in prompt.strategy_description
-    assert prompt.strategy_description in prompt.full_text
+    text = render(Strategy.CONCATENATION_STRATEGY, kk_puzzle).full_text
+    start = text.index("You will reason with concatenation strategy.")
+    assert start < text.index("Step 4: Draw a final conclusion.") < text.index("### Now your turn ###")
 
 
 def test_instruction_tag_framing(kk_puzzle):
