@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import ConfigError, LogicPoolError
-from .harness.config import config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
+from .harness.config import check_kk_size, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
 from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
 from .harness.sweep import sweep, sweep_csv
@@ -115,6 +115,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise ConfigError(f"--index {args.index}: {args.puzzle_file} holds {len(objs)} puzzles")
         puzzle = puzzle_from_obj(objs[args.index])
     elif args.family == "kk":
+        check_kk_size(args.n_chars, "--n-chars")
         puzzle = generate_kk(args.n_chars, seed=args.seed)
     else:
         puzzle = generate_zebra(args.houses, args.attrs, seed=args.seed)

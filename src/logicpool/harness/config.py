@@ -40,6 +40,11 @@ DESK_ZEBRA_CONFIGS = (
 )
 
 
+def check_kk_size(size: Any, where: str) -> None:
+    if type(size) is not int or not 3 <= size <= 6:  # the sizes generate_kk makes
+        raise ConfigError(f"{where}: {size!r} is not an integer from 3 to 6")
+
+
 @dataclass
 class BackendConfig:
     kind: str = "openai"  # "openai" or "mock"
@@ -110,8 +115,7 @@ class ExperimentConfig:
             raise ConfigError("samples and concurrency must be >= 1")
         if self.generate is not None:
             for size in self.generate.kk_sizes:
-                if type(size) is not int or not 3 <= size <= 6:  # the sizes generate_kk makes
-                    raise ConfigError(f"config corpus.generate.kk_sizes: {size!r} is not an integer from 3 to 6")
+                check_kk_size(size, "config corpus.generate.kk_sizes")
             if self.generate.kk_sizes and self.generate.kk_per_size < 1:
                 raise ConfigError("kk_per_size must be >= 1")
             for entry in self.generate.zebra_configs:

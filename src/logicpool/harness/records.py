@@ -54,6 +54,7 @@ class EvalRecord:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "EvalRecord":
+        Strategy.from_key(obj["strategy"])  # an unknown strategy raises KeyError
         confidence, verifier = obj["confidence"], obj["verifier"]
         return cls(**{
             **obj,

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import shutil
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ from ..selection import (
     vote_plus_prob,
     vote_plus_verifier,
 )
-from ..verifier import chunk, verify
+from ..verifier import VerifierScore, chunk, verify
 from .config import ExperimentConfig
 from .records import (
     EvalRecord,
@@ -151,7 +152,36 @@ class _CandidateTask:
     prompt: RenderedPrompt
     request_sha256: str
     future: Future | None = None  # set while a new generation is pending
+    verification: Future | None = None  # set while a verification is pending
     record: EvalRecord | None = None
+    failure: dict | None = None  # the generate or score failure row
+
+
+@dataclass
+class _Pool:
+    """One (puzzle, sample) candidate pool from its scored records to its
+    selection; ``new`` are the tasks generated by this run."""
+
+    tasks: list[_CandidateTask]
+    new: list[_CandidateTask]
+    candidate_pool: CandidatePool
+
+    def verified(self) -> bool:
+        return all(task.verification is None or task.verification.done() for task in self.tasks)
+
+
+def _failure_row(kind: str, task: _CandidateTask, exc: LogicPoolError) -> dict:
+    return {
+        "kind": kind,
+        "puzzle_id": task.puzzle.puzzle_id,
+        "strategy": task.strategy.key,
+        "sample": task.sample,
+        "error": str(exc),
+    }
+
+
+def _verify_text(question: str, text: str, client) -> VerifierScore:
+    return verify(question, chunk(text), client)
 
 
 class _Runner:
@@ -163,22 +193,9 @@ class _Runner:
 
     # -- record construction -------------------------------------------------
 
-    def _fail(self, kind: str, task: _CandidateTask, exc: LogicPoolError) -> str:
-        error = str(exc)
-        self.failures.append(
-            {
-                "kind": kind,
-                "puzzle_id": task.puzzle.puzzle_id,
-                "strategy": task.strategy.key,
-                "sample": task.sample,
-                "error": error,
-            }
-        )
-        return error
-
     def _build_record(self, task: _CandidateTask) -> EvalRecord:
         """Await the task's generation and score it. A failed generation or
-        a response that cannot be scored costs one failure row and sets the
+        a response that cannot be scored sets the task's failure row and the
         record's error; the response itself is not kept."""
         future, task.future = task.future, None
         puzzle = task.puzzle
@@ -186,14 +203,16 @@ class _Runner:
         try:
             response, elapsed = future.result()
         except LogicPoolError as exc:
-            error = self._fail("generate", task, exc)
+            task.failure = _failure_row("generate", task, exc)
         else:
             text = response.full_text
             finish_reason = response.finish_reason
             try:
                 confidence = score_response(response, segment(response))
             except LogicPoolError as exc:
-                error = self._fail("score", task, exc)
+                task.failure = _failure_row("score", task, exc)
+        if task.failure is not None:
+            error = task.failure["error"]
         answer = extract_answer(text, puzzle)
         return EvalRecord(
             puzzle_id=puzzle.puzzle_id,
@@ -215,58 +234,50 @@ class _Runner:
 
     # -- verification ---------------------------------------------------------
 
-    def _ensure_verified(
-        self,
-        pool_tasks: list[_CandidateTask],
-        indices: list[int],
-        question: str,
-        verifier_client,
-        executor: ThreadPoolExecutor,
-    ) -> None:
-        """Verify the given candidates, skipping cached scores. A verified
-        record is replaced by a scored copy, so the run sees that it changed."""
-        pending = [
-            task
-            for i in indices
-            if (task := pool_tasks[i]).record is not None
-            and task.record.verifier is None
-            and task.record.answer.parse_ok
-        ]
-
-        def verify_task(task: _CandidateTask):
-            return verify(question, chunk(task.record.response_text), verifier_client)
-
-        futures = [(task, executor.submit(verify_task, task)) for task in pending]
-        for task, future in futures:
-            try:
-                task.record = dataclasses.replace(task.record, verifier=future.result())
-            except LogicPoolError as exc:
-                self._fail("verify", task, exc)
+    def _submit_verification(self, pool: _Pool, verifier_client, executor: ThreadPoolExecutor) -> None:
+        """Queue the verifications the criteria need, skipping cached
+        scores: every parseable candidate for ``verifier``; for
+        ``vote_verifier`` without it, only the tied majority groups."""
+        indices = [i for i, c in enumerate(pool.candidate_pool.candidates) if c.answer.parse_ok]
+        if VERIFIER not in self.config.criteria and indices:
+            winners, tie = majority_groups(pool.candidate_pool)
+            indices = [i for group in winners for i in group] if tie else []
+        question = pool.tasks[0].prompt.question
+        for i in indices:
+            task = pool.tasks[i]
+            if task.record.verifier is None:
+                task.verification = executor.submit(
+                    _verify_text, question, task.record.response_text, verifier_client
+                )
 
     # -- selection -------------------------------------------------------------
 
-    def _select(
-        self, pool_tasks: list[_CandidateTask], verifier_client, executor: ThreadPoolExecutor
-    ) -> None:
-        """Verify as the criteria need, then apply every criterion to one
-        (puzzle, sample) pool."""
-        puzzle = pool_tasks[0].puzzle
-        sample = pool_tasks[0].sample
-        question = pool_tasks[0].prompt.question
+    def _finish(self, pool: _Pool, records_path: str) -> None:
+        """Take the pool's verifier scores, apply every criterion and persist
+        its new records. Its failure rows are recorded here, generate and
+        score rows before verify rows, so failures run pool by pool
+        whatever order the backend answers in. A verified record is
+        replaced by a scored copy, so the run sees that it changed."""
+        self.failures.extend(task.failure for task in pool.tasks if task.failure is not None)
+        for task, candidate in zip(pool.tasks, pool.candidate_pool.candidates):
+            if task.verification is not None:
+                future, task.verification = task.verification, None
+                try:
+                    task.record = dataclasses.replace(task.record, verifier=future.result())
+                except LogicPoolError as exc:
+                    self.failures.append(_failure_row("verify", task, exc))
+            candidate.verifier_score = task.record.verifier
+        self._select(pool)
+        self.records.extend(task.record for task in pool.tasks)
+        for task in pool.new:
+            append_jsonl(records_path, task.record.to_obj())
+
+    def _select(self, pool: _Pool) -> None:
+        """Apply every criterion to one (puzzle, sample) pool."""
+        puzzle = pool.tasks[0].puzzle
+        sample = pool.tasks[0].sample
+        candidates = pool.candidate_pool
         truth = truth_answer(puzzle)
-        pool = candidate_pool([t.record for t in pool_tasks])
-        parse_ok_indices = [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
-
-        if VERIFIER in self.config.criteria:
-            self._ensure_verified(pool_tasks, parse_ok_indices, question, verifier_client, executor)
-        elif VOTE_VERIFIER in self.config.criteria and parse_ok_indices:
-            winners, tie = majority_groups(pool)
-            if tie:
-                tied = [i for group in winners for i in group]
-                self._ensure_verified(pool_tasks, tied, question, verifier_client, executor)
-        for i, candidate in enumerate(pool.candidates):
-            candidate.verifier_score = pool_tasks[i].record.verifier
-
         base = dict(
             puzzle_id=puzzle.puzzle_id,
             family=puzzle.family,
@@ -276,17 +287,17 @@ class _Runner:
         for criterion in self.config.criteria:
             if criterion == ORACLE:
                 self.selections.append(
-                    SelectionRow(criterion=ORACLE, correct=oracle(pool, truth), sample=sample, **base)
+                    SelectionRow(criterion=ORACLE, correct=oracle(candidates, truth), sample=sample, **base)
                 )
                 continue
             try:
-                result = apply_criterion(criterion, pool, self.config.lambda_p, self.config.lambda_e)
+                result = apply_criterion(criterion, candidates, self.config.lambda_p, self.config.lambda_e)
             except (NoAnswerError, ValueError) as exc:
                 self.selections.append(
                     SelectionRow(criterion=criterion, correct=False, error=str(exc), sample=sample, **base)
                 )
                 continue
-            chosen = pool.candidates[result.chosen_index]
+            chosen = candidates.candidates[result.chosen_index]
             self.selections.append(
                 SelectionRow(
                     criterion=criterion,
@@ -338,11 +349,14 @@ class _Runner:
         existing = {(r.puzzle_id, r.key): r for r in stored if r.error is None}
 
         strategies = config.strategy_pool()
+        verifying = VERIFIER in config.criteria or VOTE_VERIFIER in config.criteria
 
         executor = ThreadPoolExecutor(max_workers=config.concurrency)
+        tasks: list[_CandidateTask] = []
+        # generated pools, in corpus order, that may still wait on verifications
+        waiting: deque[_Pool] = deque()
         try:
             # fan out every missing generation, in deterministic task order
-            tasks: list[_CandidateTask] = []
             for puzzle in corpus:
                 for sample in range(config.samples):
                     for strategy in strategies:
@@ -363,20 +377,36 @@ class _Runner:
                         tasks.append(task)
 
             # tasks run puzzle -> sample -> strategy, so each candidate pool
-            # is one slice; it is selected and persisted as soon as it is done
+            # is one slice. Its verifications are queued as soon as it is
+            # scored, and pools are selected and persisted in order as
+            # their verifications land, so one pool's verification overlaps
+            # the next pools'
             for start in range(0, len(tasks), len(strategies)):
                 pool_tasks = tasks[start : start + len(strategies)]
                 new = [task for task in pool_tasks if task.future is not None]
                 for task in new:
                     task.record = self._build_record(task)
-                self._select(pool_tasks, verifier_client, executor)
-                self.records.extend(task.record for task in pool_tasks)
-                for task in new:
-                    append_jsonl(records_path, task.record.to_obj())
-        finally:
+                pool = _Pool(pool_tasks, new, candidate_pool([task.record for task in pool_tasks]))
+                if verifying:
+                    self._submit_verification(pool, verifier_client, executor)
+                waiting.append(pool)
+                while waiting and waiting[0].verified():
+                    self._finish(waiting.popleft(), records_path)
+        except BaseException:
             # an error leaving the loop must not wait for every queued
-            # generation: drop those not started, finish the running ones
-            executor.shutdown(cancel_futures=True)
+            # generation: drop those not started; the pools already
+            # generated are still persisted below, which waits only for
+            # their verifications
+            for task in tasks:
+                if task.future is not None:
+                    task.future.cancel()
+            raise
+        finally:
+            try:
+                while waiting:
+                    self._finish(waiting.popleft(), records_path)
+            finally:
+                executor.shutdown(cancel_futures=True)
 
         # the file must hold exactly this run's records: the appends already
         # do unless a resume dropped, replaced or added some

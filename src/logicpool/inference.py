@@ -8,6 +8,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -15,14 +16,18 @@ import threading
 import time
 from dataclasses import dataclass, field
 from collections.abc import Sequence as SequenceABC
-from typing import Any, Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
-import requests
 
 from .errors import BackendError, ConfigError, DataError, ProtocolError, ReplayMissError
 from .jsonl import read_lines
 from .prompts import RenderedPrompt
+
+if TYPE_CHECKING:
+    import requests
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_P = 0.9
 DEFAULT_TEMPERATURE = 0.6
@@ -347,6 +352,10 @@ class OpenAIClient:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        # imported here: only this client needs it, and it is slow to import
+        import requests
+
+        self._requests = requests
         self._session = session or requests.Session()
 
     def _post(self, path: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -355,7 +364,8 @@ class OpenAIClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.base_url}{path}"
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        attempts = self.max_retries + 1
+        for attempt in range(attempts):
             try:
                 response = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
                 if response.status_code in (429,) or response.status_code >= 500:
@@ -365,11 +375,16 @@ class OpenAIClient:
                 return response.json()
             except ProtocolError:
                 raise
-            except (requests.RequestException, BackendError, ValueError) as exc:
+            except (self._requests.RequestException, BackendError, ValueError) as exc:
                 last_error = exc
                 if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise BackendError(f"request failed after {self.max_retries + 1} attempts: {last_error}")
+                    delay = self.backoff * (2**attempt)
+                    logger.warning(
+                        "POST %s failed (%s), attempt %d/%d; retrying in %.2f s",
+                        url, exc, attempt + 1, attempts, delay,
+                    )
+                    time.sleep(delay)
+        raise BackendError(f"request failed after {attempts} attempts: {last_error}")
 
     def _payload(self, text: str, params: SamplingParams) -> tuple[str, dict[str, Any]]:
         common: dict[str, Any] = {

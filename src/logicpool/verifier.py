@@ -88,8 +88,10 @@ def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> Ve
     """Cumulative-prefix verification: prompt i embeds chunks 0..i, and the
     score is the mean P("Yes") over all prefixes.
 
-    Prefix prompts go out sequentially: each embeds all prior chunks, and
-    sequential issue keeps the journal in a reproducible order. A failed
+    Prefix prompts go out sequentially within a candidate: each embeds all
+    prior chunks, and sequential issue keeps the candidate's journal
+    entries in prefix order. The run harness calls this once per candidate
+    on its executor, so candidates of different pools overlap. A failed
     prefix (BackendError) fails the whole verification: a partial mean is
     never a score. The prefixes already answered stay in the journal, so a
     retry asks only for the rest.

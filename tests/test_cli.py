@@ -61,8 +61,11 @@ def test_render_from_corpus_file(tmp_path, capsys):
         (["render", "--strategy", "no_strategy", "--puzzle-file", "{garbled}"], "garbled.jsonl: line 1"),
         (["gen", "--out", "{out}", "--zebra-configs", "2x"], "--zebra-configs '2x'"),
         (["gen", "--out", "{out}", "--kk-sizes", "3,x", "--kk-per-size", "1"], "--kk-sizes '3,x'"),
+        (["render", "--n-chars", "9", "--strategy", "no_strategy"], "--n-chars: 9 is not an integer from 3 to 6"),
+        (["render", "--n-chars", "2", "--strategy", "no_strategy"], "--n-chars: 2 is not an integer from 3 to 6"),
     ],
-    ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes"],
+    ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes",
+         "n-chars-above-6", "n-chars-below-3"],
 )
 def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
     corpus = tmp_path / "c.jsonl"
@@ -112,6 +115,22 @@ def test_run_report_sweep_roundtrip(world_run, capsys):
         rc = main(["sweep", "--run-dir", run_dir, "--criterion", "max_prob", "--points", points])
         assert rc == 1
         assert "--points must be at least 1" in capsys.readouterr().err
+
+
+def test_unknown_strategy_in_records_is_an_error_line(world_run, capsys):
+    tmp_path, config_path = world_run
+    assert main(["run", "--config", str(config_path)]) == 0
+    records = tmp_path / "run" / "records.jsonl"
+    lines = records.read_bytes().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first["strategy"] = "zigzag"
+    records.write_bytes(json.dumps(first, ensure_ascii=False).encode("utf-8") + b"\n" + b"".join(lines[1:]))
+    edited = records.read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "records.jsonl: line 1 is malformed" in err and "zigzag" in err
+    assert records.read_bytes() == edited
 
 
 def test_run_replay_flag(world_run, capsys):

@@ -423,8 +423,6 @@ def test_pools_are_persisted_as_they_complete(tmp_path, world):
 
 
 def test_crash_does_not_wait_for_queued_generations(tmp_path, world):
-    # verifier criteria are left out: verification shares the executor's
-    # queue and would wait behind it
     world_obj, paths = world
     backend = CrashingBackendConfig(
         kind="mock",
@@ -445,6 +443,121 @@ def test_crash_does_not_wait_for_queued_generations(tmp_path, world):
     # zebraB's five generations are queued behind zebraA's; at most the
     # one or two already started may run
     assert len(backend.slow_calls) <= 2
+
+
+def test_crash_with_verifier_criteria_waits_only_for_verifications(tmp_path, world):
+    """A crash cancels the queued generations, then still persists the pools
+    already generated: their verifications, queued behind those
+    generations, run and their scores are stored."""
+    world_obj, paths = world
+    backend = CrashingBackendConfig(
+        kind="mock",
+        script_path=paths["script"],
+        needle=world_obj.question_needle("zebraA"),
+        slow_needle=world_obj.question_needle("zebraB"),
+    )
+    config = mock_config(tmp_path, paths, run_name="crash_verify", backend=backend, concurrency=1)
+    assert set(config.criteria) == set(CRITERIA)
+    with pytest.raises(RuntimeError):
+        run(config)
+    assert len(backend.slow_calls) <= 2
+    stored = load_records(os.path.join(config.run_dir, "records.jsonl"))
+    kk_ids = [world_obj.puzzles[name].puzzle_id for name in ("kkA", "kkB")]
+    assert [r.puzzle_id for r in stored] == [kk_ids[0]] * 5 + [kk_ids[1]] * 5
+    assert all((r.verifier is not None) == r.answer.parse_ok for r in stored)
+    assert sum(r.verifier is not None for r in stored) == 9
+
+
+class GatedVerifierMock(MockBackend):
+    """The first prefix call for one pool waits until the first prefix call
+    for another pool arrives, and fails after 5 s without it."""
+
+    def __init__(self, script, waiting_marker, opening_marker):
+        super().__init__(script)
+        self.waiting_marker = waiting_marker
+        self.opening_marker = opening_marker
+        self.gate = threading.Event()
+        self.lock = threading.Lock()
+        self.waited = False
+
+    def completion_probability(self, prompt_text_, candidates):
+        with self.lock:
+            wait = self.waiting_marker in prompt_text_ and not self.waited
+            self.waited = self.waited or wait
+        if self.opening_marker in prompt_text_:
+            self.gate.set()
+        if wait and not self.gate.wait(timeout=5):
+            raise BackendError("the first pool's verification blocked the last pool's")
+        return super().completion_probability(prompt_text_, candidates)
+
+
+@dataclass
+class GatedBackendConfig(BackendConfig):
+    waiting_marker: str = ""
+    opening_marker: str = ""
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return GatedVerifierMock(json.load(handle), self.waiting_marker, self.opening_marker)
+
+
+def test_verifications_of_later_pools_overlap_a_pending_one(tmp_path, world):
+    """Pool 0's first verification cannot finish before the last pool's
+    verification starts: the run completes only if verification is queued
+    for every pool without waiting for the earlier pools'."""
+    world_obj, paths = world
+    backend = GatedBackendConfig(
+        kind="mock",
+        script_path=paths["script"],
+        waiting_marker=world_obj.marker("kkA", ""),
+        opening_marker=world_obj.marker("zebraB", ""),
+    )
+    result = run(mock_config(tmp_path, paths, run_name="gated", backend=backend, concurrency=2))
+    assert result.failures == []
+    assert result.exit_code == 0
+    fresh = run(mock_config(tmp_path, paths, run_name="gated_fresh", concurrency=2))
+    assert without_timing(result.records) == without_timing(fresh.records)
+    assert [s.to_obj() for s in result.selections] == [s.to_obj() for s in fresh.selections]
+
+
+class FailingVerifierMock(MockBackend):
+    """Every prefix call that contains the marker fails."""
+
+    def __init__(self, script, marker):
+        super().__init__(script)
+        self.marker = marker
+
+    def completion_probability(self, prompt_text_, candidates):
+        if self.marker in prompt_text_:
+            raise BackendError("prefix call failed")
+        return super().completion_probability(prompt_text_, candidates)
+
+
+@dataclass
+class FailingVerifierConfig(BackendConfig):
+    marker: str = ""
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return FailingVerifierMock(json.load(handle), self.marker)
+
+
+def test_failure_rows_are_in_pool_order(tmp_path, world):
+    """kkA's verifications fail and kkB's no_strategy generation fails: the
+    rows follow the pools, whatever order the backend answers in."""
+    world_obj, paths = world
+    backend = FailingVerifierConfig(
+        kind="mock", script_path=broken_kkb_script(tmp_path, world_obj), marker=world_obj.marker("kkA", "")
+    )
+    config = mock_config(tmp_path, paths, run_name="order", backend=backend, concurrency=2)
+    result = run(config)
+    assert result.exit_code == 2
+    kk_a, kk_b = (world_obj.puzzles[name].puzzle_id for name in ("kkA", "kkB"))
+    parseable = ("no_strategy", "supposition_following", "chain_construction", "compound_strategy")
+    expected = [("verify", kk_a, key) for key in parseable]
+    expected.append(("generate", kk_b, "no_strategy"))
+    assert [(f["kind"], f["puzzle_id"], f["strategy"]) for f in result.failures] == expected
+    assert read_jsonl(os.path.join(config.run_dir, "failures.jsonl")) == result.failures
 
 
 def test_lambda_change_on_resume_matches_fresh_replay(tmp_path, world):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logicpool
 from logicpool.errors import ConfigError, DataError, ProtocolError, ReplayMissError
 from logicpool.inference import (
     JournalingClient,
@@ -19,6 +22,16 @@ from logicpool.inference import (
     response_from_obj,
     response_to_obj,
 )
+
+
+def test_requests_is_imported_only_by_the_http_client():
+    src = os.path.dirname(os.path.dirname(logicpool.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import logicpool.cli, logicpool.harness; print('requests' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sampling_defaults_match_protocol():

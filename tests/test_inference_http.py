@@ -131,6 +131,20 @@ def test_retry_then_success(stub_server, session):
     assert len(handler.requests) == 2
 
 
+def test_each_retry_is_logged(stub_server, session, caplog):
+    base_url, handler = stub_server
+    handler.script.extend([(500, {"error": "boom"}), (503, {"error": "down"})])
+    handler.script.append((200, _chat_payload([("ok", -0.1, [])])))
+    client = OpenAIClient(base_url, model="m", max_retries=2, backoff=0.01, session=session)
+    with caplog.at_level("WARNING", logger="logicpool.inference"):
+        assert client.generate("p", SamplingParams()).full_text == "ok"
+    retries = [r for r in caplog.records if r.name == "logicpool.inference"]
+    assert [r.levelname for r in retries] == ["WARNING", "WARNING"]
+    first, second = (r.getMessage() for r in retries)
+    assert "HTTP 500" in first and "attempt 1/3" in first and "retrying in 0.01 s" in first
+    assert "HTTP 503" in second and "attempt 2/3" in second and "retrying in 0.02 s" in second
+
+
 def test_retries_exhausted_raise_backend_error(stub_server, session):
     base_url, handler = stub_server
     handler.script.extend([(503, {"error": "down"})] * 3)
