@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, LogicPoolError
+from .errors import ConfigError, DataError, LogicPoolError
 from .harness.config import check_kk_size, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
 from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
@@ -25,9 +25,12 @@ from .verifier import chunk, verify
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        sizes = tuple(int(part) for part in text.split(",") if part)
     except ValueError:
         raise ConfigError(f"--kk-sizes {text!r}: expected a comma list of integers, e.g. 3,4,5,6") from None
+    for size in sizes:
+        check_kk_size(size, "--kk-sizes")
+    return sizes
 
 
 def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -39,9 +42,12 @@ def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
         shape, _, count = part.partition(":")
         houses, _, attrs = shape.partition("x")
         try:
-            configs.append((int(houses), int(attrs), int(count) if count else 1))
+            config = int(houses), int(attrs), int(count) if count else 1
         except ValueError:
             raise ConfigError(f"--zebra-configs {part!r}: expected HOUSESxATTRS[:COUNT], e.g. 2x3:4") from None
+        if config[0] < 2 or config[1] < 2 or config[2] < 1:
+            raise ConfigError(f"--zebra-configs {part!r}: needs HOUSES and ATTRS >= 2 and COUNT >= 1")
+        configs.append(config)
     return tuple(configs)
 
 
@@ -58,6 +64,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if not spec.kk_sizes and not spec.zebra_configs:
             print("gen: nothing to generate (use --preset desk or --kk-sizes/--zebra-configs)", file=sys.stderr)
             return 1
+        if spec.kk_sizes and spec.kk_per_size < 1:
+            raise ConfigError(f"--kk-per-size must be at least 1 with --kk-sizes, got {spec.kk_per_size}")
     config = ExperimentConfig(run_dir=".", generate=spec)
     puzzles = build_corpus(config)
     write_jsonl(args.out, [puzzle_to_obj(p) for p in puzzles])
@@ -125,6 +133,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_one(args: argparse.Namespace) -> int:
+    if args.target_words < 1:
+        raise ConfigError(f"--target-words must be at least 1, got {args.target_words}")
     config = config_from_file(args.config)
     backend_config = config.verifier_backend or config.backend
     client = backend_config.build()
@@ -132,6 +142,8 @@ def _cmd_verify_one(args: argparse.Namespace) -> int:
         question = handle.read().strip()
     with open(args.response_file, encoding="utf-8") as handle:
         response_text = handle.read()
+    if not response_text.strip():
+        raise DataError(f"{args.response_file}: the response is empty")
     chunked = chunk(response_text, target_words=args.target_words)
     score = verify(question, chunked, client)
     for i, value in enumerate(score.per_chunk):

@@ -3,10 +3,11 @@ per-segment scores across a grid of lambda values, no backend calls."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError, NoAnswerError
-from ..selection import MAX_PROB, MIN_ENTROPY
+from ..selection import MAX_PROB, MIN_ENTROPY, argbest, confidence_scores
 from .records import EvalRecord, candidate_pool
-from .run import apply_criterion
 
 DEFAULT_GRID = tuple(i / 100 for i in range(100))  # 0.00, 0.01, ..., 0.99
 
@@ -19,31 +20,30 @@ def sweep(
     """(lambda, accuracy, pool count) per grid point.
 
     Pools are selected exactly as a run selects them, with the grid value
-    as both lambdas. A pool with no scorable candidate counts as incorrect,
-    mirroring the run-time handling.
+    as both lambdas, and each pool at every grid point in one ``argbest``
+    call. A pool with no scorable candidate, or with a negative entropy
+    under min_entropy, counts as incorrect at every grid point, as the run
+    gives it an error row.
     """
     if criterion not in (MAX_PROB, MIN_ENTROPY):
         raise ConfigError(f"sweep supports {MAX_PROB} and {MIN_ENTROPY}, not {criterion!r}")
-    if any(not 0 <= lam <= 1 for lam in grid):
+    lambdas = np.array(grid, dtype=np.float64)
+    if lambdas.size and not (0 <= lambdas.min() and lambdas.max() <= 1):
         raise ConfigError("sweep grid values must lie in [0, 1]")
     grouped: dict[tuple[str, int], list[EvalRecord]] = {}
     for record in records:
         grouped.setdefault((record.puzzle_id, record.sample), []).append(record)
     if not grouped:
         raise ConfigError("no records to sweep")
-    pools = [(candidate_pool(members), members) for members in grouped.values()]
-    rows = []
-    for lam in grid:
-        correct = 0
-        for pool, members in pools:
-            try:
-                result = apply_criterion(criterion, pool, lam, lam)
-            except (NoAnswerError, ValueError):
-                continue
-            if members[result.chosen_index].correct:
-                correct += 1
-        rows.append((lam, correct / len(pools), len(pools)))
-    return rows
+    correct = np.zeros(lambdas.shape, dtype=np.int64)
+    for members in grouped.values():
+        try:
+            ordered, scores = confidence_scores(candidate_pool(members), criterion, lambdas)
+        except (NoAnswerError, ValueError):
+            continue
+        chosen, _ = argbest(scores, prefer_high=criterion == MAX_PROB)
+        correct += np.array([members[i].correct for i in ordered])[chosen]
+    return [(lam, int(hits) / len(grouped), len(grouped)) for lam, hits in zip(grid, correct)]
 
 
 def sweep_csv(rows: list[tuple[float, float, int]]) -> str:

@@ -61,6 +61,11 @@ def parse_object(raw: bytes) -> dict[str, Any]:
     return obj
 
 
+def is_number(value: Any) -> bool:
+    """True for a JSON number as ``json`` reads it (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_jsonl(path: str, torn: str = "skip") -> list[dict[str, Any]]:
     """The objects of a JSON-lines file, under the rule above."""
     return [obj for _, _, obj in read_lines(path, parse_object, torn)]

@@ -39,10 +39,10 @@ class Strategy(enum.IntEnum):
 
     @classmethod
     def from_key(cls, key: str) -> "Strategy":
-        for member in cls:
-            if member.key == key:
-                return member
-        raise KeyError(f"unknown strategy {key!r}")
+        try:
+            return _BY_KEY[key]
+        except KeyError:
+            raise KeyError(f"unknown strategy {key!r}") from None
 
 
 _KEYS = {
@@ -52,6 +52,7 @@ _KEYS = {
     Strategy.COMPOUND_STRATEGY: "compound_strategy",
     Strategy.CONCATENATION_STRATEGY: "concatenation_strategy",
 }
+_BY_KEY = {key: strategy for strategy, key in _KEYS.items()}
 _TITLES = {
     Strategy.NO_STRATEGY: "No strategy",
     Strategy.SUPPOSITION_FOLLOWING: "Supposition Following",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedScoreError
 from .inference import ModelResponse
+from .jsonl import is_number
 from .prompts import ANSWER_MARKER
 
 ENTROPY_TAIL_EPSILON = 1e-9
@@ -36,33 +37,56 @@ def segment(response: ModelResponse) -> int:
     return bisect_right(list(accumulate(map(len, response.texts))), position)
 
 
-def combined_logprob(log_p_rational: float, log_p_answer: float, lambda_p: float = 0.5) -> float:
+def _check_lambda(name: str, lam: float | np.ndarray) -> None:
+    values = np.asarray(lam)
+    if not (0 <= values.min() and values.max() <= 1):  # a NaN fails too
+        raise ValueError(f"{name} must be in [0, 1], got {lam}")
+
+
+def combined_logprob(
+    log_p_rational: float | np.ndarray, log_p_answer: float | np.ndarray, lambda_p: float | np.ndarray = 0.5
+) -> float | np.ndarray:
     """log(p_rational^(2(1-lambda)) * p_answer^(2*lambda)), so lambda = 0.5
-    is the log of the plain product of the segment probabilities."""
-    if not 0 <= lambda_p <= 1:
-        raise ValueError(f"lambda_p must be in [0, 1], got {lambda_p}")
+    is the log of the plain product of the segment probabilities. Floats or
+    numpy arrays, broadcast together; the result is float64 with the same
+    rounding either way."""
+    _check_lambda("lambda_p", lambda_p)
     return 2 * (1 - lambda_p) * log_p_rational + 2 * lambda_p * log_p_answer
 
 
-def combined_entropy(h_rational: float, h_answer: float, lambda_e: float = 0.5) -> float:
-    """(1-lambda)*h_rational + lambda*h_answer."""
-    if not 0 <= lambda_e <= 1:
-        raise ValueError(f"lambda_e must be in [0, 1], got {lambda_e}")
-    if h_rational < 0 or h_answer < 0:
+def combined_entropy(
+    h_rational: float | np.ndarray, h_answer: float | np.ndarray, lambda_e: float | np.ndarray = 0.5
+) -> float | np.ndarray:
+    """(1-lambda)*h_rational + lambda*h_answer, for floats or arrays as
+    combined_logprob."""
+    _check_lambda("lambda_e", lambda_e)
+    if (np.fmin(h_rational, h_answer) < 0).any():  # fmin skips a NaN, as the comparison would
         raise ValueError("entropies must be >= 0")
     return (1 - lambda_e) * h_rational + lambda_e * h_answer
 
 
 @dataclass(frozen=True)
 class ConfidenceScore:
-    """Per-segment mean logprob and mean entropy of one response; the
-    answer-side fields are None when the response has no (or an empty)
-    answer segment."""
+    """Per-segment mean logprob and mean entropy of one response. An empty
+    segment (no answer marker, or a marker at the first token) has both of
+    its fields None; a segment with one None, or with a value that is not a
+    number, is rejected."""
 
     log_p_rational: float | None
     log_p_answer: float | None
     h_rational: float | None
     h_answer: float | None
+
+    def __post_init__(self) -> None:
+        for name, log_p, h in (
+            ("rational", self.log_p_rational, self.h_rational),
+            ("answer", self.log_p_answer, self.h_answer),
+        ):
+            if not (log_p is None and h is None or is_number(log_p) and is_number(h)):
+                raise ValueError(
+                    f"{name} segment score needs a log-prob and an entropy both null or both numbers, "
+                    f"got {log_p!r} and {h!r}"
+                )
 
     @property
     def defined(self) -> bool:

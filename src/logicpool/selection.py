@@ -1,8 +1,14 @@
 """Canonical answers and the merging criteria over a candidate pool.
 
 A pool holds one candidate per strategy. Criteria never choose an
-unparseable candidate; score comparisons are strict floating-point with
-ties resolved by the lowest strategy index (NO_STRATEGY first).
+unparseable candidate. A score criterion compares float64 scores exactly,
+with no epsilon, in strategy order (NO_STRATEGY first): the first
+candidate holding the best score is chosen, and the selection is a tie
+when another candidate holds exactly that score. A NaN score (a -inf
+log-prob weighted by zero, at lambda 0 or 1) is never best, except that a
+NaN first candidate is chosen, with no tie. ``argbest`` is that rule over
+the last axis of an array: the run applies it at one lambda per pool, the
+sweep at every grid point of a pool in one call.
 """
 
 from __future__ import annotations
@@ -11,10 +17,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import NoAnswerError, StructureError
 from .prompts import ANSWER_MARKER, Strategy
 from .puzzles import KnightsKnavesPuzzle, Puzzle, ZebraPuzzle
-from .scoring import ConfidenceScore
+from .scoring import ConfidenceScore, combined_entropy, combined_logprob
 from .verifier import VerifierScore
 
 MAJORITY_VOTE = "majority_vote"
@@ -221,53 +229,77 @@ def majority_vote(pool: CandidatePool) -> SelectionResult:
     )
 
 
-def _argbest(
-    pool: CandidatePool,
-    indices: list[int],
-    score_of: Callable[[Candidate], float],
-    prefer_high: bool,
-) -> tuple[int, bool]:
-    """Strict-comparison argmax/argmin in strategy order; returns the chosen
-    index and whether another candidate scored exactly the same."""
-    ordered = sorted(indices, key=lambda i: pool.candidates[i].strategy)
-    best = ordered[0]
-    best_score = score_of(pool.candidates[best])
-    tie = False
-    for i in ordered[1:]:
-        score = score_of(pool.candidates[i])
-        if score == best_score:
-            tie = True
-        elif (score > best_score) if prefer_high else (score < best_score):
-            best, best_score, tie = i, score, False
-    return best, tie
+def argbest(scores: np.ndarray, prefer_high: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The position of the best score along the last (non-empty) axis, and
+    whether another score there equals it, by the rule in the module
+    docstring."""
+    reduce = np.fmax if prefer_high else np.fmin  # both skip NaNs
+    first = scores[..., :1]
+    best = np.where(np.isnan(first), first, reduce.reduce(scores, axis=-1, keepdims=True))
+    hit = scores == best
+    return hit.argmax(axis=-1), hit.sum(axis=-1) > 1
+
+
+def _pick(ordered: list[int], scores: np.ndarray, prefer_high: bool) -> tuple[int, bool]:
+    """argbest at one lambda, as the candidate index and the tie flag."""
+    position, tie = argbest(scores, prefer_high)
+    return ordered[position], bool(tie)
+
+
+def _in_strategy_order(pool: CandidatePool, indices: list[int]) -> list[int]:
+    return sorted(indices, key=lambda i: pool.candidates[i].strategy)
 
 
 def _score_defined(candidate: Candidate) -> bool:
     return candidate.confidence is not None and candidate.confidence.defined
 
 
+def confidence_scores(
+    pool: CandidatePool,
+    criterion: str,
+    lambdas: float | np.ndarray,
+    indices: list[int] | None = None,
+) -> tuple[list[int], np.ndarray]:
+    """The parseable candidates with a defined confidence (of ``indices``
+    when given, else of the pool) in strategy order, and their combined
+    ``criterion`` score (max_prob or min_entropy) at each lambda, with shape
+    ``np.shape(lambdas) + (n,)``. No such candidate is a NoAnswerError; a
+    lambda outside [0, 1], or a negative entropy under min_entropy, is a
+    ValueError."""
+    candidates = pool.candidates
+    if indices is None:
+        indices = _parseable(pool)
+    ordered = _in_strategy_order(pool, [i for i in indices if _score_defined(candidates[i])])
+    if not ordered:
+        raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
+    confidences = [candidates[i].confidence for i in ordered]
+    lam = np.array(lambdas, dtype=np.float64)[..., None]
+    with np.errstate(invalid="ignore"):  # 0 * -inf is NaN, which argbest handles
+        if criterion == MAX_PROB:
+            rational = np.array([c.log_p_rational for c in confidences], dtype=np.float64)
+            answer = np.array([c.log_p_answer for c in confidences], dtype=np.float64)
+            return ordered, combined_logprob(rational, answer, lam)
+        rational = np.array([c.h_rational for c in confidences], dtype=np.float64)
+        answer = np.array([c.h_answer for c in confidences], dtype=np.float64)
+        return ordered, combined_entropy(rational, answer, lam)
+
+
 def select_max_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResult:
     """Argmax of the combined probability; candidates with an undefined
     answer-segment score are excluded."""
-    indices = [i for i in _parseable(pool) if _score_defined(pool.candidates[i])]
-    if not indices:
-        raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
-    chosen, tie = _argbest(
-        pool, indices, lambda c: c.confidence.recombined_logprob(lambda_p), prefer_high=True
-    )
+    chosen, tie = _pick(*confidence_scores(pool, MAX_PROB, lambda_p), prefer_high=True)
     return SelectionResult(MAX_PROB, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
 
 
 def select_min_entropy(pool: CandidatePool, lambda_e: float = 0.5) -> SelectionResult:
     """Argmin of the combined entropy; same exclusion and tie rules as
     select_max_prob."""
-    indices = [i for i in _parseable(pool) if _score_defined(pool.candidates[i])]
-    if not indices:
-        raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
-    chosen, tie = _argbest(
-        pool, indices, lambda c: c.confidence.recombined_entropy(lambda_e), prefer_high=False
-    )
+    chosen, tie = _pick(*confidence_scores(pool, MIN_ENTROPY, lambda_e), prefer_high=False)
     return SelectionResult(MIN_ENTROPY, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
+
+
+def _verifier_means(pool: CandidatePool, ordered: list[int]) -> np.ndarray:
+    return np.array([pool.candidates[i].verifier_score.mean for i in ordered], dtype=np.float64)
 
 
 def select_verifier(pool: CandidatePool) -> SelectionResult:
@@ -281,7 +313,8 @@ def select_verifier(pool: CandidatePool) -> SelectionResult:
             f"verifier scores missing for strategies "
             f"{[pool.candidates[i].strategy.key for i in missing]}; verify first"
         )
-    chosen, tie = _argbest(pool, indices, lambda c: c.verifier_score.mean, prefer_high=True)
+    ordered = _in_strategy_order(pool, indices)
+    chosen, tie = _pick(ordered, _verifier_means(pool, ordered), prefer_high=True)
     return SelectionResult(VERIFIER, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
 
 
@@ -306,12 +339,10 @@ def vote_plus_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResul
     groups' candidates."""
 
     def break_tie(tied: list[int]) -> tuple[int, str]:
-        scored = [i for i in tied if _score_defined(pool.candidates[i])]
-        if not scored:  # every tied candidate lacks an answer-segment score
+        if not any(_score_defined(pool.candidates[i]) for i in tied):
+            # every tied candidate lacks an answer-segment score
             return min(tied, key=lambda i: pool.candidates[i].strategy), "strategy_index"
-        chosen, _ = _argbest(
-            pool, scored, lambda c: c.confidence.recombined_logprob(lambda_p), prefer_high=True
-        )
+        chosen, _ = _pick(*confidence_scores(pool, MAX_PROB, lambda_p, tied), prefer_high=True)
         return chosen, MAX_PROB
 
     return _vote_with_auxiliary(pool, VOTE_PROB, break_tie)
@@ -328,7 +359,8 @@ def vote_plus_verifier(pool: CandidatePool) -> SelectionResult:
                 f"verifier scores missing for tie-broken strategies "
                 f"{[pool.candidates[i].strategy.key for i in missing]}"
             )
-        chosen, _ = _argbest(pool, tied, lambda c: c.verifier_score.mean, prefer_high=True)
+        ordered = _in_strategy_order(pool, tied)
+        chosen, _ = _pick(ordered, _verifier_means(pool, ordered), prefer_high=True)
         return chosen, VERIFIER
 
     return _vote_with_auxiliary(pool, VOTE_VERIFIER, break_tie)

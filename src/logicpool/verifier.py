@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .inference import InferenceClient
+from .jsonl import is_number
 from .prompts import verifier_template
 
 TARGET_WORDS = 100
@@ -33,6 +34,8 @@ class VerifierScore:
     def __post_init__(self) -> None:
         # a stored score comes back from JSON with a list
         object.__setattr__(self, "per_chunk", tuple(self.per_chunk))
+        if not all(map(is_number, (self.mean, *self.per_chunk))):
+            raise ValueError(f"verifier score needs numbers, got mean {self.mean!r} and per_chunk {self.per_chunk!r}")
 
     def to_obj(self) -> dict[str, Any]:
         return dict(vars(self))

@@ -63,9 +63,14 @@ def test_render_from_corpus_file(tmp_path, capsys):
         (["gen", "--out", "{out}", "--kk-sizes", "3,x", "--kk-per-size", "1"], "--kk-sizes '3,x'"),
         (["render", "--n-chars", "9", "--strategy", "no_strategy"], "--n-chars: 9 is not an integer from 3 to 6"),
         (["render", "--n-chars", "2", "--strategy", "no_strategy"], "--n-chars: 2 is not an integer from 3 to 6"),
+        (["gen", "--out", "{out}", "--kk-sizes", "9", "--kk-per-size", "1"], "--kk-sizes: 9 is not an integer from 3 to 6"),
+        (["gen", "--out", "{out}", "--kk-sizes", "3", "--kk-per-size", "0"], "--kk-per-size must be at least 1"),
+        (["gen", "--out", "{out}", "--zebra-configs", "3x3:0"], "--zebra-configs '3x3:0'"),
+        (["gen", "--out", "{out}", "--zebra-configs", "1x3"], "--zebra-configs '1x3'"),
     ],
     ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes",
-         "n-chars-above-6", "n-chars-below-3"],
+         "n-chars-above-6", "n-chars-below-3", "kk-size-above-6", "kk-per-size-zero",
+         "zebra-count-zero", "zebra-one-house"],
 )
 def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
     corpus = tmp_path / "c.jsonl"
@@ -133,6 +138,32 @@ def test_unknown_strategy_in_records_is_an_error_line(world_run, capsys):
     assert records.read_bytes() == edited
 
 
+@pytest.mark.parametrize(
+    "score, key, message",
+    [("confidence", "h_answer", "answer segment score needs"), ("verifier", "mean", "verifier score needs numbers")],
+    ids=["half-null-confidence", "null-verifier-mean"],
+)
+def test_unusable_stored_score_is_an_error_line(world_run, capsys, score, key, message):
+    """A stored score that selection cannot use (a segment with a log-prob
+    but no entropy, a verifier score with no mean) is a malformed line, not
+    an error met mid-selection."""
+    tmp_path, config_path = world_run
+    assert main(["run", "--config", str(config_path)]) == 0
+    records = tmp_path / "run" / "records.jsonl"
+    lines = records.read_bytes().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    assert first["confidence"]["log_p_answer"] is not None and first["verifier"] is not None
+    first[score][key] = None
+    records.write_bytes(json.dumps(first, ensure_ascii=False).encode("utf-8") + b"\n" + b"".join(lines[1:]))
+    capsys.readouterr()
+    run_dir = str(tmp_path / "run")
+    for args in (["run", "--config", str(config_path)],
+                 ["sweep", "--run-dir", run_dir, "--criterion", "min_entropy"]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records.jsonl: line 1 is malformed" in err and message in err
+
+
 def test_run_replay_flag(world_run, capsys):
     tmp_path, config_path = world_run
     assert main(["run", "--config", str(config_path)]) == 0
@@ -154,6 +185,24 @@ def test_verify_one(world_run, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "chunk 0: P(Yes) = 0.6000" in out
     assert "mean: 0.6000" in out
+
+
+@pytest.mark.parametrize(
+    "target_words, response, message",
+    [("0", "Some reasoning.", "--target-words must be at least 1"), ("100", " \n\t ", "response.txt: the response is empty")],
+    ids=["zero-target-words", "blank-response"],
+)
+def test_verify_one_input_errors_are_error_lines(world_run, tmp_path, capsys, target_words, response, message):
+    _, config_path = world_run
+    question = tmp_path / "question.txt"
+    question.write_text("is this sound?")
+    response_file = tmp_path / "response.txt"
+    response_file.write_text(response)
+    rc = main(["verify-one", "--config", str(config_path), "--question-file", str(question),
+               "--response-file", str(response_file), "--target-words", target_words])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_fatal_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import NoAnswerError, StructureError
@@ -11,6 +12,7 @@ from logicpool.selection import (
     Candidate,
     CandidatePool,
     CanonicalAnswer,
+    argbest,
     extract_answer,
     majority_vote,
     oracle,
@@ -511,3 +513,109 @@ def test_max_prob_invariant_under_positive_scaling(pool, scale):
             h_answer=conf.h_answer,
         )
     assert select_max_prob(pool).chosen_index == baseline.chosen_index
+
+
+# ---------------------------------------------------------------------------
+# the argbest kernel against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_argbest(pool, indices, score_of, prefer_high):
+    """Strict-comparison argmax/argmin in strategy order; returns the chosen
+    index and whether another candidate scored exactly the same."""
+    ordered = sorted(indices, key=lambda i: pool.candidates[i].strategy)
+    best = ordered[0]
+    best_score = score_of(pool.candidates[best])
+    tie = False
+    for i in ordered[1:]:
+        score = score_of(pool.candidates[i])
+        if score == best_score:
+            tie = True
+        elif (score > best_score) if prefer_high else (score < best_score):
+            best, best_score, tie = i, score, False
+    return best, tie
+
+
+# few distinct values, so exact ties are common
+kernel_score = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 2.0, math.inf, math.nan])
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.permutations(STRATEGIES).map(lambda order: order[:n]),
+            st.lists(st.lists(kernel_score, min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_argbest_matches_the_scalar_loop(case, prefer_high):
+    """One row per lambda: the kernel over all rows at once picks, row by
+    row, the candidate and tie flag the scalar loop picks."""
+    strategies, rows = case
+    pool = CandidatePool(
+        puzzle_id="p", family="kk", candidates=[Candidate(strategy=s, answer=X) for s in strategies]
+    )
+    indices = list(range(len(strategies)))
+    ordered = sorted(indices, key=lambda i: strategies[i])
+    scores = np.array([[row[i] for i in ordered] for row in rows])
+    positions, ties = argbest(scores, prefer_high)
+    for row, position, tie in zip(rows, positions, ties):
+        expected = reference_argbest(
+            pool, indices, lambda c: row[strategies.index(c.strategy)], prefer_high
+        )
+        assert (ordered[position], bool(tie)) == expected
+
+
+def reference_select(pool, criterion, lam):
+    """The score criteria as the scalar loop selected them."""
+    indices = [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
+    if criterion is select_verifier:
+        score_of, prefer_high = (lambda c: c.verifier_score.mean), True
+    else:
+        indices = [i for i in indices if pool.candidates[i].confidence is not None
+                   and pool.candidates[i].confidence.defined]
+        if criterion is select_max_prob:
+            score_of, prefer_high = (lambda c: c.confidence.recombined_logprob(lam)), True
+        else:
+            score_of, prefer_high = (lambda c: c.confidence.recombined_entropy(lam)), False
+    if not indices:
+        raise NoAnswerError("no candidate")
+    return reference_argbest(pool, indices, score_of, prefer_high)
+
+
+@st.composite
+def shuffled_pools(draw):
+    strategies = draw(st.permutations(STRATEGIES))[: draw(st.integers(min_value=1, max_value=5))]
+    log_p = st.sampled_from([-math.inf, -1.0, -0.5, 0.0])
+    entropy = st.sampled_from([0.0, 0.5, 1.0, -0.5])
+    candidates = []
+    for strategy in strategies:
+        kind = draw(st.sampled_from(["scored", "scored", "none", "no_answer_segment"]))
+        if kind == "none":
+            conf = None
+        elif kind == "no_answer_segment":
+            conf = ConfidenceScore(draw(log_p), None, draw(entropy), None)
+        else:
+            conf = ConfidenceScore(draw(log_p), draw(log_p), draw(entropy), draw(entropy))
+        mean = draw(st.sampled_from([0.25, 0.5, 0.75, math.nan]))
+        candidates.append(Candidate(strategy, draw(st.sampled_from([X, Y, BAD])), conf, vscore(mean)))
+    return CandidatePool(puzzle_id="p", family="kk", candidates=candidates)
+
+
+@given(shuffled_pools(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@settings(max_examples=500, deadline=None)
+def test_score_criteria_match_the_scalar_loop(pool, lam):
+    """Pools in any strategy order, with unscored, unparseable and NaN-scored
+    candidates and negative entropies: each score criterion picks what the
+    scalar loop picked, or raises the same error type."""
+    for criterion, args in ((select_max_prob, (lam,)), (select_min_entropy, (lam,)), (select_verifier, ())):
+        try:
+            expected = reference_select(pool, criterion, lam)
+        except (NoAnswerError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                criterion(pool, *args)
+            continue
+        result = criterion(pool, *args)
+        assert (result.chosen_index, result.tie_occurred) == expected

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logicpool.errors import ConfigError
-from logicpool.harness.records import EvalRecord
+from logicpool.errors import ConfigError, NoAnswerError
+from logicpool.harness.records import EvalRecord, candidate_pool
+from logicpool.harness.run import apply_criterion
 from logicpool.harness.sweep import DEFAULT_GRID, sweep, sweep_csv
+from logicpool.prompts import Strategy
 from logicpool.scoring import ConfidenceScore
 from logicpool.selection import CanonicalAnswer
 
@@ -119,3 +122,68 @@ def test_sweep_csv_shape():
     assert lines[0] == "lambda,accuracy,pools"
     assert lines[1] == "0.00,1.000000,1"
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# the vectorized sweep against a per-lambda, per-pool loop over the run's
+# selection
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep(records, criterion, grid):
+    grouped = {}
+    for r in records:
+        grouped.setdefault((r.puzzle_id, r.sample), []).append(r)
+    pools = [(candidate_pool(members), members) for members in grouped.values()]
+    rows = []
+    for lam in grid:
+        correct = 0
+        for pool, members in pools:
+            try:
+                result = apply_criterion(criterion, pool, lam, lam)
+            except (NoAnswerError, ValueError):
+                continue
+            if members[result.chosen_index].correct:
+                correct += 1
+        rows.append((lam, correct / len(pools), len(pools)))
+    return rows
+
+
+RIGHT = CanonicalAnswer.from_kk({"A": "knight"})
+WRONG = CanonicalAnswer.from_kk({"A": "knave"})
+# few distinct values, so exact ties are common; -inf makes NaN scores at
+# lambda 0 and 1, and a negative entropy makes min_entropy reject the pool
+log_p = st.sampled_from([-math.inf, -2.0, -0.5, -0.25, 0.0])
+entropy = st.sampled_from([0.0, 0.25, 0.5, 1.5, -0.125])
+
+
+@st.composite
+def sweep_records(draw):
+    records = []
+    for puzzle in range(draw(st.integers(min_value=1, max_value=4))):
+        for sample in range(draw(st.integers(min_value=1, max_value=2))):
+            strategies = draw(st.permutations(list(Strategy)))
+            for strategy in strategies[: draw(st.integers(min_value=1, max_value=5))]:
+                answer = draw(st.sampled_from([RIGHT, WRONG, CanonicalAnswer.unparsed("kk")]))
+                kind = draw(st.sampled_from(["scored", "scored", "scored", "unscored", "no_answer_segment"]))
+                if kind == "unscored":
+                    confidence = None
+                elif kind == "no_answer_segment":
+                    confidence = ConfidenceScore(draw(log_p), None, draw(entropy), None)
+                else:
+                    confidence = ConfidenceScore(draw(log_p), draw(log_p), draw(entropy), draw(entropy))
+                records.append(EvalRecord(
+                    puzzle_id=f"p{puzzle}", family="kk", difficulty="3 Person", strategy=strategy.key,
+                    sample=sample, request_sha256="h", response_text="", finish_reason="stop",
+                    answer=answer, correct=answer == RIGHT, confidence=confidence,
+                ))
+    return records
+
+
+grid_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(sweep_records(), st.sampled_from(["max_prob", "min_entropy"]), st.lists(grid_value, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_the_run_selection_at_every_lambda(records, criterion, grid):
+    assert sweep(records, criterion, tuple(grid)) == reference_sweep(records, criterion, grid)
