@@ -14,7 +14,9 @@ import os
 import sys
 
 from .errors import ConfigError, DataError, LogicPoolError
-from .harness.config import check_kk_size, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec
+from .harness.config import (
+    check_kk_size, check_zebra_shape, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec,
+)
 from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
 from .harness.sweep import sweep, sweep_csv
@@ -45,8 +47,9 @@ def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
             config = int(houses), int(attrs), int(count) if count else 1
         except ValueError:
             raise ConfigError(f"--zebra-configs {part!r}: expected HOUSESxATTRS[:COUNT], e.g. 2x3:4") from None
-        if config[0] < 2 or config[1] < 2 or config[2] < 1:
-            raise ConfigError(f"--zebra-configs {part!r}: needs HOUSES and ATTRS >= 2 and COUNT >= 1")
+        check_zebra_shape(config[0], config[1], f"--zebra-configs {part!r}")
+        if config[2] < 1:
+            raise ConfigError(f"--zebra-configs {part!r}: needs COUNT >= 1")
         configs.append(config)
     return tuple(configs)
 
@@ -126,6 +129,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         check_kk_size(args.n_chars, "--n-chars")
         puzzle = generate_kk(args.n_chars, seed=args.seed)
     else:
+        check_zebra_shape(args.houses, args.attrs, "--houses/--attrs")
         puzzle = generate_zebra(args.houses, args.attrs, seed=args.seed)
     prompt = render(strategy, puzzle, instruction_tags=args.inst_tags)
     print(prompt.full_text)

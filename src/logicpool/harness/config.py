@@ -10,6 +10,7 @@ from typing import Any, Callable
 from ..errors import ConfigError
 from ..inference import InferenceClient, MockBackend, OpenAIClient, SamplingParams
 from ..prompts import Strategy
+from ..puzzles.zebra import MAX_ATTRS, MAX_HOUSES
 from ..selection import CRITERIA
 
 ENV_ENDPOINT = "LOGICPOOL_ENDPOINT"
@@ -43,6 +44,11 @@ DESK_ZEBRA_CONFIGS = (
 def check_kk_size(size: Any, where: str) -> None:
     if type(size) is not int or not 3 <= size <= 6:  # the sizes generate_kk makes
         raise ConfigError(f"{where}: {size!r} is not an integer from 3 to 6")
+
+
+def check_zebra_shape(houses: int, attrs: int, where: str) -> None:
+    if not (2 <= houses <= MAX_HOUSES and 2 <= attrs <= MAX_ATTRS):  # the shapes generate_zebra makes
+        raise ConfigError(f"{where}: {houses}x{attrs} is not a shape from 2x2 to {MAX_HOUSES}x{MAX_ATTRS}")
 
 
 @dataclass
@@ -126,8 +132,7 @@ class ExperimentConfig:
                 houses, attrs, count = entry
                 if count < 1:
                     raise ConfigError("zebra corpus counts must be >= 1")
-                if houses < 2 or attrs < 2:
-                    raise ConfigError("zebra configs need houses >= 2 and attrs >= 2")
+                check_zebra_shape(houses, attrs, "config corpus.generate.zebra_configs")
 
     def strategy_pool(self) -> list[Strategy]:
         return [Strategy.from_key(k) for k in self.strategies]

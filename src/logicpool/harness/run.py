@@ -269,8 +269,8 @@ class _Runner:
             candidate.verifier_score = task.record.verifier
         self._select(pool)
         self.records.extend(task.record for task in pool.tasks)
-        for task in pool.new:
-            append_jsonl(records_path, task.record.to_obj())
+        if pool.new:
+            append_jsonl(records_path, [task.record.to_obj() for task in pool.new])
 
     def _select(self, pool: _Pool) -> None:
         """Apply every criterion to one (puzzle, sample) pool."""

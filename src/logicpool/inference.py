@@ -38,7 +38,10 @@ DEFAULT_TOP_K = 20
 # version 1 stored one JSON object per token and per alternative.
 JOURNAL_FORMAT = 2
 _ENTRY_START = re.compile(rb'\{"key": "([0-9a-f]{64})"')
-_OLD_FORMAT = b'"tokens": [{'  # a version 1 generation; JSON escapes quotes inside strings
+# JSON escapes every quote inside a string, so the first "tokens": [ of a
+# line is the response's own key, right after the request; version 1 opened
+# that list with a token object.
+_TOKENS_KEY = b'"tokens": ['
 
 T = TypeVar("T")
 
@@ -522,9 +525,9 @@ class JournalingClient:
     client the journal is replayed: a missing entry is an error, so
     completed runs re-execute bit-for-bit offline.
 
-    Opening the journal reads only each line's key and byte offset; an
-    entry is parsed when a lookup asks for it, so a fully cached rerun
-    decodes nothing.
+    Opening the journal is one buffered pass that keeps only each line's
+    key and byte offset; an entry is parsed when a lookup asks for it, so a
+    fully cached rerun decodes nothing.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -539,7 +542,8 @@ class JournalingClient:
     def _load(self) -> None:
         """Index the journal under the JSON-lines rule (a torn final line is
         truncated away). Every entry is written key first, so a line that
-        does not start with its key and end with ``}`` is a DataError."""
+        does not start with its key and end with ``}`` is a DataError. The
+        format check reads only the line's head, up to its tokens list."""
         if not os.path.exists(self.journal_path):
             return
 
@@ -547,7 +551,8 @@ class JournalingClient:
             match = _ENTRY_START.match(raw)
             if match is None or not raw.endswith(b"}\n"):
                 raise ValueError("not a journal entry")
-            if _OLD_FORMAT in raw:
+            at = raw.find(_TOKENS_KEY)
+            if at >= 0 and raw.startswith(b"{", at + len(_TOKENS_KEY)):
                 raise ConfigError(
                     f"{self.journal_path} is in the old journal format (per-token JSON), which this "
                     f"version cannot read; it reads journal_format {JOURNAL_FORMAT}. "

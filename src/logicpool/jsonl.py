@@ -22,25 +22,32 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
+# The read buffer: larger than a line of the run files (a journal entry of
+# 3072 tokens with top-20 is about 0.7 MB), so a line is cut from the buffer
+# in one copy instead of being joined from many small refills. A longer
+# line still reads, in several refills.
+_BLOCK = 1 << 20
+
 
 def read_lines(path: str, parse: Callable[[bytes], T], torn: str = "skip") -> list[tuple[int, int, T]]:
     """``(line number, byte offset, parse(line))`` for every non-blank line.
 
-    ``parse`` raises ValueError, TypeError or KeyError on a line it cannot
-    read. ``torn`` says what happens to a final line without its newline:
-    ``"truncate"`` it away (only under the run lock), ``"skip"`` it, or
-    ``"read"`` it like any other line (a file the program did not write,
-    such as an input corpus).
+    The file is read in one buffered pass, each line handed to ``parse`` as
+    it is cut from the buffer. ``parse`` raises ValueError, TypeError or
+    KeyError on a line it cannot read. ``torn`` says what happens to a final
+    line without its newline: ``"truncate"`` it away (only under the run
+    lock), ``"skip"`` it, or ``"read"`` it like any other line (a file the
+    program did not write, such as an input corpus).
     """
     rows: list[tuple[int, int, T]] = []
     torn_at = None
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=_BLOCK) as handle:
         offset = 0
         for number, raw in enumerate(handle, 1):
             if torn != "read" and not raw.endswith(b"\n"):
                 torn_at = offset
                 break
-            if raw.strip():
+            if not raw.isspace():  # iteration yields no empty line
                 try:
                     rows.append((number, offset, parse(raw)))
                 except (ValueError, TypeError, KeyError) as exc:
@@ -77,6 +84,8 @@ def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def append_jsonl(path: str, obj: dict[str, Any]) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+def append_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
+    """Append the objects' lines with one open and one write."""
+    text = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    with open(path, "ab") as handle:
+        handle.write(text.encode("utf-8"))

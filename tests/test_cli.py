@@ -67,10 +67,12 @@ def test_render_from_corpus_file(tmp_path, capsys):
         (["gen", "--out", "{out}", "--kk-sizes", "3", "--kk-per-size", "0"], "--kk-per-size must be at least 1"),
         (["gen", "--out", "{out}", "--zebra-configs", "3x3:0"], "--zebra-configs '3x3:0'"),
         (["gen", "--out", "{out}", "--zebra-configs", "1x3"], "--zebra-configs '1x3'"),
+        (["gen", "--out", "{out}", "--zebra-configs", "2x2:1,7x7:1"], "--zebra-configs '7x7:1': 7x7 is not a shape from 2x2 to 6x6"),
+        (["render", "--strategy", "no_strategy", "--family", "zebra", "--houses", "7"], "--houses/--attrs: 7x2 is not a shape from 2x2 to 6x6"),
     ],
     ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes",
          "n-chars-above-6", "n-chars-below-3", "kk-size-above-6", "kk-per-size-zero",
-         "zebra-count-zero", "zebra-one-house"],
+         "zebra-count-zero", "zebra-one-house", "zebra-above-6x6", "render-zebra-above-6x6"],
 )
 def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
     corpus = tmp_path / "c.jsonl"
@@ -221,6 +223,20 @@ def test_bad_sampling_value_is_a_config_error(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(config_path)]) == 1
     assert "error: sampling: top_p must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_zebra_shape_above_6x6_in_a_config_is_an_error_line(tmp_path, capsys):
+    config = {
+        "run_dir": "run",
+        "corpus": {"generate": {"zebra_configs": [[2, 2, 1], [7, 7, 1]]}},
+        "backend": {"kind": "mock", "script": "m.json"},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config corpus.generate.zebra_configs: 7x7 is not a shape from 2x2 to 6x6")
+    assert not (tmp_path / "run").exists()
 
 
 def test_torn_and_malformed_journal(world_run, capsys):

@@ -422,6 +422,41 @@ def test_pools_are_persisted_as_they_complete(tmp_path, world):
     assert len(load_records(os.path.join(config.run_dir, "records.jsonl"))) == 20
 
 
+def test_records_are_appended_once_per_pool_with_new_records(tmp_path, world, monkeypatch):
+    """A pool's new records go to the file in one append, in task order; a
+    pool without new records appends nothing."""
+    _, paths = world
+    run_module = importlib.import_module("logicpool.harness.run")
+    appends = []
+    real = run_module.append_jsonl
+
+    def counting(path, objs):
+        objs = list(objs)
+        appends.append([(obj["puzzle_id"], obj["strategy"]) for obj in objs])
+        real(path, objs)
+
+    monkeypatch.setattr(run_module, "append_jsonl", counting)
+    config = mock_config(tmp_path, paths, run_name="appends")
+    first = run(config)
+    assert appends == [
+        [(r.puzzle_id, r.strategy) for r in first.records[i : i + 5]] for i in range(0, 20, 5)
+    ]
+    records_path = Path(config.run_dir, "records.jsonl")
+    intact = records_path.read_bytes()
+
+    appends.clear()
+    run(config)
+    assert appends == []
+
+    # the last pool lost its last two records: one append of those two
+    lines = intact.splitlines(keepends=True)
+    records_path.write_bytes(b"".join(lines[:-2]))
+    resumed = run(config)
+    assert resumed.backend_calls == 0
+    assert appends == [[(r.puzzle_id, r.strategy) for r in first.records[-2:]]]
+    assert records_path.read_bytes() == intact
+
+
 def test_crash_does_not_wait_for_queued_generations(tmp_path, world):
     world_obj, paths = world
     backend = CrashingBackendConfig(

@@ -362,6 +362,80 @@ def test_journal_entries_are_parsed_on_lookup(tmp_path):
     assert JournalingClient(str(journal)).generate("r", SamplingParams()).full_text == "hi"
 
 
+class _ScriptedBackend:
+    """Answers each prompt with its response from a dict."""
+
+    def __init__(self, responses):
+        self.responses = responses
+
+    def generate(self, prompt, params):
+        return self.responses[prompt]
+
+
+def test_long_journal_entry_indexes_and_replays_bit_exactly(tmp_path):
+    """A 3072-token response with top-20 is a line of about 0.7 MB; it and
+    the entries around it index, replay and look up bit for bit."""
+    rng = np.random.default_rng(7)
+    n, k = 3072, 20
+    top = -np.sort(rng.exponential(3.0, size=(n, k)), axis=1)
+    top[rng.random(n) < 0.1, k // 2 :] = -np.inf  # some ragged rows
+    big = ModelResponse([f" w{i}" for i in range(n)], top[:, 0].copy(), top, "length")
+    small = ModelResponse.from_tokens((make_token("hi", -0.1),), "stop")
+    journal = tmp_path / "journal.jsonl"
+    recorder = JournalingClient(str(journal), _ScriptedBackend({"a": small, "big": big, "b": small}))
+    for prompt in ("a", "big", "b"):
+        recorder.generate(prompt, SamplingParams())
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert 0.6e6 < len(lines[1]) < 0.8e6
+
+    replayer = JournalingClient(str(journal))
+    offsets = np.cumsum([0] + [len(line) for line in lines[:-1]])
+    assert sorted(replayer._index.values()) == [
+        (int(offset), len(line), number) for number, (offset, line) in enumerate(zip(offsets, lines), 1)
+    ]
+    clone = replayer.generate("big", SamplingParams())
+    assert clone == big
+    assert clone.logprobs.tobytes() == big.logprobs.tobytes()
+    assert clone.top_logprobs.tobytes() == big.top_logprobs.tobytes()
+    assert replayer.generate("b", SamplingParams()) == small
+    assert replayer.stats.backend_calls == 0
+
+
+def _v1_line(entry):
+    """A journal line as journal_format 1 wrote it: per-token JSON."""
+    entry = {**entry, "response": {
+        "tokens": [{"text": "hi", "logprob": -0.1, "alternatives": [["hi", -0.1]]}],
+        "finish_reason": "stop",
+    }}
+    return json.dumps(entry) + "\n"
+
+
+# text a prompt may hold: JSON escapes its quotes, so it is never the key
+_TOKENS_TEXT = 'reply as JSON: {"tokens": [{"text": "a"}]} ' * 80
+
+
+def test_old_format_entry_after_new_ones_is_a_config_error(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    client = JournalingClient(str(journal), _CountingBackend())
+    for prompt in ("p", _TOKENS_TEXT, "q"):
+        client.generate(prompt, SamplingParams())
+    lines = journal.read_text().splitlines(keepends=True)
+    old = _v1_line(json.loads(lines[1]))
+    assert old.index('"tokens": [{') > 3000  # past a long prompt
+    journal.write_text(lines[0] + old + lines[2])
+    with pytest.raises(ConfigError, match="old journal format"):
+        JournalingClient(str(journal))
+
+
+def test_prompt_holding_the_tokens_key_text_opens(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    recorded = JournalingClient(str(journal), _CountingBackend()).generate(_TOKENS_TEXT, SamplingParams())
+    assert '"tokens": [{' in _TOKENS_TEXT
+    replayer = JournalingClient(str(journal))
+    assert replayer.generate(_TOKENS_TEXT, SamplingParams()) == recorded
+    assert replayer.stats.backend_calls == 0
+
+
 class _EchoBackend:
     """One token per response: the prompt itself, with a logprob read from it."""
 
