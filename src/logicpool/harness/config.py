@@ -123,7 +123,9 @@ class ExperimentConfig:
             for size in self.generate.kk_sizes:
                 check_kk_size(size, "config corpus.generate.kk_sizes")
             if self.generate.kk_sizes and self.generate.kk_per_size < 1:
-                raise ConfigError("kk_per_size must be >= 1")
+                raise ConfigError(
+                    f"config corpus.generate.kk_per_size: {self.generate.kk_per_size!r} is not an integer >= 1"
+                )
             for entry in self.generate.zebra_configs:
                 if len(entry) != 3 or any(type(value) is not int for value in entry):
                     raise ConfigError(
@@ -131,7 +133,7 @@ class ExperimentConfig:
                     )
                 houses, attrs, count = entry
                 if count < 1:
-                    raise ConfigError("zebra corpus counts must be >= 1")
+                    raise ConfigError(f"config corpus.generate.zebra_configs: {list(entry)} has a count below 1")
                 check_zebra_shape(houses, attrs, "config corpus.generate.zebra_configs")
 
     def strategy_pool(self) -> list[Strategy]:

@@ -151,7 +151,8 @@ class _CandidateTask:
     sample: int
     prompt: RenderedPrompt
     request_sha256: str
-    future: Future | None = None  # set while a new generation is pending
+    future: Future | None = None  # set while a backend generation is pending
+    keyed: tuple[str, dict] | None = None  # set while a generation waits to be served inline
     verification: Future | None = None  # set while a verification is pending
     record: EvalRecord | None = None
     failure: dict | None = None  # the generate or score failure row
@@ -160,7 +161,8 @@ class _CandidateTask:
 @dataclass
 class _Pool:
     """One (puzzle, sample) candidate pool from its scored records to its
-    selection; ``new`` are the tasks generated by this run."""
+    selection; ``new`` are the tasks whose records this run builds, from
+    the backend or from journal hits."""
 
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
@@ -184,6 +186,17 @@ def _verify_text(question: str, text: str, client) -> VerifierScore:
     return verify(question, chunk(text), client)
 
 
+def _served(fn, *args) -> Future:
+    """Run ``fn(*args)`` on this thread and return its outcome as a done
+    future, for work that has no backend to wait on."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except LogicPoolError as exc:
+        future.set_exception(exc)
+    return future
+
+
 class _Runner:
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
@@ -193,15 +206,22 @@ class _Runner:
 
     # -- record construction -------------------------------------------------
 
-    def _build_record(self, task: _CandidateTask) -> EvalRecord:
-        """Await the task's generation and score it. A failed generation or
-        a response that cannot be scored sets the task's failure row and the
-        record's error; the response itself is not kept."""
+    def _build_record(self, task: _CandidateTask, client: JournalingClient) -> EvalRecord:
+        """Await the task's backend generation, or generate on this thread
+        when there is no backend to wait on (a journal hit or a replay), and
+        score it. A failed generation or a response that cannot be scored
+        sets the task's failure row and the record's error; the response
+        itself is not kept, so a replay holds one decoded response at a
+        time."""
         future, task.future = task.future, None
+        keyed, task.keyed = task.keyed, None
         puzzle = task.puzzle
         text, finish_reason, confidence, elapsed, error = "", "error", None, 0.0, None
         try:
-            response, elapsed = future.result()
+            if future is not None:
+                response, elapsed = future.result()
+            else:
+                response, elapsed = client.generate_timed(task.prompt, self.config.sampling, keyed)
         except LogicPoolError as exc:
             task.failure = _failure_row("generate", task, exc)
         else:
@@ -237,18 +257,18 @@ class _Runner:
     def _submit_verification(self, pool: _Pool, verifier_client, executor: ThreadPoolExecutor) -> None:
         """Queue the verifications the criteria need, skipping cached
         scores: every parseable candidate for ``verifier``; for
-        ``vote_verifier`` without it, only the tied majority groups."""
+        ``vote_verifier`` without it, only the tied majority groups. A
+        client without a backend (a replay) verifies on this thread."""
         indices = [i for i, c in enumerate(pool.candidate_pool.candidates) if c.answer.parse_ok]
         if VERIFIER not in self.config.criteria and indices:
             winners, tie = majority_groups(pool.candidate_pool)
             indices = [i for group in winners for i in group] if tie else []
         question = pool.tasks[0].prompt.question
+        submit = _served if verifier_client.inner is None else executor.submit
         for i in indices:
             task = pool.tasks[i]
             if task.record.verifier is None:
-                task.verification = executor.submit(
-                    _verify_text, question, task.record.response_text, verifier_client
-                )
+                task.verification = submit(_verify_text, question, task.record.response_text, verifier_client)
 
     # -- selection -------------------------------------------------------------
 
@@ -356,7 +376,10 @@ class _Runner:
         # generated pools, in corpus order, that may still wait on verifications
         waiting: deque[_Pool] = deque()
         try:
-            # fan out every missing generation, in deterministic task order
+            # fan out every generation that may call the backend, in
+            # deterministic task order; the others (journal hits, a replay's
+            # misses) wait for their pool and are served on this thread, so
+            # the workers only wait on backends
             for puzzle in corpus:
                 for sample in range(config.samples):
                     for strategy in strategies:
@@ -371,9 +394,12 @@ class _Runner:
                             record=existing.get((puzzle.puzzle_id, keyed[0])),
                         )
                         if task.record is None:
-                            task.future = executor.submit(
-                                client.generate_timed, prompt, config.sampling, keyed
-                            )
+                            if client.inner is None or keyed[0] in client:
+                                task.keyed = keyed
+                            else:
+                                task.future = executor.submit(
+                                    client.generate_timed, prompt, config.sampling, keyed
+                                )
                         tasks.append(task)
 
             # tasks run puzzle -> sample -> strategy, so each candidate pool
@@ -383,9 +409,9 @@ class _Runner:
             # the next pools'
             for start in range(0, len(tasks), len(strategies)):
                 pool_tasks = tasks[start : start + len(strategies)]
-                new = [task for task in pool_tasks if task.future is not None]
+                new = [task for task in pool_tasks if task.record is None]
                 for task in new:
-                    task.record = self._build_record(task)
+                    task.record = self._build_record(task, client)
                 pool = _Pool(pool_tasks, new, candidate_pool([task.record for task in pool_tasks]))
                 if verifying:
                     self._submit_verification(pool, verifier_client, executor)

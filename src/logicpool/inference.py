@@ -527,7 +527,10 @@ class JournalingClient:
 
     Opening the journal is one buffered pass that keeps only each line's
     key and byte offset; an entry is parsed when a lookup asks for it, so a
-    fully cached rerun decodes nothing.
+    fully cached rerun decodes nothing. ``key in client`` tells whether a
+    lookup of ``key`` would be served from the journal, so a caller can
+    decode a hit on its own thread and hand only misses to workers that
+    wait on the backend.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -563,6 +566,10 @@ class JournalingClient:
         for number, offset, (key, length) in read_lines(self.journal_path, key_of, torn="truncate"):
             self._index[key] = (offset, length, number)
             self._lines = number
+
+    def __contains__(self, key: str) -> bool:
+        with self._lock:
+            return key in self._index
 
     def _append(self, entry: dict[str, Any]) -> None:
         line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")

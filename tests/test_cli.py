@@ -239,6 +239,22 @@ def test_zebra_shape_above_6x6_in_a_config_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        ({"kk_sizes": [3], "kk_per_size": 0}, "config corpus.generate.kk_per_size: 0 is not an integer >= 1"),
+        ({"zebra_configs": [[2, 2, 0]]}, "config corpus.generate.zebra_configs: [2, 2, 0] has a count below 1"),
+    ],
+)
+def test_corpus_count_below_one_in_a_config_names_the_setting(tmp_path, capsys, generate, message):
+    config = {"run_dir": "run", "corpus": {"generate": generate}, "backend": {"kind": "mock", "script": "m.json"}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_torn_and_malformed_journal(world_run, capsys):
     tmp_path, config_path = world_run
     assert main(["run", "--config", str(config_path)]) == 0

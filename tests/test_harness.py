@@ -6,6 +6,8 @@ import os
 import shutil
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -1114,3 +1116,89 @@ def test_cached_rerun_decodes_no_journal_entry(tmp_path, world, monkeypatch):
     assert replay.exit_code == 2
     assert len(replay.failures) == 20
     assert all(f["kind"] == "generate" and "journal.jsonl: line" in f["error"] for f in replay.failures)
+
+
+class NoSubmitExecutor(ThreadPoolExecutor):
+    def submit(self, fn, /, *args, **kwargs):
+        pytest.fail("a replay sent work to the worker pool")
+
+
+def test_replay_sends_nothing_to_the_worker_pool(tmp_path, world, monkeypatch):
+    """A replay has no backend to wait on: every journal hit and every
+    verification runs on the calling thread, with the same files."""
+    _, paths = world
+    config_a = mock_config(tmp_path, paths, run_name="inline_cold")
+    assert set(config_a.criteria) == set(CRITERIA)
+    run(config_a)
+    replay_dir = tmp_path / "inline_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(os.path.join(config_a.run_dir, "journal.jsonl"), replay_dir / "journal.jsonl")
+    run_module = importlib.import_module("logicpool.harness.run")
+    monkeypatch.setattr(run_module, "ThreadPoolExecutor", NoSubmitExecutor)
+    replay = run(mock_config(tmp_path, paths, run_name="inline_replay", replay=True))
+    assert replay.exit_code == 0 and replay.backend_calls == 0
+    assert sum(r.verifier is not None for r in replay.records) > 0
+    for name in ("records.jsonl", "selections.jsonl", "report.md",
+                 "report_kk.csv", "report_zebra.csv", "clue_accuracy.csv"):
+        assert Path(config_a.run_dir, name).read_bytes() == (replay_dir / name).read_bytes(), name
+
+
+def test_resume_sends_only_journal_misses_to_the_worker_pool(tmp_path, world, monkeypatch):
+    """The first pool keeps its records; of the other requests, every other
+    one stays in the journal and the rest are gone. The resume serves the
+    journal hits itself and submits, and calls the backend, only for the
+    misses."""
+    _, paths = world
+    criteria = ("majority_vote", "max_prob", "oracle")
+    config = mock_config(tmp_path, paths, run_name="partial", criteria=criteria)
+    first = run(config)
+    keys = [r.request_sha256 for r in first.records]
+    assert len(set(keys)) == len(keys) == 20
+    hits, misses = keys[5::2], keys[6::2]
+    records_path = Path(config.run_dir, "records.jsonl")
+    records_path.write_bytes(b"".join(records_path.read_bytes().splitlines(keepends=True)[:5]))
+    journal = Path(config.run_dir, "journal.jsonl")
+    kept = set(keys[:5] + hits)
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join(line for line in lines if json.loads(line)["key"] in kept))
+
+    submitted = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[-1][0])  # the request's key
+            return super().submit(fn, *args, **kwargs)
+
+    run_module = importlib.import_module("logicpool.harness.run")
+    monkeypatch.setattr(run_module, "ThreadPoolExecutor", RecordingExecutor)
+    resumed = run(config)
+    assert sorted(submitted) == sorted(misses)
+    assert resumed.backend_calls == len(misses)
+    assert resumed.exit_code == 0
+    assert without_timing(resumed.records) == without_timing(first.records)
+    assert without_timing(load_records(str(records_path))) == without_timing(first.records)
+
+
+def test_replay_holds_one_decoded_response_at_a_time(tmp_path, world, monkeypatch):
+    """Each journal hit is decoded, scored and dropped before the next is
+    decoded."""
+    _, paths = world
+    config = mock_config(tmp_path, paths, run_name="one_at_a_time")
+    run(config)
+    replay_dir = tmp_path / "one_at_a_time_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(os.path.join(config.run_dir, "journal.jsonl"), replay_dir / "journal.jsonl")
+    decoded = []
+    real = inference.response_from_obj
+
+    def tracked(obj):
+        alive = sum(ref() is not None for ref in decoded)
+        assert alive == 0, f"{alive} earlier responses are still alive"
+        response = real(obj)
+        decoded.append(weakref.ref(response))
+        return response
+
+    monkeypatch.setattr(inference, "response_from_obj", tracked)
+    replay = run(mock_config(tmp_path, paths, run_name="one_at_a_time_replay", replay=True))
+    assert replay.exit_code == 0
+    assert len(decoded) == 20
