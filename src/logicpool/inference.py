@@ -568,8 +568,9 @@ class JournalingClient:
             self._lines = number
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._index
+        # no lock: the index only grows, and a stale miss is still served
+        # from the journal by the lookup that follows it
+        return key in self._index
 
     def _append(self, entry: dict[str, Any]) -> None:
         line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")

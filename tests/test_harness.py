@@ -228,16 +228,27 @@ def test_rerun_issues_zero_backend_calls(tmp_path, world):
     assert [r.to_obj() for r in first.records] == [r.to_obj() for r in second.records]
 
 
-def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world):
+class NoSubmitExecutor(ThreadPoolExecutor):
+    def submit(self, fn, /, *args, **kwargs):
+        pytest.fail("a replay sent work to the worker pool")
+
+
+def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world, monkeypatch):
+    """A replay has no backend to wait on: every journal hit and every
+    verification runs on the calling thread, with the same files."""
     _, paths = world
     config_a = mock_config(tmp_path, paths, run_name="runA")
+    assert set(config_a.criteria) == set(CRITERIA)
     run(config_a)
     run_b_dir = tmp_path / "runB"
     os.makedirs(run_b_dir)
     shutil.copyfile(os.path.join(config_a.run_dir, "journal.jsonl"), run_b_dir / "journal.jsonl")
+    run_module = importlib.import_module("logicpool.harness.run")
+    monkeypatch.setattr(run_module, "ThreadPoolExecutor", NoSubmitExecutor)
     config_b = mock_config(tmp_path, paths, run_name="runB", replay=True)
     result_b = run(config_b)
-    assert result_b.backend_calls == 0
+    assert result_b.exit_code == 0 and result_b.backend_calls == 0
+    assert sum(r.verifier is not None for r in result_b.records) > 0
     for name in ("records.jsonl", "selections.jsonl", "report.md",
                  "report_kk.csv", "report_zebra.csv", "clue_accuracy.csv"):
         a = Path(config_a.run_dir, name).read_bytes()
@@ -1116,31 +1127,6 @@ def test_cached_rerun_decodes_no_journal_entry(tmp_path, world, monkeypatch):
     assert replay.exit_code == 2
     assert len(replay.failures) == 20
     assert all(f["kind"] == "generate" and "journal.jsonl: line" in f["error"] for f in replay.failures)
-
-
-class NoSubmitExecutor(ThreadPoolExecutor):
-    def submit(self, fn, /, *args, **kwargs):
-        pytest.fail("a replay sent work to the worker pool")
-
-
-def test_replay_sends_nothing_to_the_worker_pool(tmp_path, world, monkeypatch):
-    """A replay has no backend to wait on: every journal hit and every
-    verification runs on the calling thread, with the same files."""
-    _, paths = world
-    config_a = mock_config(tmp_path, paths, run_name="inline_cold")
-    assert set(config_a.criteria) == set(CRITERIA)
-    run(config_a)
-    replay_dir = tmp_path / "inline_replay"
-    os.makedirs(replay_dir)
-    shutil.copyfile(os.path.join(config_a.run_dir, "journal.jsonl"), replay_dir / "journal.jsonl")
-    run_module = importlib.import_module("logicpool.harness.run")
-    monkeypatch.setattr(run_module, "ThreadPoolExecutor", NoSubmitExecutor)
-    replay = run(mock_config(tmp_path, paths, run_name="inline_replay", replay=True))
-    assert replay.exit_code == 0 and replay.backend_calls == 0
-    assert sum(r.verifier is not None for r in replay.records) > 0
-    for name in ("records.jsonl", "selections.jsonl", "report.md",
-                 "report_kk.csv", "report_zebra.csv", "clue_accuracy.csv"):
-        assert Path(config_a.run_dir, name).read_bytes() == (replay_dir / name).read_bytes(), name
 
 
 def test_resume_sends_only_journal_misses_to_the_worker_pool(tmp_path, world, monkeypatch):
