@@ -17,10 +17,6 @@ class GenerationError(LogicPoolError):
     """The rejection-sampling budget was exhausted without a valid puzzle."""
 
 
-class UndefinedScoreError(LogicPoolError):
-    """A score was requested for an empty token segment."""
-
-
 class DataError(LogicPoolError):
     """Token probability data violates basic sanity bounds."""
 

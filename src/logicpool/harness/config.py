@@ -169,6 +169,12 @@ def _boolean(value: Any) -> bool:
     return value
 
 
+def _integer(value: Any) -> int:
+    if type(value) is not int:  # int() would truncate a float and take a boolean
+        raise TypeError("expected an integer")
+    return value
+
+
 def _choice(obj: dict[str, Any], key: str, choices: tuple[str, ...], where: str) -> str:
     """``obj[key]``, or the first choice when the key is absent; any value
     that is not one of the choices is a ConfigError naming the setting."""
@@ -191,7 +197,7 @@ def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
         api=_choice(obj, "api", ("chat", "completions"), where),
         api_key=api_key,
         script_path=obj.get("script"),
-        max_retries=_cast(obj, "max_retries", int, 3, where),
+        max_retries=_cast(obj, "max_retries", _integer, 3, where),
         timeout=_cast(obj, "timeout", float, 120.0, where),
     )
 
@@ -203,9 +209,10 @@ def _apply_env_overrides(backend: BackendConfig) -> BackendConfig:
     return backend
 
 
-# how each key of the sampling block is read; the seed is kept as given
+# how each key of the sampling block is read; a null seed is no seed
 _SAMPLING_CASTS = {
-    "top_p": float, "temperature": float, "max_tokens": int, "seed": lambda v: v, "top_k": int
+    "top_p": float, "temperature": float, "max_tokens": _integer, "top_k": _integer,
+    "seed": lambda v: None if v is None else _integer(v),
 }
 _TOP_KEYS = (
     "run_dir", "corpus", "strategies", "criteria", "sampling", "lambda_p", "lambda_e",
@@ -229,12 +236,12 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         if "preset" not in gen:
             generate = GenerateSpec(
                 kk_sizes=_cast(gen, "kk_sizes", tuple, (), "corpus.generate"),
-                kk_per_size=_cast(gen, "kk_per_size", int, 0, "corpus.generate"),
+                kk_per_size=_cast(gen, "kk_per_size", _integer, 0, "corpus.generate"),
                 zebra_configs=_cast(gen, "zebra_configs", lambda v: tuple(map(tuple, v)), (), "corpus.generate"),
-                seed=_cast(gen, "seed", int, 0, "corpus.generate"),
+                seed=_cast(gen, "seed", _integer, 0, "corpus.generate"),
             )
         elif gen["preset"] == "desk" and set(gen) <= {"preset", "seed"}:
-            generate = desk_generate_spec(_cast(gen, "seed", int, 0, "corpus.generate"))
+            generate = desk_generate_spec(_cast(gen, "seed", _integer, 0, "corpus.generate"))
         else:
             raise ConfigError(f"corpus.generate {gen}: the one preset is 'desk', and it takes only a seed")
 
@@ -271,8 +278,8 @@ def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfi
         lambda_p=_cast(obj, "lambda_p", float, 0.5),
         lambda_e=_cast(obj, "lambda_e", float, 0.5),
         instruction_tags=_cast(obj, "instruction_tags", _boolean, False),
-        samples=_cast(obj, "samples", int, 1),
-        concurrency=_cast(obj, "concurrency", int, 4),
+        samples=_cast(obj, "samples", _integer, 1),
+        concurrency=_cast(obj, "concurrency", _integer, 4),
         replay=_cast(obj, "replay", _boolean, False),
         backend=backend,
         verifier_backend=verifier_backend,

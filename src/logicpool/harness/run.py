@@ -151,9 +151,8 @@ class _CandidateTask:
     sample: int
     prompt: RenderedPrompt
     request_sha256: str
-    future: Future | None = None  # set while a backend generation is pending
-    keyed: tuple[str, dict] | None = None  # set while a generation waits to be served inline
-    verification: Future | None = None  # set while a verification is pending
+    future: Future | _Deferred | None = None  # set while a generation is pending
+    verification: Future | _Deferred | None = None  # set while a verification is pending
     record: EvalRecord | None = None
     failure: dict | None = None  # the generate or score failure row
 
@@ -161,8 +160,8 @@ class _CandidateTask:
 @dataclass
 class _Pool:
     """One (puzzle, sample) candidate pool from its scored records to its
-    selection; ``new`` are the tasks whose records this run builds, from
-    the backend or from journal hits."""
+    selection; ``new`` are the tasks whose records this run builds from
+    their generations."""
 
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
@@ -186,15 +185,22 @@ def _verify_text(question: str, text: str, client) -> VerifierScore:
     return verify(question, chunk(text), client)
 
 
-def _served(fn, *args) -> Future:
-    """Run ``fn(*args)`` on this thread and return its outcome as a done
-    future, for work that has no backend to wait on."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except LogicPoolError as exc:
-        future.set_exception(exc)
-    return future
+class _Deferred:
+    """Stands in for a Future in a replay, which has no backend to wait on:
+    ``fn(*args)`` runs on the calling thread when the result is asked for,
+    so a replay decodes one response at a time."""
+
+    def __init__(self, fn, *args) -> None:
+        self._fn, self._args = fn, args
+
+    def done(self) -> bool:
+        return True
+
+    def cancel(self) -> bool:
+        return False
+
+    def result(self):
+        return self._fn(*self._args)
 
 
 class _Runner:
@@ -206,22 +212,16 @@ class _Runner:
 
     # -- record construction -------------------------------------------------
 
-    def _build_record(self, task: _CandidateTask, client: JournalingClient) -> EvalRecord:
-        """Await the task's backend generation, or generate on this thread
-        when there is no backend to wait on (a journal hit or a replay), and
-        score it. A failed generation or a response that cannot be scored
-        sets the task's failure row and the record's error; the response
-        itself is not kept, so a replay holds one decoded response at a
-        time."""
+    def _build_record(self, task: _CandidateTask) -> EvalRecord:
+        """Take the task's generation and score it. A failed generation or a
+        response that cannot be scored sets the task's failure row and the
+        record's error; the response itself is not kept, so a replay holds
+        one decoded response at a time."""
         future, task.future = task.future, None
-        keyed, task.keyed = task.keyed, None
         puzzle = task.puzzle
         text, finish_reason, confidence, elapsed, error = "", "error", None, 0.0, None
         try:
-            if future is not None:
-                response, elapsed = future.result()
-            else:
-                response, elapsed = client.generate_timed(task.prompt, self.config.sampling, keyed)
+            response, elapsed = future.result()
         except LogicPoolError as exc:
             task.failure = _failure_row("generate", task, exc)
         else:
@@ -254,17 +254,15 @@ class _Runner:
 
     # -- verification ---------------------------------------------------------
 
-    def _submit_verification(self, pool: _Pool, verifier_client, executor: ThreadPoolExecutor) -> None:
-        """Queue the verifications the criteria need, skipping cached
+    def _submit_verification(self, pool: _Pool, verifier_client, submit) -> None:
+        """Submit the verifications the criteria need, skipping cached
         scores: every parseable candidate for ``verifier``; for
-        ``vote_verifier`` without it, only the tied majority groups. A
-        client without a backend (a replay) verifies on this thread."""
+        ``vote_verifier`` without it, only the tied majority groups."""
         indices = [i for i, c in enumerate(pool.candidate_pool.candidates) if c.answer.parse_ok]
         if VERIFIER not in self.config.criteria and indices:
             winners, tie = majority_groups(pool.candidate_pool)
             indices = [i for group in winners for i in group] if tie else []
         question = pool.tasks[0].prompt.question
-        submit = _served if verifier_client.inner is None else executor.submit
         for i in indices:
             task = pool.tasks[i]
             if task.record.verifier is None:
@@ -372,16 +370,23 @@ class _Runner:
         verifying = VERIFIER in config.criteria or VOTE_VERIFIER in config.criteria
 
         executor = ThreadPoolExecutor(max_workers=config.concurrency)
-        tasks: list[_CandidateTask] = []
-        # generated pools, in corpus order, that may still wait on verifications
+        # one rule for every generation and verification: a replay runs it on
+        # this thread when its result is taken, any other run hands it to the
+        # workers, which serve journal hits from the journal
+        submit = _Deferred if config.replay else executor.submit
+        units = [(puzzle, sample) for puzzle in corpus for sample in range(config.samples)]
+        # a unit's pool is scored ``ahead`` units after its generations
+        # start, so work in flight does not grow with the corpus and a
+        # pool's verifications queue right behind the window
+        ahead = 2 * config.concurrency
+        started: deque[list[_CandidateTask]] = deque()
+        # scored pools, in corpus order, that may still wait on verifications
         waiting: deque[_Pool] = deque()
         try:
-            # fan out every generation that may call the backend, in
-            # deterministic task order; the others (journal hits, a replay's
-            # misses) wait for their pool and are served on this thread, so
-            # the workers only wait on backends
-            for puzzle in corpus:
-                for sample in range(config.samples):
+            for i in range(len(units) + ahead):
+                if i < len(units):
+                    puzzle, sample = units[i]
+                    tasks = []
                     for strategy in strategies:
                         prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
                         keyed = generate_request(prompt, config.sampling, f"s{sample}")
@@ -394,38 +399,34 @@ class _Runner:
                             record=existing.get((puzzle.puzzle_id, keyed[0])),
                         )
                         if task.record is None:
-                            if client.inner is None or keyed[0] in client:
-                                task.keyed = keyed
-                            else:
-                                task.future = executor.submit(
-                                    client.generate_timed, prompt, config.sampling, keyed
-                                )
+                            task.future = submit(client.generate_timed, prompt, config.sampling, keyed)
                         tasks.append(task)
-
-            # tasks run puzzle -> sample -> strategy, so each candidate pool
-            # is one slice. Its verifications are queued as soon as it is
-            # scored, and pools are selected and persisted in order as
-            # their verifications land, so one pool's verification overlaps
-            # the next pools'
-            for start in range(0, len(tasks), len(strategies)):
-                pool_tasks = tasks[start : start + len(strategies)]
+                    started.append(tasks)
+                if i < ahead:
+                    continue
+                # pools are selected and persisted in order as their
+                # verifications land, so one pool's verification overlaps
+                # the next pools'
+                pool_tasks = started[0]
                 new = [task for task in pool_tasks if task.record is None]
                 for task in new:
-                    task.record = self._build_record(task, client)
+                    task.record = self._build_record(task)
                 pool = _Pool(pool_tasks, new, candidate_pool([task.record for task in pool_tasks]))
+                started.popleft()
                 if verifying:
-                    self._submit_verification(pool, verifier_client, executor)
+                    self._submit_verification(pool, verifier_client, submit)
                 waiting.append(pool)
                 while waiting and waiting[0].verified():
                     self._finish(waiting.popleft(), records_path)
         except BaseException:
-            # an error leaving the loop must not wait for every queued
-            # generation: drop those not started; the pools already
-            # generated are still persisted below, which waits only for
-            # their verifications
-            for task in tasks:
-                if task.future is not None:
-                    task.future.cancel()
+            # an error leaving the loop must not wait for the started
+            # generations: drop those not running yet; the pools already
+            # scored are still persisted below, which waits only for their
+            # verifications
+            for tasks in started:
+                for task in tasks:
+                    if task.future is not None:
+                        task.future.cancel()
             raise
         finally:
             try:

@@ -527,10 +527,7 @@ class JournalingClient:
 
     Opening the journal is one buffered pass that keeps only each line's
     key and byte offset; an entry is parsed when a lookup asks for it, so a
-    fully cached rerun decodes nothing. ``key in client`` tells whether a
-    lookup of ``key`` would be served from the journal, so a caller can
-    decode a hit on its own thread and hand only misses to workers that
-    wait on the backend.
+    fully cached rerun decodes nothing.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -566,11 +563,6 @@ class JournalingClient:
         for number, offset, (key, length) in read_lines(self.journal_path, key_of, torn="truncate"):
             self._index[key] = (offset, length, number)
             self._lines = number
-
-    def __contains__(self, key: str) -> bool:
-        # no lock: the index only grows, and a stale miss is still served
-        # from the journal by the lookup that follows it
-        return key in self._index
 
     def _append(self, entry: dict[str, Any]) -> None:
         line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")

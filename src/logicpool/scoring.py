@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DataError, UndefinedScoreError
+from .errors import DataError
 from .inference import ModelResponse
 from .jsonl import is_number
 from .prompts import ANSWER_MARKER
@@ -91,16 +91,6 @@ class ConfidenceScore:
     @property
     def defined(self) -> bool:
         return self.log_p_rational is not None and self.log_p_answer is not None
-
-    def recombined_logprob(self, lambda_p: float) -> float:
-        if self.log_p_rational is None or self.log_p_answer is None:
-            raise UndefinedScoreError("response has an undefined segment score")
-        return combined_logprob(self.log_p_rational, self.log_p_answer, lambda_p)
-
-    def recombined_entropy(self, lambda_e: float) -> float:
-        if self.h_rational is None or self.h_answer is None:
-            raise UndefinedScoreError("response has an undefined segment score")
-        return combined_entropy(self.h_rational, self.h_answer, lambda_e)
 
     def to_obj(self) -> dict[str, Any]:
         return dict(vars(self))

@@ -195,16 +195,16 @@ def test_criterion_4_published_selection_rows():
         prob_pool = table_row_pool([0.238, 0.209, 0.230, 0.222, 0.227], "prob")
         chosen = select_max_prob(prob_pool)
         assert chosen.chosen_index == 0
-        assert math.exp(
-            prob_pool.candidates[chosen.chosen_index].confidence.recombined_logprob(0.5)
-        ) == pytest.approx(0.238, abs=1e-12)
+        score = prob_pool.candidates[chosen.chosen_index].confidence
+        assert math.exp(combined_logprob(score.log_p_rational, score.log_p_answer, 0.5)) == pytest.approx(
+            0.238, abs=1e-12
+        )
 
         entropy_pool = table_row_pool([0.044, 0.110, 0.078, 0.075, 0.075], "entropy")
         chosen = select_min_entropy(entropy_pool)
         assert chosen.chosen_index == 0
-        assert entropy_pool.candidates[chosen.chosen_index].confidence.recombined_entropy(
-            0.5
-        ) == pytest.approx(0.044, abs=1e-12)
+        score = entropy_pool.candidates[chosen.chosen_index].confidence
+        assert combined_entropy(score.h_rational, score.h_answer, 0.5) == pytest.approx(0.044, abs=1e-12)
 
 
 def _run_closed_world(tmp_path, run_name="run", **overrides):

@@ -516,6 +516,51 @@ def test_crash_with_verifier_criteria_waits_only_for_verifications(tmp_path, wor
     assert sum(r.verifier is not None for r in stored) == 9
 
 
+def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
+    """Run with one worker and all criteria, and return what happened in
+    order: each submission to the worker pool ("generate" or "verify") and
+    each response scored ("score")."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    events = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            events.append("verify" if fn is run_module._verify_text else "generate")
+            return super().submit(fn, *args, **kwargs)
+
+    real_score = run_module.score_response
+
+    def scoring(*args):
+        events.append("score")
+        return real_score(*args)
+
+    monkeypatch.setattr(run_module, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(run_module, "score_response", scoring)
+    config = mock_config(tmp_path, paths, run_name=run_name, concurrency=1)
+    assert set(config.criteria) == set(CRITERIA)
+    assert run(config).exit_code == 0
+    assert events.count("generate") == events.count("score") == 20
+    return events
+
+
+def test_generations_start_in_a_window_of_pools(tmp_path, world, monkeypatch):
+    """One worker starts two pools ahead of the pool being scored: at most
+    three pools' generations are submitted before the first response is
+    scored."""
+    _, paths = world
+    events = submissions_and_scores(tmp_path, paths, monkeypatch, "window")
+    assert events[: events.index("score")].count("generate") <= (2 + 1) * 5
+
+
+def test_verifications_queue_behind_the_window_not_every_generation(tmp_path, world, monkeypatch):
+    """The first pool's verifications are submitted while later pools'
+    generations are still to be started."""
+    _, paths = world
+    events = submissions_and_scores(tmp_path, paths, monkeypatch, "window_verify")
+    last_generation = len(events) - 1 - events[::-1].index("generate")
+    assert events.index("verify") < last_generation
+
+
 class GatedVerifierMock(MockBackend):
     """The first prefix call for one pool waits until the first prefix call
     for another pool arrives, and fails after 5 s without it."""
@@ -948,6 +993,26 @@ def test_config_values_that_do_not_cast_are_config_errors(tmp_path, change, sett
         config_from_obj({**obj, **change}, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "change, setting",
+    [
+        ({"samples": 2.9}, "samples"),
+        ({"concurrency": True}, "concurrency"),
+        ({"corpus": {"generate": {"kk_sizes": [3], "kk_per_size": 2.5}}}, "corpus.generate.kk_per_size"),
+        ({"corpus": {"generate": {"kk_sizes": [3], "kk_per_size": 1, "seed": 1.5}}}, "corpus.generate.seed"),
+        ({"corpus": {"generate": {"preset": "desk", "seed": True}}}, "corpus.generate.seed"),
+        ({"sampling": {"max_tokens": 100.5}}, "sampling.max_tokens"),
+        ({"sampling": {"top_k": True}}, "sampling.top_k"),
+        ({"sampling": {"seed": 1.5}}, "sampling.seed"),
+        ({"backend": {"kind": "mock", "script": "m.json", "max_retries": 2.5}}, "backend.max_retries"),
+    ],
+)
+def test_integer_settings_refuse_floats_and_booleans(tmp_path, change, setting):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
+    with pytest.raises(ConfigError, match=f"config {setting}: .* is not a valid value"):
+        config_from_obj({**obj, **change}, base_dir=str(tmp_path))
+
+
 def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys, caplog):
     """A kill during a pool's append leaves a torn last record: report and
     sweep skip it with a warning and write nothing to the file (a run may
@@ -1129,10 +1194,10 @@ def test_cached_rerun_decodes_no_journal_entry(tmp_path, world, monkeypatch):
     assert all(f["kind"] == "generate" and "journal.jsonl: line" in f["error"] for f in replay.failures)
 
 
-def test_resume_sends_only_journal_misses_to_the_worker_pool(tmp_path, world, monkeypatch):
+def test_resume_calls_the_backend_only_for_journal_misses(tmp_path, world):
     """The first pool keeps its records; of the other requests, every other
     one stays in the journal and the rest are gone. The resume serves the
-    journal hits itself and submits, and calls the backend, only for the
+    journal hits from the journal and calls the backend only for the
     misses."""
     _, paths = world
     criteria = ("majority_vote", "max_prob", "oracle")
@@ -1148,17 +1213,7 @@ def test_resume_sends_only_journal_misses_to_the_worker_pool(tmp_path, world, mo
     lines = journal.read_bytes().splitlines(keepends=True)
     journal.write_bytes(b"".join(line for line in lines if json.loads(line)["key"] in kept))
 
-    submitted = []
-
-    class RecordingExecutor(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(args[-1][0])  # the request's key
-            return super().submit(fn, *args, **kwargs)
-
-    run_module = importlib.import_module("logicpool.harness.run")
-    monkeypatch.setattr(run_module, "ThreadPoolExecutor", RecordingExecutor)
     resumed = run(config)
-    assert sorted(submitted) == sorted(misses)
     assert resumed.backend_calls == len(misses)
     assert resumed.exit_code == 0
     assert without_timing(resumed.records) == without_timing(first.records)

@@ -4,7 +4,7 @@ from typing import Sequence
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from logicpool.errors import DataError, UndefinedScoreError
+from logicpool.errors import DataError
 from logicpool.inference import ModelResponse, TokenInfo, make_token
 from logicpool.prompts import ANSWER_MARKER
 from logicpool.scoring import (
@@ -12,6 +12,7 @@ from logicpool.scoring import (
     PROB_SUM_TOLERANCE,
     ConfidenceScore,
     combined_entropy,
+    combined_logprob,
     score_response,
     segment,
 )
@@ -21,9 +22,13 @@ from logicpool.scoring import (
 # ---------------------------------------------------------------------------
 
 
+class EmptySegmentError(Exception):
+    """The reference was asked to score an empty token segment."""
+
+
 def mean_logprob(tokens: Sequence[TokenInfo]) -> float:
     if not tokens:
-        raise UndefinedScoreError("cannot score an empty token segment")
+        raise EmptySegmentError("cannot score an empty token segment")
     return sum(t.logprob for t in tokens) / len(tokens)
 
 
@@ -64,7 +69,7 @@ def token_entropy(token: TokenInfo) -> float:
 
 def mean_entropy(tokens: Sequence[TokenInfo]) -> float:
     if not tokens:
-        raise UndefinedScoreError("cannot score an empty token segment")
+        raise EmptySegmentError("cannot score an empty token segment")
     return sum(token_entropy(t) for t in tokens) / len(tokens)
 
 
@@ -191,7 +196,7 @@ def test_geometric_mean_long_sequence_no_underflow():
 
 
 def test_geometric_mean_empty_segment():
-    with pytest.raises(UndefinedScoreError):
+    with pytest.raises(EmptySegmentError):
         geometric_mean_prob(())
 
 
@@ -311,7 +316,7 @@ def test_mean_entropy_and_combination():
     assert combined_entropy(0.08, 0.04, 0.5) == pytest.approx(0.06, abs=1e-15)
     assert combined_entropy(0.08, 0.04, 1.0) == pytest.approx(0.04, abs=1e-15)
     assert combined_entropy(0.08, 0.04, 0.0) == pytest.approx(0.08, abs=1e-15)
-    with pytest.raises(UndefinedScoreError):
+    with pytest.raises(EmptySegmentError):
         mean_entropy(())
     with pytest.raises(ValueError):
         combined_entropy(0.1, 0.1, -0.2)
@@ -330,19 +335,22 @@ def test_score_response_full():
     assert score.defined
     assert math.exp(score.log_p_rational) == pytest.approx(0.8, rel=1e-12)
     assert math.exp(score.log_p_answer) == pytest.approx(0.9, rel=1e-12)
-    assert math.exp(score.recombined_logprob(0.5)) == pytest.approx(0.8 * 0.9, rel=1e-12)
-    assert score.recombined_entropy(0.5) == pytest.approx((score.h_rational + score.h_answer) / 2, rel=1e-12)
+    assert math.exp(combined_logprob(score.log_p_rational, score.log_p_answer, 0.5)) == pytest.approx(
+        0.8 * 0.9, rel=1e-12
+    )
+    assert combined_entropy(score.h_rational, score.h_answer, 0.5) == pytest.approx(
+        (score.h_rational + score.h_answer) / 2, rel=1e-12
+    )
 
 
 def test_score_response_without_marker_is_undefined():
-    response = response_from([("no answer block", -0.1)])
+    pairs = [("no answer block", -0.1)]
+    response = response_from(pairs)
     score = score_response(response, segment(response))
     assert not score.defined
     assert score.log_p_answer is None and score.h_answer is None
-    with pytest.raises(UndefinedScoreError):
-        score.recombined_logprob(0.5)
-    with pytest.raises(UndefinedScoreError):
-        score.recombined_entropy(0.5)
+    assert score.log_p_rational == pytest.approx(mean_logprob(tokens_from(pairs)), rel=1e-12)
+    assert score.h_rational == pytest.approx(mean_entropy(tokens_from(pairs)), rel=1e-12)
 
 
 def test_score_roundtrip():
@@ -356,7 +364,8 @@ def test_recombination_matches_fresh_computation():
     score = score_response(response, segment(response))
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         expected = combined_prob(math.exp(score.log_p_rational), math.exp(score.log_p_answer), lam)
-        assert math.exp(score.recombined_logprob(lam)) == pytest.approx(expected, rel=1e-10)
+        got = combined_logprob(score.log_p_rational, score.log_p_answer, lam)
+        assert math.exp(got) == pytest.approx(expected, rel=1e-10)
 
 
 def test_empty_response_scores_undefined():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from logicpool.errors import NoAnswerError, StructureError
 from logicpool.prompts import Strategy
 from logicpool.puzzles import generate_kk, generate_zebra
-from logicpool.scoring import ConfidenceScore
+from logicpool.scoring import ConfidenceScore, combined_entropy, combined_logprob
 from logicpool.selection import (
     Candidate,
     CandidatePool,
@@ -213,7 +213,8 @@ def test_max_prob_selects_highest_published_row():
     pool = table_row_pool([0.238, 0.209, 0.230, 0.222, 0.227], "prob")
     result = select_max_prob(pool)
     assert result.chosen_index == 0
-    assert math.exp(pool.candidates[0].confidence.recombined_logprob(0.5)) == pytest.approx(0.238)
+    score = pool.candidates[0].confidence
+    assert math.exp(combined_logprob(score.log_p_rational, score.log_p_answer, 0.5)) == pytest.approx(0.238)
 
 
 def test_max_prob_single_candidate():
@@ -577,9 +578,11 @@ def reference_select(pool, criterion, lam):
         indices = [i for i in indices if pool.candidates[i].confidence is not None
                    and pool.candidates[i].confidence.defined]
         if criterion is select_max_prob:
-            score_of, prefer_high = (lambda c: c.confidence.recombined_logprob(lam)), True
+            score_of = lambda c: combined_logprob(c.confidence.log_p_rational, c.confidence.log_p_answer, lam)
+            prefer_high = True
         else:
-            score_of, prefer_high = (lambda c: c.confidence.recombined_entropy(lam)), False
+            score_of = lambda c: combined_entropy(c.confidence.h_rational, c.confidence.h_answer, lam)
+            prefer_high = False
     if not indices:
         raise NoAnswerError("no candidate")
     return reference_argbest(pool, indices, score_of, prefer_high)
