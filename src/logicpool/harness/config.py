@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import ConfigError
 from ..inference import InferenceClient, MockBackend, OpenAIClient, SamplingParams
+from ..jsonl import is_number
 from ..prompts import Strategy
 from ..puzzles.zebra import MAX_ATTRS, MAX_HOUSES
 from ..selection import CRITERIA
@@ -110,6 +112,8 @@ class ExperimentConfig:
         unknown = [c for c in self.criteria if c not in CRITERIA]
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {list(CRITERIA)}")
+        if not self.strategies:
+            raise ConfigError("config strategies: the pool is empty; give at least one strategy")
         unknown = [s for s in self.strategies if s not in ALL_STRATEGY_KEYS]
         if unknown:
             raise ConfigError(f"config strategies: unknown {unknown}; known: {list(ALL_STRATEGY_KEYS)}")
@@ -140,27 +144,25 @@ class ExperimentConfig:
         return [Strategy.from_key(k) for k in self.strategies]
 
 
-def _known(obj: Any, where: str, keys: tuple[str, ...]) -> dict[str, Any]:
-    """``obj`` as the config object at ``where``; a key the loader does not
-    read is an error, so a misspelt setting never falls back silently."""
+def _settings(obj: Any, where: str, casts: dict[str, Callable[[Any], Any]]) -> dict[str, Any]:
+    """The settings of the config object at ``where`` ("" for the top level),
+    each value through its key's cast. A key without a cast is an error, so a
+    misspelt setting never falls back silently, and so is a value its cast
+    refuses. A cast's None (a null string or sampling seed) leaves the setting
+    out, so its dataclass default holds."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"config {where} must be an object")
-    unknown = sorted(set(obj) - set(keys))
+        raise ConfigError(f"config {where or 'top level'} must be an object")
+    unknown = sorted(set(obj) - set(casts))
     if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {unknown}; known: {list(keys)}")
-    return obj
-
-
-def _cast(obj: dict[str, Any], key: str, cast: Callable[[Any], Any], default: Any, where: str = "") -> Any:
-    """``cast(obj[key])``, or the default when the key is absent; a value
-    the cast rejects is a ConfigError naming the setting."""
-    if key not in obj:
-        return default
-    try:
-        return cast(obj[key])
-    except (TypeError, ValueError) as exc:
-        setting = f"{where}.{key}" if where else key
-        raise ConfigError(f"config {setting}: {obj[key]!r} is not a valid value ({exc})") from None
+        raise ConfigError(f"unknown config keys in {where or 'top level'}: {unknown}; known: {list(casts)}")
+    settings = {}
+    for key, value in obj.items():
+        try:
+            settings[key] = casts[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            setting = f"{where}.{key}" if where else key
+            raise ConfigError(f"config {setting}: {value!r} is not a valid value ({exc})") from None
+    return {key: value for key, value in settings.items() if value is not None}
 
 
 def _boolean(value: Any) -> bool:
@@ -175,120 +177,124 @@ def _integer(value: Any) -> int:
     return value
 
 
-def _choice(obj: dict[str, Any], key: str, choices: tuple[str, ...], where: str) -> str:
-    """``obj[key]``, or the first choice when the key is absent; any value
-    that is not one of the choices is a ConfigError naming the setting."""
-    value = obj.get(key, choices[0])
-    if value not in choices:
-        raise ConfigError(f"config {where}.{key}: {value!r} is not one of {list(choices)}")
+def _number(value: Any) -> float:
+    if not is_number(value) or not math.isfinite(value):  # float() would take "0.5", "inf" and true
+        raise TypeError("expected a finite number")
+    return float(value)
+
+
+def _string(value: Any) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a string")
     return value
 
 
-def _backend_from_obj(obj: Any, where: str) -> BackendConfig:
-    keys = ("kind", "base_url", "model", "api", "api_key", "api_key_env", "script", "max_retries", "timeout")
-    obj = _known(obj, where, keys)
-    api_key = obj.get("api_key")
-    if api_key is None and obj.get("api_key_env"):
-        api_key = os.environ.get(str(obj["api_key_env"]))
-    return BackendConfig(
-        kind=_choice(obj, "kind", ("openai", "mock"), where),
-        base_url=obj.get("base_url", ""),
-        model=obj.get("model", ""),
-        api=_choice(obj, "api", ("chat", "completions"), where),
-        api_key=api_key,
-        script_path=obj.get("script"),
-        max_retries=_cast(obj, "max_retries", _integer, 3, where),
-        timeout=_cast(obj, "timeout", float, 120.0, where),
-    )
+def _list(value: Any) -> tuple[Any, ...]:
+    if not isinstance(value, list):  # tuple() would split a bare string into letters
+        raise TypeError("expected a list")
+    return tuple(value)
 
 
-def _apply_env_overrides(backend: BackendConfig) -> BackendConfig:
-    backend.base_url = os.environ.get(ENV_ENDPOINT, backend.base_url)
-    backend.model = os.environ.get(ENV_MODEL, backend.model)
-    backend.api_key = os.environ.get(ENV_API_KEY, backend.api_key)
-    return backend
+def _choice(*choices: str) -> Callable[[Any], str]:
+    def cast(value: Any) -> str:
+        if value not in choices:
+            raise ValueError(f"not one of {list(choices)}")
+        return value
+
+    return cast
 
 
-# how each key of the sampling block is read; a null seed is no seed
+def _strategy_pool(value: Any) -> tuple[str, ...]:
+    if isinstance(value, str):  # a preset name
+        return STRATEGY_POOL_PRESETS[_choice(*STRATEGY_POOL_PRESETS)(value)]
+    return _list(value)
+
+
 _SAMPLING_CASTS = {
-    "top_p": float, "temperature": float, "max_tokens": _integer, "top_k": _integer,
-    "seed": lambda v: None if v is None else _integer(v),
+    "top_p": _number, "temperature": _number, "max_tokens": _integer, "top_k": _integer,
+    "seed": lambda value: None if value is None else _integer(value),
 }
-_TOP_KEYS = (
-    "run_dir", "corpus", "strategies", "criteria", "sampling", "lambda_p", "lambda_e",
-    "instruction_tags", "samples", "concurrency", "replay", "backend", "verifier_backend",
-)
+_GENERATE_CASTS = {
+    "preset": _choice("desk"), "kk_sizes": _list, "kk_per_size": _integer,
+    "zebra_configs": lambda value: tuple(map(tuple, _list(value))), "seed": _integer,
+}
+
+
+def _sampling_params(value: Any) -> SamplingParams:
+    try:
+        return SamplingParams(**_settings(value, "sampling", _SAMPLING_CASTS))
+    except ValueError as exc:  # a value outside the range SamplingParams takes
+        raise ConfigError(f"sampling: {exc}") from None
+
+
+def _generate_spec(value: Any) -> GenerateSpec:
+    """An explicit spec, or the desk preset with at most a seed."""
+    settings = _settings(value, "corpus.generate", _GENERATE_CASTS)
+    preset = settings.pop("preset", None)
+    if preset is None:
+        return GenerateSpec(**settings)
+    if set(settings) - {"seed"}:
+        raise ConfigError(f"config corpus.generate: preset {preset!r} takes only a seed, not {sorted(settings)}")
+    return desk_generate_spec(**settings)
+
+
+def _backend_config(value: Any, where: str, path: Callable[[Any], str | None]) -> BackendConfig:
+    settings = _settings(value, where, {
+        "kind": _choice("openai", "mock"), "base_url": _string, "model": _string,
+        "api": _choice("chat", "completions"), "api_key": _string,
+        "api_key_env": _string,  # the variable that holds the key when api_key is not given
+        "script": path,  # the mock's script file
+        "max_retries": _integer, "timeout": _number,
+    })
+    key_env = settings.pop("api_key_env", None)
+    if key_env and "api_key" not in settings:
+        settings["api_key"] = os.environ.get(key_env)
+    if "script" in settings:
+        settings["script_path"] = settings.pop("script")
+    return BackendConfig(**settings)
 
 
 def config_from_obj(obj: dict[str, Any], base_dir: str = ".") -> ExperimentConfig:
-    def resolve(path: str | None) -> str | None:
-        if path is None:
-            return None
-        return path if os.path.isabs(path) else os.path.join(base_dir, path)
+    """The experiment a parsed config file describes. Each object (the top
+    level, ``corpus``, ``corpus.generate``, ``sampling``, ``backend``,
+    ``verifier_backend``) is read through one table that maps each of its keys
+    to a cast, so every setting has one JSON type and every default lives on
+    the dataclasses. A null string setting or sampling seed means the setting
+    is left out; any other null, a value of the wrong type, an unknown key or
+    a missing ``run_dir`` is a ConfigError naming the setting. Relative paths
+    resolve against ``base_dir``; the environment overrides apply to
+    ``backend`` only."""
 
-    obj = _known(obj, "top level", _TOP_KEYS)
-    corpus = _known(obj.get("corpus", {}), "corpus", ("path", "generate"))
-    generate = None
-    if "generate" in corpus:
-        gen = _known(
-            corpus["generate"], "corpus.generate", ("preset", "kk_sizes", "kk_per_size", "zebra_configs", "seed")
-        )
-        if "preset" not in gen:
-            generate = GenerateSpec(
-                kk_sizes=_cast(gen, "kk_sizes", tuple, (), "corpus.generate"),
-                kk_per_size=_cast(gen, "kk_per_size", _integer, 0, "corpus.generate"),
-                zebra_configs=_cast(gen, "zebra_configs", lambda v: tuple(map(tuple, v)), (), "corpus.generate"),
-                seed=_cast(gen, "seed", _integer, 0, "corpus.generate"),
-            )
-        elif gen["preset"] == "desk" and set(gen) <= {"preset", "seed"}:
-            generate = desk_generate_spec(_cast(gen, "seed", _integer, 0, "corpus.generate"))
-        else:
-            raise ConfigError(f"corpus.generate {gen}: the one preset is 'desk', and it takes only a seed")
+    def path(value: Any) -> str | None:
+        if _string(value) == "":
+            raise ValueError("expected a non-empty path")
+        return value if value is None or os.path.isabs(value) else os.path.join(base_dir, value)
 
-    sampling_obj = _known(obj.get("sampling", {}), "sampling", tuple(_SAMPLING_CASTS))
-    try:
-        sampling = SamplingParams(
-            **{key: _cast(sampling_obj, key, _SAMPLING_CASTS[key], None, "sampling") for key in sampling_obj}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampling: {exc}") from None
-
-    strategies = _cast(obj, "strategies", lambda v: v if isinstance(v, str) else tuple(v), "all")
-    if isinstance(strategies, str):
-        if strategies not in STRATEGY_POOL_PRESETS:
-            raise ConfigError(f"unknown strategy preset {strategies!r}")
-        strategies = STRATEGY_POOL_PRESETS[strategies]
-
-    backend = _apply_env_overrides(_backend_from_obj(obj.get("backend", {}), "backend"))
-    if backend.script_path:
-        backend.script_path = resolve(backend.script_path)
-    verifier_backend = None
-    if "verifier_backend" in obj:
-        verifier_backend = _backend_from_obj(obj["verifier_backend"], "verifier_backend")
-        if verifier_backend.script_path:
-            verifier_backend.script_path = resolve(verifier_backend.script_path)
-
-    return ExperimentConfig(
-        run_dir=resolve(obj["run_dir"]),
-        corpus_path=resolve(corpus.get("path")),
-        generate=generate,
-        strategies=strategies,
-        criteria=_cast(obj, "criteria", tuple, CRITERIA),
-        sampling=sampling,
-        lambda_p=_cast(obj, "lambda_p", float, 0.5),
-        lambda_e=_cast(obj, "lambda_e", float, 0.5),
-        instruction_tags=_cast(obj, "instruction_tags", _boolean, False),
-        samples=_cast(obj, "samples", _integer, 1),
-        concurrency=_cast(obj, "concurrency", _integer, 4),
-        replay=_cast(obj, "replay", _boolean, False),
-        backend=backend,
-        verifier_backend=verifier_backend,
-    )
+    settings = _settings(obj, "", {
+        "run_dir": path,
+        "corpus": lambda value: _settings(value, "corpus", {"path": path, "generate": _generate_spec}),
+        "strategies": _strategy_pool, "criteria": _list, "sampling": _sampling_params,
+        "lambda_p": _number, "lambda_e": _number, "instruction_tags": _boolean,
+        "samples": _integer, "concurrency": _integer, "replay": _boolean,
+        "backend": lambda value: _backend_config(value, "backend", path),
+        "verifier_backend": lambda value: _backend_config(value, "verifier_backend", path),
+    })
+    if "run_dir" not in settings:
+        raise ConfigError("config run_dir: missing; a run needs a directory to write to")
+    backend = settings.setdefault("backend", BackendConfig())
+    backend.base_url = os.environ.get(ENV_ENDPOINT, backend.base_url)
+    backend.model = os.environ.get(ENV_MODEL, backend.model)
+    backend.api_key = os.environ.get(ENV_API_KEY, backend.api_key)
+    corpus = settings.pop("corpus", {})
+    return ExperimentConfig(**settings, corpus_path=corpus.get("path"), generate=corpus.get("generate"))
 
 
 def config_from_file(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path}: not a JSON config file ({exc})") from None
     return config_from_obj(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -94,10 +94,6 @@ class ZebraGrid:
             if sorted(row) != list(range(n)):
                 raise StructureError("grid row is not a permutation")
 
-    @property
-    def n_houses(self) -> int:
-        return len(self.perms[0]) if self.perms else 0
-
     def value_index(self, house: int, attr: int) -> int:
         return self.perms[attr][house]
 

@@ -180,9 +180,6 @@ class CandidatePool:
         if len(set(strategies)) != len(strategies):
             raise StructureError("pool strategies must be distinct")
 
-    def __len__(self) -> int:
-        return len(self.candidates)
-
 
 @dataclass(frozen=True)
 class SelectionResult:

@@ -21,6 +21,7 @@ from logicpool.harness.config import (
     BackendConfig,
     ExperimentConfig,
     GenerateSpec,
+    config_from_file,
     config_from_obj,
     desk_generate_spec,
 )
@@ -1011,6 +1012,171 @@ def test_integer_settings_refuse_floats_and_booleans(tmp_path, change, setting):
     obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
     with pytest.raises(ConfigError, match=f"config {setting}: .* is not a valid value"):
         config_from_obj({**obj, **change}, base_dir=str(tmp_path))
+
+
+@pytest.fixture
+def no_logicpool_env(monkeypatch):
+    for name in [name for name in os.environ if name.startswith("LOGICPOOL_")]:
+        monkeypatch.delenv(name)
+
+
+ABSENT = object()  # a change that removes the key
+
+
+@pytest.mark.parametrize(
+    "change, setting",
+    [
+        ({"lambda_p": True}, "lambda_p"),
+        ({"lambda_e": "0.5"}, "lambda_e"),
+        ({"sampling": {"top_p": "0.5"}}, "sampling.top_p"),
+        ({"sampling": {"temperature": False}}, "sampling.temperature"),
+        ({"backend": {"kind": "mock", "script": "m.json", "timeout": "inf"}}, "backend.timeout"),
+        ({"run_dir": 5}, "run_dir"),
+        ({"corpus": {"path": 5}}, "corpus.path"),
+        ({"backend": {"kind": "openai", "base_url": 5, "model": "m"}}, "backend.base_url"),
+        ({"backend": {"kind": "mock", "script": 5}}, "backend.script"),
+        ({"verifier_backend": {"kind": "mock", "script": "m.json", "api_key_env": 5}}, "verifier_backend.api_key_env"),
+        ({"criteria": "oracle"}, "criteria"),
+        ({"run_dir": ABSENT}, "run_dir"),
+    ],
+    ids=[
+        "lambda_p-true", "lambda_e-string", "top_p-string", "temperature-false", "timeout-inf-string",
+        "run_dir-number", "corpus-path-number", "base_url-number", "script-number", "api_key_env-number",
+        "criteria-bare-string", "no-run_dir",
+    ],
+)
+def test_config_values_of_the_wrong_json_type_are_one_error_line(tmp_path, capsys, no_logicpool_env, change, setting):
+    """Each setting has one JSON type: a value of another type is a
+    ConfigError naming the setting, and `run --config` prints one error
+    line and exits 1 without making the run directory."""
+    base = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
+    obj = {key: value for key, value in {**base, **change}.items() if value is not ABSENT}
+    with pytest.raises(ConfigError, match=f"config {setting}: "):
+        config_from_obj(obj, base_dir=str(tmp_path))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(obj))
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {setting}: ") and err.count("\n") == 1
+    assert not (tmp_path / "rd").exists()
+
+
+@pytest.mark.parametrize(
+    "change, setting",
+    [
+        ({"lambda_p": float("nan")}, "lambda_p"),
+        ({"sampling": {"temperature": float("nan")}}, "sampling.temperature"),
+        ({"backend": {"kind": "mock", "script": "m.json", "timeout": float("inf")}}, "backend.timeout"),
+        ({"backend": {"kind": "mock", "script": "m.json", "timeout": 10**400}}, "backend.timeout"),
+        ({"strategies": "al"}, "strategies"),
+        ({"strategies": {"no_strategy": 1}}, "strategies"),
+        ({"corpus": {"generate": {"kk_sizes": "34", "kk_per_size": 1}}}, "corpus.generate.kk_sizes"),
+        ({"corpus": {"generate": {"zebra_configs": "2x2"}}}, "corpus.generate.zebra_configs"),
+        ({"corpus": {"generate": {"preset": "desk", "kk_sizes": [3]}}}, "corpus.generate"),
+        ({"corpus": {"path": ""}}, "corpus.path"),
+        ({"lambda_p": None}, "lambda_p"),
+        ({"backend": {"kind": None, "script": "m.json"}}, "backend.kind"),
+        ({"samples": None}, "samples"),
+        ({"corpus": {"generate": None}}, "corpus.generate"),
+    ],
+)
+def test_config_refuses_non_finite_numbers_bare_strings_and_nulls(tmp_path, change, setting):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
+    with pytest.raises(ConfigError, match=f"config {setting}[: ]"):
+        config_from_obj({**obj, **change}, base_dir=str(tmp_path))
+
+
+def test_null_string_settings_and_sampling_seed_are_the_defaults(tmp_path, no_logicpool_env):
+    obj = {
+        "run_dir": "rd",
+        "corpus": {"path": "c.jsonl"},
+        "sampling": {"seed": None},
+        "backend": {"kind": "openai", "base_url": "http://h/v1", "model": "m", "api_key": None, "script": None},
+        "verifier_backend": {"kind": "mock", "script": "v.json", "base_url": None, "api_key_env": None},
+    }
+    config = config_from_obj(obj, base_dir=str(tmp_path))
+    assert config.sampling == SamplingParams()
+    assert config.backend == BackendConfig(kind="openai", base_url="http://h/v1", model="m")
+    assert config.verifier_backend == BackendConfig(kind="mock", script_path=str(tmp_path / "v.json"))
+
+
+def test_empty_strategy_pool_is_a_config_error(tmp_path, world, capsys):
+    with pytest.raises(ConfigError, match="config strategies: "):
+        ExperimentConfig(run_dir=str(tmp_path / "run"), corpus_path="x.jsonl", strategies=())
+    _, paths = world
+    config = {
+        "run_dir": "run",
+        "corpus": {"path": paths["corpus"]},
+        "strategies": [],
+        "backend": {"kind": "mock", "script": paths["script"]},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: config strategies: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_that_is_not_json_is_one_error_line(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"run_dir": "rd",')
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: not a JSON config file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "backend, expected",
+    [
+        (
+            {"base_url": "http://host:8000/v1/", "model": "m1", "api": "completions", "timeout": 5, "max_retries": 0},
+            ("http://host:8000/v1", "m1", "completions", 5.0, 0),
+        ),
+        ({"base_url": "http://host/v1", "model": "m2"}, ("http://host/v1", "m2", "chat", 120.0, 3)),
+    ],
+)
+def test_config_builds_the_openai_client(tmp_path, no_logicpool_env, backend, expected):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "openai", **backend}}
+    client = config_from_obj(obj, base_dir=str(tmp_path)).backend.build()
+    try:
+        assert isinstance(client, inference.OpenAIClient)
+        assert (client.base_url, client.model, client.api, client.timeout, client.max_retries) == expected
+    finally:
+        client._session.close()
+
+
+@pytest.mark.parametrize(
+    "backend, message",
+    [
+        ({"kind": "openai", "model": "m"}, "openai backend needs base_url and model"),
+        ({"kind": "openai", "base_url": "http://host/v1"}, "openai backend needs base_url and model"),
+        ({"kind": "mock"}, "mock backend needs a script path"),
+    ],
+)
+def test_backend_without_its_endpoint_or_script_is_a_config_error(tmp_path, no_logicpool_env, backend, message):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": backend}
+    config = config_from_obj(obj, base_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=message):
+        config.backend.build()
+
+
+@pytest.mark.parametrize("script", ["scripts/verifier.json", "verifier.json", "ABSOLUTE"])
+def test_verifier_backend_script_resolves_against_the_config_directory(tmp_path, no_logicpool_env, script):
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    if script == "ABSOLUTE":
+        script = str(tmp_path / "elsewhere" / "verifier.json")
+    obj = {
+        "run_dir": "rd",
+        "corpus": {"path": "c.jsonl"},
+        "backend": {"kind": "mock", "script": "m.json"},
+        "verifier_backend": {"kind": "mock", "script": script},
+    }
+    config_path = config_dir / "config.json"
+    config_path.write_text(json.dumps(obj))
+    config = config_from_file(str(config_path))
+    assert config.verifier_backend.script_path == str(config_dir / script)
+    assert config.backend.script_path == str(config_dir / "m.json")
 
 
 def test_torn_records_line_is_truncated_and_regenerated(tmp_path, world, capsys, caplog):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import CapacityError, StructureError
-from logicpool.puzzles import puzzle_from_json, puzzle_to_json
+from logicpool.puzzles import puzzle_from_json, puzzle_from_obj, puzzle_to_json, puzzle_to_obj
 from logicpool.puzzles.zebra import (
     AT_POSITION,
     ATTRIBUTE_POOLS,
@@ -169,6 +169,24 @@ def test_render_clue_fixed_templates():
         "The person whose pet is cat lives somewhere to the left of the person whose pet is dog."
     )
     assert texts[1] == "Alice is the same person as the person whose pet is cat."
+
+
+def test_at_position_clue_renders_and_round_trips():
+    puzzle = ZebraPuzzle(
+        "z",
+        2,
+        (Attribute("name", ("Alice", "Peter")), Attribute("pet", ("cat", "dog"))),
+        (Clue(AT_POSITION, 0, 0, house=0), Clue(AT_POSITION, 1, 1, house=1)),
+        ZebraGrid(((0, 1), (0, 1))),
+        seed=3,
+    )
+    assert [render_clue(c, puzzle) for c in puzzle.clues] == [
+        "Alice lives in house 1.",
+        "The person whose pet is dog lives in house 2.",
+    ]
+    obj = puzzle_to_obj(puzzle)
+    assert obj["clues"][1] == {"kind": AT_POSITION, "a": ["pet", "dog"], "house": 2}  # 1-based on disk
+    assert puzzle_from_obj(obj) == puzzle
 
 
 def test_serialization_roundtrip_byte_identical():
