@@ -211,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LogicPoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LogicPoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

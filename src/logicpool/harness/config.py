@@ -141,7 +141,8 @@ class ExperimentConfig:
                 check_zebra_shape(houses, attrs, "config corpus.generate.zebra_configs")
 
     def strategy_pool(self) -> list[Strategy]:
-        return [Strategy.from_key(k) for k in self.strategies]
+        """The pool's strategies in enum order, the order of a pool's records."""
+        return sorted(Strategy.from_key(k) for k in self.strategies)
 
 
 def _settings(obj: Any, where: str, casts: dict[str, Callable[[Any], Any]]) -> dict[str, Any]:
@@ -181,6 +182,19 @@ def _number(value: Any) -> float:
     if not is_number(value) or not math.isfinite(value):  # float() would take "0.5", "inf" and true
         raise TypeError("expected a finite number")
     return float(value)
+
+
+def _count(value: Any) -> int:
+    if _integer(value) < 0:
+        raise ValueError("expected an integer >= 0")
+    return value
+
+
+def _positive(value: Any) -> float:
+    number = _number(value)
+    if number <= 0:
+        raise ValueError("expected a number > 0")
+    return number
 
 
 def _string(value: Any) -> str | None:
@@ -244,7 +258,7 @@ def _backend_config(value: Any, where: str, path: Callable[[Any], str | None]) -
         "api": _choice("chat", "completions"), "api_key": _string,
         "api_key_env": _string,  # the variable that holds the key when api_key is not given
         "script": path,  # the mock's script file
-        "max_retries": _integer, "timeout": _number,
+        "max_retries": _count, "timeout": _positive,
     })
     key_env = settings.pop("api_key_env", None)
     if key_env and "api_key" not in settings:

@@ -1,7 +1,6 @@
 """Persisted experiment units: per-response EvalRecords and per-puzzle
 selection rows, stored as JSONL with their dataclass fields as the schema
-(a line with a missing or an unknown key is malformed), and the candidate
-pool rebuilt from a pool's records."""
+(a line with a missing or an unknown key is malformed)."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from typing import Any
 from ..jsonl import append_jsonl, parse_object, read_jsonl, read_lines, write_jsonl  # noqa: F401
 from ..prompts import Strategy
 from ..scoring import ConfidenceScore
-from ..selection import Candidate, CandidatePool, CanonicalAnswer
+from ..selection import CanonicalAnswer
 from ..verifier import VerifierScore
 
 
@@ -62,24 +61,6 @@ class EvalRecord:
             "confidence": None if confidence is None else ConfidenceScore.from_obj(confidence),
             "verifier": None if verifier is None else VerifierScore.from_obj(verifier),
         })
-
-
-def candidate_pool(records: list[EvalRecord]) -> CandidatePool:
-    """The candidate pool of one (puzzle, sample), one candidate per record
-    in the order given; selection needs only the stored answers and scores."""
-    return CandidatePool(
-        puzzle_id=records[0].puzzle_id,
-        family=records[0].family,
-        candidates=[
-            Candidate(
-                strategy=Strategy.from_key(r.strategy),
-                answer=r.answer,
-                confidence=r.confidence,
-                verifier_score=r.verifier,
-            )
-            for r in records
-        ],
-    )
 
 
 @dataclass

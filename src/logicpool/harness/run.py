@@ -53,7 +53,6 @@ from .records import (
     EvalRecord,
     SelectionRow,
     append_jsonl,
-    candidate_pool,
     load_records,
     read_jsonl,
     write_jsonl,
@@ -165,7 +164,11 @@ class _Pool:
 
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
-    candidate_pool: CandidatePool
+
+    def candidates(self) -> CandidatePool:
+        """The pool of the tasks' current records, which are in strategy
+        order because the tasks are."""
+        return CandidatePool(self.tasks[0].puzzle.puzzle_id, [task.record for task in self.tasks])
 
     def verified(self) -> bool:
         return all(task.verification is None or task.verification.done() for task in self.tasks)
@@ -258,9 +261,9 @@ class _Runner:
         """Submit the verifications the criteria need, skipping cached
         scores: every parseable candidate for ``verifier``; for
         ``vote_verifier`` without it, only the tied majority groups."""
-        indices = [i for i, c in enumerate(pool.candidate_pool.candidates) if c.answer.parse_ok]
+        indices = [i for i, task in enumerate(pool.tasks) if task.record.answer.parse_ok]
         if VERIFIER not in self.config.criteria and indices:
-            winners, tie = majority_groups(pool.candidate_pool)
+            winners, tie = majority_groups(pool.candidates())
             indices = [i for group in winners for i in group] if tie else []
         question = pool.tasks[0].prompt.question
         for i in indices:
@@ -277,14 +280,13 @@ class _Runner:
         whatever order the backend answers in. A verified record is
         replaced by a scored copy, so the run sees that it changed."""
         self.failures.extend(task.failure for task in pool.tasks if task.failure is not None)
-        for task, candidate in zip(pool.tasks, pool.candidate_pool.candidates):
+        for task in pool.tasks:
             if task.verification is not None:
                 future, task.verification = task.verification, None
                 try:
                     task.record = dataclasses.replace(task.record, verifier=future.result())
                 except LogicPoolError as exc:
                     self.failures.append(_failure_row("verify", task, exc))
-            candidate.verifier_score = task.record.verifier
         self._select(pool)
         self.records.extend(task.record for task in pool.tasks)
         if pool.new:
@@ -294,7 +296,7 @@ class _Runner:
         """Apply every criterion to one (puzzle, sample) pool."""
         puzzle = pool.tasks[0].puzzle
         sample = pool.tasks[0].sample
-        candidates = pool.candidate_pool
+        candidates = pool.candidates()
         truth = truth_answer(puzzle)
         base = dict(
             puzzle_id=puzzle.puzzle_id,
@@ -320,7 +322,7 @@ class _Runner:
                 SelectionRow(
                     criterion=criterion,
                     correct=chosen.answer == truth,
-                    chosen_strategy=chosen.strategy.key,
+                    chosen_strategy=chosen.strategy,
                     tie_occurred=result.tie_occurred,
                     tie_breaker_used=result.tie_breaker_used,
                     sample=sample,
@@ -332,17 +334,19 @@ class _Runner:
 
     def run(self) -> RunResult:
         config = self.config
+        # the corpus always comes from the config, so a resume under a new
+        # corpus path or generate spec runs the new corpus; it is built
+        # before the run directory is made, so a corpus that cannot be read
+        # leaves no directory behind
+        corpus = build_corpus(config)
         os.makedirs(config.run_dir, exist_ok=True)
         with _run_lock(config.run_dir):
-            return self._run_locked()
+            return self._run_locked(corpus)
 
-    def _run_locked(self) -> RunResult:
+    def _run_locked(self, corpus: list[Puzzle]) -> RunResult:
         config = self.config
         run_dir = config.run_dir
 
-        # the corpus always comes from the config, so a resume under a new
-        # corpus path or generate spec runs the new corpus
-        corpus = build_corpus(config)
         corpus_path = os.path.join(run_dir, CORPUS_FILE)
         if not config.corpus_path:
             write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
@@ -411,7 +415,7 @@ class _Runner:
                 new = [task for task in pool_tasks if task.record is None]
                 for task in new:
                     task.record = self._build_record(task)
-                pool = _Pool(pool_tasks, new, candidate_pool([task.record for task in pool_tasks]))
+                pool = _Pool(pool_tasks, new)
                 started.popleft()
                 if verifying:
                     self._submit_verification(pool, verifier_client, submit)

@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, NoAnswerError
-from ..selection import MAX_PROB, MIN_ENTROPY, argbest, confidence_scores
-from .records import EvalRecord, candidate_pool
+from ..prompts import Strategy
+from ..selection import MAX_PROB, MIN_ENTROPY, CandidatePool, argbest, confidence_scores
+from .records import EvalRecord
 
 DEFAULT_GRID = tuple(i / 100 for i in range(100))  # 0.00, 0.01, ..., 0.99
 
@@ -37,8 +38,9 @@ def sweep(
         raise ConfigError("no records to sweep")
     correct = np.zeros(lambdas.shape, dtype=np.int64)
     for members in grouped.values():
+        members.sort(key=lambda r: Strategy.from_key(r.strategy))  # a pool is in strategy order
         try:
-            ordered, scores = confidence_scores(candidate_pool(members), criterion, lambdas)
+            ordered, scores = confidence_scores(CandidatePool(members[0].puzzle_id, members), criterion, lambdas)
         except (NoAnswerError, ValueError):
             continue
         chosen, _ = argbest(scores, prefer_high=criterion == MAX_PROB)

@@ -87,10 +87,6 @@ class TokenInfo:
         if all(text != self.text for text, _ in self.top_alternatives):
             raise DataError(f"sampled token {self.text!r} missing from alternatives")
 
-    @property
-    def prob(self) -> float:
-        return math.exp(min(self.logprob, 0.0))
-
 
 def make_token(text: str, logprob: float, alternatives: Iterable[tuple[str, float]] = ()) -> TokenInfo:
     """Build a TokenInfo, inserting the sampled token into the alternatives
@@ -348,6 +344,10 @@ class OpenAIClient:
     ) -> None:
         if api not in ("chat", "completions"):
             raise ValueError(f"api must be 'chat' or 'completions', got {api!r}")
+        if type(max_retries) is not int or max_retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {max_retries!r}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key

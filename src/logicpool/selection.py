@@ -1,29 +1,33 @@
 """Canonical answers and the merging criteria over a candidate pool.
 
-A pool holds one candidate per strategy. Criteria never choose an
-unparseable candidate. A score criterion compares float64 scores exactly,
-with no epsilon, in strategy order (NO_STRATEGY first): the first
-candidate holding the best score is chosen, and the selection is a tie
-when another candidate holds exactly that score. A NaN score (a -inf
-log-prob weighted by zero, at lambda 0 or 1) is never best, except that a
-NaN first candidate is chosen, with no tie. ``argbest`` is that rule over
-the last axis of an array: the run applies it at one lambda per pool, the
-sweep at every grid point of a pool in one call.
+A pool is the records of one (puzzle, sample), at most one per strategy,
+in strictly increasing strategy order (NO_STRATEGY first), so a
+candidate's index is its place in the tie-break order. Criteria never
+choose an unparseable candidate. A score criterion compares float64
+scores exactly, with no epsilon, in pool order: the first candidate
+holding the best score is chosen, and the selection is a tie when another
+candidate holds exactly that score. A NaN score (a -inf log-prob weighted
+by zero, at lambda 0 or 1) is never best, except that a NaN first
+candidate is chosen, with no tie. ``argbest`` is that rule over the last
+axis of an array: the run applies it at one lambda per pool, the sweep at
+every grid point of a pool in one call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .errors import NoAnswerError, StructureError
 from .prompts import ANSWER_MARKER, Strategy
 from .puzzles import KnightsKnavesPuzzle, Puzzle, ZebraPuzzle
-from .scoring import ConfidenceScore, combined_entropy, combined_logprob
-from .verifier import VerifierScore
+from .scoring import combined_entropy, combined_logprob
+
+if TYPE_CHECKING:
+    from .harness.records import EvalRecord
 
 MAJORITY_VOTE = "majority_vote"
 MAX_PROB = "max_prob"
@@ -162,23 +166,20 @@ def _extract_zebra(tail: str, puzzle: ZebraPuzzle) -> CanonicalAnswer:
 
 
 @dataclass
-class Candidate:
-    strategy: Strategy
-    answer: CanonicalAnswer
-    confidence: ConfidenceScore | None = None
-    verifier_score: VerifierScore | None = None
-
-
-@dataclass
 class CandidatePool:
+    """The records of one pool; selection reads each record's ``strategy``
+    key, ``answer``, ``confidence`` and ``verifier``."""
+
     puzzle_id: str
-    family: str
-    candidates: list[Candidate] = field(default_factory=list)
+    candidates: list[EvalRecord]
 
     def __post_init__(self) -> None:
-        strategies = [c.strategy for c in self.candidates]
-        if len(set(strategies)) != len(strategies):
-            raise StructureError("pool strategies must be distinct")
+        order = [Strategy.from_key(c.strategy) for c in self.candidates]
+        if any(a >= b for a, b in zip(order, order[1:])):
+            raise StructureError(
+                f"pool for {self.puzzle_id}: candidates must be in strictly increasing strategy order, "
+                f"not {[c.strategy for c in self.candidates]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,12 @@ def _parseable(pool: CandidatePool) -> list[int]:
 
 
 def _group_by_answer(pool: CandidatePool, indices: list[int]) -> list[list[int]]:
-    """Indices grouped by answer equality; groups ordered by their lowest
-    strategy, members in strategy order."""
+    """Increasing indices grouped by answer equality; groups ordered by
+    their lowest index, members in increasing order."""
     groups: dict[Any, list[int]] = {}
-    for i in sorted(indices, key=lambda i: pool.candidates[i].strategy):
+    for i in indices:
         groups.setdefault(pool.candidates[i].answer, []).append(i)
-    return sorted(groups.values(), key=lambda members: pool.candidates[members[0]].strategy)
+    return list(groups.values())
 
 
 def majority_groups(pool: CandidatePool) -> tuple[list[list[int]], bool]:
@@ -217,7 +218,7 @@ def majority_vote(pool: CandidatePool) -> SelectionResult:
     """Largest answer group wins; a tie falls back to the group holding the
     lowest strategy index."""
     winners, tie = majority_groups(pool)
-    chosen = winners[0][0]  # groups and members are in strategy order
+    chosen = winners[0][0]  # groups and members are in pool order
     return SelectionResult(
         criterion=MAJORITY_VOTE,
         chosen_index=chosen,
@@ -243,11 +244,7 @@ def _pick(ordered: list[int], scores: np.ndarray, prefer_high: bool) -> tuple[in
     return ordered[position], bool(tie)
 
 
-def _in_strategy_order(pool: CandidatePool, indices: list[int]) -> list[int]:
-    return sorted(indices, key=lambda i: pool.candidates[i].strategy)
-
-
-def _score_defined(candidate: Candidate) -> bool:
+def _score_defined(candidate: EvalRecord) -> bool:
     return candidate.confidence is not None and candidate.confidence.defined
 
 
@@ -257,16 +254,16 @@ def confidence_scores(
     lambdas: float | np.ndarray,
     indices: list[int] | None = None,
 ) -> tuple[list[int], np.ndarray]:
-    """The parseable candidates with a defined confidence (of ``indices``
-    when given, else of the pool) in strategy order, and their combined
-    ``criterion`` score (max_prob or min_entropy) at each lambda, with shape
-    ``np.shape(lambdas) + (n,)``. No such candidate is a NoAnswerError; a
-    lambda outside [0, 1], or a negative entropy under min_entropy, is a
-    ValueError."""
+    """The parseable candidates with a defined confidence (of the increasing
+    ``indices`` when given, else of the pool) in pool order, and their
+    combined ``criterion`` score (max_prob or min_entropy) at each lambda,
+    with shape ``np.shape(lambdas) + (n,)``. No such candidate is a
+    NoAnswerError; a lambda outside [0, 1], or a negative entropy under
+    min_entropy, is a ValueError."""
     candidates = pool.candidates
     if indices is None:
         indices = _parseable(pool)
-    ordered = _in_strategy_order(pool, [i for i in indices if _score_defined(candidates[i])])
+    ordered = [i for i in indices if _score_defined(candidates[i])]
     if not ordered:
         raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
     confidences = [candidates[i].confidence for i in ordered]
@@ -296,7 +293,7 @@ def select_min_entropy(pool: CandidatePool, lambda_e: float = 0.5) -> SelectionR
 
 
 def _verifier_means(pool: CandidatePool, ordered: list[int]) -> np.ndarray:
-    return np.array([pool.candidates[i].verifier_score.mean for i in ordered], dtype=np.float64)
+    return np.array([pool.candidates[i].verifier.mean for i in ordered], dtype=np.float64)
 
 
 def select_verifier(pool: CandidatePool) -> SelectionResult:
@@ -304,14 +301,13 @@ def select_verifier(pool: CandidatePool) -> SelectionResult:
     indices = _parseable(pool)
     if not indices:
         raise NoAnswerError(f"pool for {pool.puzzle_id} has no parseable candidate")
-    missing = [i for i in indices if pool.candidates[i].verifier_score is None]
+    missing = [i for i in indices if pool.candidates[i].verifier is None]
     if missing:
         raise ValueError(
             f"verifier scores missing for strategies "
-            f"{[pool.candidates[i].strategy.key for i in missing]}; verify first"
+            f"{[pool.candidates[i].strategy for i in missing]}; verify first"
         )
-    ordered = _in_strategy_order(pool, indices)
-    chosen, tie = _pick(ordered, _verifier_means(pool, ordered), prefer_high=True)
+    chosen, tie = _pick(indices, _verifier_means(pool, indices), prefer_high=True)
     return SelectionResult(VERIFIER, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
 
 
@@ -324,7 +320,7 @@ def _vote_with_auxiliary(
     if not tie:
         chosen = winners[0][0]
         return SelectionResult(criterion, chosen, pool.candidates[chosen].answer)
-    tied = [i for group in winners for i in group]
+    tied = sorted(i for group in winners for i in group)
     chosen, breaker = score_indices(tied)
     return SelectionResult(
         criterion, chosen, pool.candidates[chosen].answer, tie_occurred=True, tie_breaker_used=breaker
@@ -338,7 +334,7 @@ def vote_plus_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResul
     def break_tie(tied: list[int]) -> tuple[int, str]:
         if not any(_score_defined(pool.candidates[i]) for i in tied):
             # every tied candidate lacks an answer-segment score
-            return min(tied, key=lambda i: pool.candidates[i].strategy), "strategy_index"
+            return tied[0], "strategy_index"
         chosen, _ = _pick(*confidence_scores(pool, MAX_PROB, lambda_p, tied), prefer_high=True)
         return chosen, MAX_PROB
 
@@ -350,14 +346,13 @@ def vote_plus_verifier(pool: CandidatePool) -> SelectionResult:
     required (and thus only computed upstream) for the tied candidates."""
 
     def break_tie(tied: list[int]) -> tuple[int, str]:
-        missing = [i for i in tied if pool.candidates[i].verifier_score is None]
+        missing = [i for i in tied if pool.candidates[i].verifier is None]
         if missing:
             raise ValueError(
                 f"verifier scores missing for tie-broken strategies "
-                f"{[pool.candidates[i].strategy.key for i in missing]}"
+                f"{[pool.candidates[i].strategy for i in missing]}"
             )
-        ordered = _in_strategy_order(pool, tied)
-        chosen, _ = _pick(ordered, _verifier_means(pool, ordered), prefer_high=True)
+        chosen, _ = _pick(tied, _verifier_means(pool, tied), prefer_high=True)
         return chosen, VERIFIER
 
     return _vote_with_auxiliary(pool, VOTE_VERIFIER, break_tie)

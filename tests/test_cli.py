@@ -216,6 +216,19 @@ def test_fatal_error_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
+def test_missing_corpus_path_leaves_no_run_directory(tmp_path, capsys):
+    """The corpus is read before the run directory (and its lock file) is
+    made, so a corpus that cannot be read leaves nothing behind."""
+    config = {"run_dir": "rd", "corpus": {"path": "missing.jsonl"},
+              "backend": {"kind": "mock", "script": "m.json"}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert not (tmp_path / "rd").exists()
+
+
 def test_bad_sampling_value_is_a_config_error(tmp_path, capsys):
     config = {"run_dir": "r", "corpus": {"path": "c.jsonl"}, "sampling": {"top_p": 2},
               "backend": {"kind": "mock", "script": "m.json"}}

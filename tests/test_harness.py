@@ -29,6 +29,7 @@ from logicpool.harness.records import EvalRecord, SelectionRow, load_records, re
 from logicpool.harness.report import stratify
 from logicpool.harness.run import build_corpus, run
 from logicpool.harness.sweep import sweep
+from logicpool.prompts import Strategy
 from logicpool.puzzles import puzzle_to_obj
 from logicpool.selection import CRITERIA, CanonicalAnswer
 from logicpool.verifier import chunk
@@ -159,6 +160,21 @@ def test_readme_config_example_loads(monkeypatch, tmp_path):
     config = config_from_obj(json.loads(block), base_dir=str(tmp_path))
     assert config.criteria == CRITERIA
     assert config.backend.kind == "openai" and config.backend.model == "my-model"
+
+
+def test_readme_library_example_runs(tmp_path, world, monkeypatch, capsys):
+    """The library example in README.md runs as written, against a run
+    directory at the path it reads."""
+    _, paths = world
+    run(mock_config(tmp_path, paths, run_name="runs/exp1"))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["answer"].parse_ok and namespace["scores"].defined
+    assert [r.strategy for r in namespace["pool"].candidates] == [s.key for s in Strategy]
+    assert capsys.readouterr().out.startswith("CanonicalAnswer(family='kk', parse_ok=True")
 
 
 def test_desk_spec_counts():
@@ -878,6 +894,23 @@ def test_strategy_pool_preset_runs_without_baseline(tmp_path, world):
     assert not majority.correct and not majority.tie_occurred
 
 
+def test_unsorted_strategy_list_writes_pools_in_strategy_order(tmp_path, world):
+    """Whatever order ``strategies`` lists, each pool's records are written
+    in strategy order, and the selections and report are byte for byte
+    those of the sorted list."""
+    _, paths = world
+    keys = [s.key for s in Strategy]
+    shuffled = ("compound_strategy", "no_strategy", "concatenation_strategy", "chain_construction",
+                "supposition_following")
+    sorted_run = run(mock_config(tmp_path, paths, run_name="sorted", strategies=tuple(keys)))
+    shuffled_run = run(mock_config(tmp_path, paths, run_name="shuffled", strategies=shuffled))
+    stored = load_records(str(tmp_path / "shuffled" / "records.jsonl"))
+    assert [r.strategy for r in stored] == [r.strategy for r in shuffled_run.records] == keys * 4
+    assert [r.strategy for r in sorted_run.records] == keys * 4
+    for name in ("selections.jsonl", "report.md"):
+        assert (tmp_path / "shuffled" / name).read_bytes() == (tmp_path / "sorted" / name).read_bytes()
+
+
 def test_samples_multiply_records(tmp_path, world):
     _, paths = world
     config = mock_config(tmp_path, paths, run_name="sampled", samples=2)
@@ -1018,6 +1051,31 @@ def test_integer_settings_refuse_floats_and_booleans(tmp_path, change, setting):
 def no_logicpool_env(monkeypatch):
     for name in [name for name in os.environ if name.startswith("LOGICPOOL_")]:
         monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize("where", ["backend", "verifier_backend"])
+@pytest.mark.parametrize("key, value", [("max_retries", -1), ("timeout", 0), ("timeout", -2.5)])
+def test_negative_retries_and_non_positive_timeouts_are_one_error_line(
+    tmp_path, capsys, no_logicpool_env, where, key, value
+):
+    """Such a backend would fail every request after zero attempts, so the
+    config refuses it: one error line naming the setting, exit 1 and no run
+    directory."""
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"}, "backend": {"kind": "mock", "script": "m.json"}}
+    obj[where] = {"kind": "mock", "script": "m.json", key: value}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(obj))
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {where}.{key}: {value!r} is not a valid value") and err.count("\n") == 1
+    assert not (tmp_path / "rd").exists()
+
+
+def test_zero_retries_and_a_positive_timeout_load(tmp_path):
+    obj = {"run_dir": "rd", "corpus": {"path": "c.jsonl"},
+           "backend": {"kind": "mock", "script": "m.json", "max_retries": 0, "timeout": 0.5}}
+    backend = config_from_obj(obj, base_dir=str(tmp_path)).backend
+    assert (backend.max_retries, backend.timeout) == (0, 0.5)
 
 
 ABSENT = object()  # a change that removes the key

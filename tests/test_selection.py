@@ -5,11 +5,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import NoAnswerError, StructureError
+from logicpool.harness.records import EvalRecord
 from logicpool.prompts import Strategy
 from logicpool.puzzles import generate_kk, generate_zebra
 from logicpool.scoring import ConfidenceScore, combined_entropy, combined_logprob
 from logicpool.selection import (
-    Candidate,
     CandidatePool,
     CanonicalAnswer,
     argbest,
@@ -50,19 +50,28 @@ def kk_answer(types):
     return CanonicalAnswer.from_kk({chr(ord("A") + i): t for i, t in enumerate(types)})
 
 
+def candidate(strategy, answer, confidence=None, verifier=None):
+    """A pool member: the record of one response under ``strategy``."""
+    return EvalRecord(
+        puzzle_id="p", family="kk", difficulty="3 Person", strategy=strategy.key, sample=0,
+        request_sha256="h", response_text="", finish_reason="stop", answer=answer, correct=False,
+        confidence=confidence, verifier=verifier,
+    )
+
+
 def make_pool(entries):
     """entries: list of dicts with answer/confidence/verifier per strategy order."""
     candidates = []
     for strategy, entry in zip(STRATEGIES, entries):
         candidates.append(
-            Candidate(
-                strategy=strategy,
-                answer=entry.get("answer", CanonicalAnswer.unparsed("kk")),
-                confidence=entry.get("confidence"),
-                verifier_score=entry.get("verifier"),
+            candidate(
+                strategy,
+                entry.get("answer", CanonicalAnswer.unparsed("kk")),
+                entry.get("confidence"),
+                entry.get("verifier"),
             )
         )
-    return CandidatePool(puzzle_id="p", family="kk", candidates=candidates)
+    return CandidatePool(puzzle_id="p", candidates=candidates)
 
 
 def vscore(mean):
@@ -367,6 +376,22 @@ def test_vote_plus_verifier_requires_scores_only_on_tie():
         vote_plus_verifier(pool)
 
 
+def test_vote_tie_breaks_scan_the_tied_candidates_in_strategy_order():
+    """Groups X = {0, 3} and Y = {1, 2} tie; candidates 1 and 3 share the
+    best score, and 1 comes first in strategy order though its group is
+    second."""
+    entries = [
+        {"answer": X, "confidence": confidence(0.5, 0.5), "verifier": vscore(0.5)},
+        {"answer": Y, "confidence": confidence(0.9, 0.9), "verifier": vscore(0.9)},
+        {"answer": Y, "confidence": confidence(0.5, 0.5), "verifier": vscore(0.5)},
+        {"answer": X, "confidence": confidence(0.9, 0.9), "verifier": vscore(0.9)},
+        {"answer": BAD},
+    ]
+    pool = make_pool(entries)
+    for result in (vote_plus_prob(pool), vote_plus_verifier(pool)):
+        assert result.tie_occurred and (result.chosen_index, result.chosen_answer) == (1, Y)
+
+
 def test_vote_plus_prob_all_tied_unscored_falls_back():
     entries = [
         {"answer": X, "confidence": undefined_confidence()},
@@ -374,11 +399,7 @@ def test_vote_plus_prob_all_tied_unscored_falls_back():
     ]
     pool = CandidatePool(
         puzzle_id="p",
-        family="kk",
-        candidates=[
-            Candidate(strategy=STRATEGIES[i], answer=e["answer"], confidence=e["confidence"])
-            for i, e in enumerate(entries)
-        ],
+        candidates=[candidate(STRATEGIES[i], e["answer"], e["confidence"]) for i, e in enumerate(entries)],
     )
     result = vote_plus_prob(pool)
     assert result.tie_breaker_used == "strategy_index"
@@ -402,15 +423,15 @@ def test_oracle_all_wrong_or_unparseable():
 
 
 def test_pool_rejects_duplicate_strategies():
-    with pytest.raises(StructureError):
-        CandidatePool(
-            puzzle_id="p",
-            family="kk",
-            candidates=[
-                Candidate(strategy=Strategy.NO_STRATEGY, answer=X),
-                Candidate(strategy=Strategy.NO_STRATEGY, answer=Y),
-            ],
-        )
+    """A pool's candidates are in strictly increasing strategy order: a
+    duplicate or an out-of-order strategy is a structure error."""
+    for strategies in (
+        [Strategy.NO_STRATEGY, Strategy.NO_STRATEGY],
+        [Strategy.CHAIN_CONSTRUCTION, Strategy.NO_STRATEGY],
+        [Strategy.NO_STRATEGY, Strategy.COMPOUND_STRATEGY, Strategy.SUPPOSITION_FOLLOWING],
+    ):
+        with pytest.raises(StructureError, match="strictly increasing strategy order"):
+            CandidatePool(puzzle_id="p", candidates=[candidate(s, X) for s in strategies])
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +545,7 @@ def test_max_prob_invariant_under_positive_scaling(pool, scale):
 def reference_argbest(pool, indices, score_of, prefer_high):
     """Strict-comparison argmax/argmin in strategy order; returns the chosen
     index and whether another candidate scored exactly the same."""
-    ordered = sorted(indices, key=lambda i: pool.candidates[i].strategy)
+    ordered = sorted(indices, key=lambda i: Strategy.from_key(pool.candidates[i].strategy))
     best = ordered[0]
     best_score = score_of(pool.candidates[best])
     tie = False
@@ -544,7 +565,7 @@ kernel_score = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 2.0, math.inf, math.n
 @given(
     st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.tuples(
-            st.permutations(STRATEGIES).map(lambda order: order[:n]),
+            st.permutations(STRATEGIES).map(lambda order: sorted(order[:n])),
             st.lists(st.lists(kernel_score, min_size=n, max_size=n), min_size=1, max_size=4),
         )
     ),
@@ -555,16 +576,14 @@ def test_argbest_matches_the_scalar_loop(case, prefer_high):
     """One row per lambda: the kernel over all rows at once picks, row by
     row, the candidate and tie flag the scalar loop picks."""
     strategies, rows = case
-    pool = CandidatePool(
-        puzzle_id="p", family="kk", candidates=[Candidate(strategy=s, answer=X) for s in strategies]
-    )
+    pool = CandidatePool(puzzle_id="p", candidates=[candidate(s, X) for s in strategies])
     indices = list(range(len(strategies)))
     ordered = sorted(indices, key=lambda i: strategies[i])
     scores = np.array([[row[i] for i in ordered] for row in rows])
     positions, ties = argbest(scores, prefer_high)
     for row, position, tie in zip(rows, positions, ties):
         expected = reference_argbest(
-            pool, indices, lambda c: row[strategies.index(c.strategy)], prefer_high
+            pool, indices, lambda c: row[strategies.index(Strategy.from_key(c.strategy))], prefer_high
         )
         assert (ordered[position], bool(tie)) == expected
 
@@ -573,7 +592,7 @@ def reference_select(pool, criterion, lam):
     """The score criteria as the scalar loop selected them."""
     indices = [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
     if criterion is select_verifier:
-        score_of, prefer_high = (lambda c: c.verifier_score.mean), True
+        score_of, prefer_high = (lambda c: c.verifier.mean), True
     else:
         indices = [i for i in indices if pool.candidates[i].confidence is not None
                    and pool.candidates[i].confidence.defined]
@@ -590,7 +609,7 @@ def reference_select(pool, criterion, lam):
 
 @st.composite
 def shuffled_pools(draw):
-    strategies = draw(st.permutations(STRATEGIES))[: draw(st.integers(min_value=1, max_value=5))]
+    strategies = sorted(draw(st.permutations(STRATEGIES))[: draw(st.integers(min_value=1, max_value=5))])
     log_p = st.sampled_from([-math.inf, -1.0, -0.5, 0.0])
     entropy = st.sampled_from([0.0, 0.5, 1.0, -0.5])
     candidates = []
@@ -603,14 +622,14 @@ def shuffled_pools(draw):
         else:
             conf = ConfidenceScore(draw(log_p), draw(log_p), draw(entropy), draw(entropy))
         mean = draw(st.sampled_from([0.25, 0.5, 0.75, math.nan]))
-        candidates.append(Candidate(strategy, draw(st.sampled_from([X, Y, BAD])), conf, vscore(mean)))
-    return CandidatePool(puzzle_id="p", family="kk", candidates=candidates)
+        candidates.append(candidate(strategy, draw(st.sampled_from([X, Y, BAD])), conf, vscore(mean)))
+    return CandidatePool(puzzle_id="p", candidates=candidates)
 
 
 @given(shuffled_pools(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
 @settings(max_examples=500, deadline=None)
 def test_score_criteria_match_the_scalar_loop(pool, lam):
-    """Pools in any strategy order, with unscored, unparseable and NaN-scored
+    """Pools of any strategy subset, with unscored, unparseable and NaN-scored
     candidates and negative entropies: each score criterion picks what the
     scalar loop picked, or raises the same error type."""
     for criterion, args in ((select_max_prob, (lam,)), (select_min_entropy, (lam,)), (select_verifier, ())):
@@ -622,3 +641,4 @@ def test_score_criteria_match_the_scalar_loop(pool, lam):
             continue
         result = criterion(pool, *args)
         assert (result.chosen_index, result.tie_occurred) == expected
+

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import ConfigError, NoAnswerError
-from logicpool.harness.records import EvalRecord, candidate_pool
+from logicpool.harness.records import EvalRecord
 from logicpool.harness.run import apply_criterion
 from logicpool.harness.sweep import DEFAULT_GRID, sweep, sweep_csv
 from logicpool.prompts import Strategy
 from logicpool.scoring import ConfidenceScore
-from logicpool.selection import CanonicalAnswer
+from logicpool.selection import CandidatePool, CanonicalAnswer
 
 
 def record(puzzle_id, strategy, correct, p_rational, p_answer, h_rational=0.1, h_answer=0.1):
@@ -134,7 +134,10 @@ def reference_sweep(records, criterion, grid):
     grouped = {}
     for r in records:
         grouped.setdefault((r.puzzle_id, r.sample), []).append(r)
-    pools = [(candidate_pool(members), members) for members in grouped.values()]
+    pools = []
+    for members in grouped.values():
+        members = sorted(members, key=lambda r: Strategy.from_key(r.strategy))
+        pools.append((CandidatePool(members[0].puzzle_id, members), members))
     rows = []
     for lam in grid:
         correct = 0
