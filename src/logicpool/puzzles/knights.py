@@ -86,7 +86,7 @@ def solve_kk(statements: list[Statement] | tuple[Statement, ...], n_chars: int) 
         raise CapacityError(f"{n_chars} characters exceeds enumeration bound {MAX_CHARS}")
     code, bounds = compile_statements(list(statements), n_chars)
     masks = _kernels.kk_consistent_masks(code, bounds, n_chars)
-    return [assignment_from_mask(int(m), n_chars) for m in masks]
+    return [assignment_from_mask(m, n_chars) for m in masks]
 
 
 # ---------------------------------------------------------------------------

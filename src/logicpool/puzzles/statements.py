@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import StructureError
 
 KNIGHT = "knight"
@@ -123,33 +121,35 @@ def connective_count(statement: Statement) -> int:
     return 1 + connective_count(statement.left) + connective_count(statement.right)
 
 
-def compile_statements(statements: list[Statement], n_chars: int) -> tuple[np.ndarray, np.ndarray]:
+def compile_statements(
+    statements: list[Statement], n_chars: int
+) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Flatten statements into postfix bytecode for the solver kernels.
 
-    Returns ``(code, bounds)`` where ``code`` is an int64 array of
-    ``(opcode, arg1, arg2)`` rows and ``bounds[c]:bounds[c+1]`` delimits the
-    rows of statement ``c``. Atoms carry ``(character, claimed_knight)``.
+    Returns ``(code, bounds)`` where ``code`` is a list of ``(opcode, arg1,
+    arg2)`` rows and ``bounds[c]:bounds[c+1]`` delimits the rows of
+    statement ``c``. Atoms carry ``(character, claimed_knight)``.
     """
-    rows: list[tuple[int, int, int]] = []
-    bounds = np.zeros(len(statements) + 1, dtype=np.int64)
+    code: list[tuple[int, int, int]] = []
+    bounds = [0]
 
     def emit(s: Statement) -> None:
         if isinstance(s, Atom):
             if not 0 <= s.character < n_chars:
                 raise StructureError(f"statement references unknown character {s.character}")
-            rows.append((OP_ATOM, s.character, 1 if s.claimed == KNIGHT else 0))
+            code.append((OP_ATOM, s.character, 1 if s.claimed == KNIGHT else 0))
         elif isinstance(s, Not):
             emit(s.operand)
-            rows.append((OP_NOT, 0, 0))
+            code.append((OP_NOT, 0, 0))
         else:
             emit(s.left)
             emit(s.right)
-            rows.append((s.op, 0, 0))
+            code.append((s.op, 0, 0))
 
-    for i, statement in enumerate(statements):
+    for statement in statements:
         emit(statement)
-        bounds[i + 1] = len(rows)
-    return np.array(rows, dtype=np.int64).reshape(-1, 3), bounds
+        bounds.append(len(code))
+    return code, bounds
 
 
 def render_statement(statement: Statement) -> str:

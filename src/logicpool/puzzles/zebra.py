@@ -119,21 +119,7 @@ class ZebraPuzzle:
             if len(attr.values) != self.n_houses:
                 raise StructureError(f"attribute {attr.name!r} must have {self.n_houses} values")
         for clue in self.clues:
-            self._check_clue_refs(clue)
-
-    def _check_clue_refs(self, clue: Clue) -> None:
-        def check(attr: int, val: int) -> None:
-            if not 0 <= attr < len(self.attributes):
-                raise StructureError(f"clue references unknown attribute {attr}")
-            if not 0 <= val < self.n_houses:
-                raise StructureError(f"clue references unknown value {val}")
-
-        check(clue.a_attr, clue.a_val)
-        if clue.kind == AT_POSITION:
-            if not 0 <= clue.house < self.n_houses:
-                raise StructureError(f"clue references unknown house {clue.house}")
-        else:
-            check(clue.b_attr, clue.b_val)
+            _check_clue_refs(clue, self.n_houses, len(self.attributes))
 
     @property
     def n_attrs(self) -> int:
@@ -150,6 +136,29 @@ class ZebraPuzzle:
             {attr.name: attr.values[grid.value_index(h, a)] for a, attr in enumerate(self.attributes)}
             for h in range(self.n_houses)
         ]
+
+
+def _check_clue_refs(clue: Clue, n_houses: int, n_attrs: int) -> None:
+    def check(attr: int, val: int) -> None:
+        if not 0 <= attr < n_attrs:
+            raise StructureError(f"clue references unknown attribute {attr}")
+        if not 0 <= val < n_houses:
+            raise StructureError(f"clue references unknown value {val}")
+
+    check(clue.a_attr, clue.a_val)
+    if clue.kind == AT_POSITION:
+        if not 0 <= clue.house < n_houses:
+            raise StructureError(f"clue references unknown house {clue.house}")
+    else:
+        check(clue.b_attr, clue.b_val)
+
+
+def _check_capacity(n_houses: int, n_attrs: int) -> None:
+    if n_houses > MAX_HOUSES or n_attrs > MAX_ATTRS:
+        raise CapacityError(
+            f"{n_houses} houses x {n_attrs} attributes exceeds the enumeration guard "
+            f"({MAX_HOUSES}x{MAX_ATTRS})"
+        )
 
 
 def zebra_difficulty(n_houses: int, n_attrs: int) -> str:
@@ -207,13 +216,11 @@ def solve_zebra(
 
     ``limit`` caps the number of returned grids (uniqueness checks pass 2).
     """
-    if n_houses > MAX_HOUSES or n_attrs > MAX_ATTRS:
-        raise CapacityError(
-            f"{n_houses} houses x {n_attrs} attributes exceeds the enumeration guard "
-            f"({MAX_HOUSES}x{MAX_ATTRS})"
-        )
+    _check_capacity(n_houses, n_attrs)
     if n_houses < 2 or n_attrs < 1:
         raise StructureError("need n_houses >= 2 and at least one attribute")
+    for clue in clues:
+        _check_clue_refs(clue, n_houses, n_attrs)
     perms, pos = _position_table(n_houses)
     rows = _kernels.zebra_solutions(pos, _encode_clues(clues), n_attrs, limit)
     return [ZebraGrid(tuple(perms[int(j)] for j in row)) for row in rows]
@@ -255,10 +262,7 @@ def _all_true_clues(grid: ZebraGrid, n_houses: int, n_attrs: int) -> list[Clue]:
 def generate_zebra(n_houses: int, n_attrs: int, seed: int) -> ZebraPuzzle:
     """Sample a solution grid, saturate with true clues, then greedily drop
     clues while the solution stays unique. Deterministic given the seed."""
-    if n_houses > MAX_HOUSES or n_attrs > MAX_ATTRS:
-        raise CapacityError(
-            f"{n_houses} houses x {n_attrs} attributes exceeds the enumeration guard"
-        )
+    _check_capacity(n_houses, n_attrs)
     if n_houses < 2 or n_attrs < 2:
         raise GenerationError("need at least 2 houses and 2 attributes")
     rng = random.Random(f"zebra:{n_houses}x{n_attrs}:{seed}")
@@ -278,15 +282,17 @@ def generate_zebra(n_houses: int, n_attrs: int, seed: int) -> ZebraPuzzle:
     encoded = _encode_clues(clues).tolist()
     tables = _kernels.ZebraTables(_position_table(n_houses)[1], n_attrs, encoded)
     # Drop each clue in turn and put it back if the solution stops being
-    # unique. A drop that frees no cell leaves every table, and so the one
-    # solution, as it was. The clue under trial is compiled again rather
-    # than kept from the build: at 6x6 the 1,290 pair clues' (720, 720)
-    # tables would take 670 MB together.
+    # unique. The solution was unique before the drop and satisfies the
+    # dropped clue, so another one exists exactly when some grid uses a
+    # cell the drop freed; a drop that frees none needs no search. A clue
+    # is compiled again to take it out or put it back rather than kept from
+    # the build: at 6x6 the 1,290 pair clues' (720, 720) tables would take
+    # 670 MB together.
     kept = []
     for clue, row in zip(clues, encoded):
-        key, forbid = tables.compile(row)
-        if tables.remove(key, forbid) and len(tables.solutions(limit=2)) != 1:
-            tables.add(key, forbid)
+        key, freed = tables.remove(row)
+        if tables.has_solution_in(key, freed):
+            tables.add([row])
             kept.append(clue)
     kept.sort(key=_clue_sort_key)
 

@@ -533,6 +533,81 @@ def test_crash_with_verifier_criteria_waits_only_for_verifications(tmp_path, wor
     assert sum(r.verifier is not None for r in stored) == 9
 
 
+class CountdownMock(MockBackend):
+    """A mock that crashes on every backend call after its first ``calls``."""
+
+    def __init__(self, script, calls):
+        super().__init__(script)
+        self.calls = calls
+        self.lock = threading.Lock()
+
+    def _spend(self):
+        with self.lock:
+            self.calls -= 1
+            if self.calls < 0:
+                raise RuntimeError("backend crashed")
+
+    def generate(self, prompt, params):
+        self._spend()
+        return super().generate(prompt, params)
+
+    def completion_probability(self, prompt_text, candidates):
+        self._spend()
+        return super().completion_probability(prompt_text, candidates)
+
+
+@dataclass
+class CountdownBackendConfig(BackendConfig):
+    calls: int = 0
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return CountdownMock(json.load(handle), self.calls)
+
+
+def tear_last_line(path):
+    data = path.read_bytes()
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    path.write_bytes(data[: start + (len(data) - start) // 2])
+
+
+def run_outputs(run_dir):
+    records = [r.to_obj() for r in load_records(os.path.join(run_dir, "records.jsonl"))]
+    for record in records:
+        del record["elapsed_s"]
+    return (Path(run_dir, "selections.jsonl").read_bytes(), Path(run_dir, "report.md").read_bytes(), records)
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_a_crash_at_any_backend_call_resumes_to_the_uninterrupted_outputs(tmp_path, world, concurrency):
+    """The run crashes after k backend calls, for every k up to the 39 calls
+    the whole run makes, with the journal's last line torn on odd k. The
+    resume with an intact backend writes what an uninterrupted run does."""
+    _, paths = world
+
+    def config(name, **overrides):
+        criteria = ("majority_vote", "verifier", "oracle")
+        return mock_config(tmp_path, paths, run_name=name, criteria=criteria, concurrency=concurrency, **overrides)
+
+    whole = run(config("whole"))
+    assert whole.backend_calls == 39
+    expected = run_outputs(whole.run_dir)
+    for k in range(40):
+        backend = CountdownBackendConfig(kind="mock", script_path=paths["script"], calls=k)
+        try:
+            run(config(f"crash{k}", backend=backend))
+            crashed = False
+        except RuntimeError:
+            crashed = True
+        assert crashed == (k < 39), k
+        journal = tmp_path / f"crash{k}" / "journal.jsonl"
+        if k % 2 and journal.stat().st_size:
+            tear_last_line(journal)
+        resumed = run(config(f"crash{k}"))
+        assert resumed.exit_code == 0, k
+        assert run_outputs(resumed.run_dir) == expected, k
+
+
 def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
     """Run with one worker and all criteria, and return what happened in
     order: each submission to the worker pool ("generate" or "verify") and

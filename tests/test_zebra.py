@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -55,10 +56,35 @@ def test_solutions_in_lexicographic_order():
 
 
 def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        solve_zebra(7, 2, [])
-    with pytest.raises(CapacityError):
-        solve_zebra(3, 7, [])
+    # solving and generation share one guard, whose message names the limit
+    for call in (
+        lambda: solve_zebra(7, 2, []),
+        lambda: solve_zebra(3, 7, []),
+        lambda: generate_zebra(7, 2, seed=0),
+        lambda: generate_zebra(3, 7, seed=0),
+    ):
+        with pytest.raises(CapacityError, match=r"enumeration guard \(6x6\)"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "clue, message",
+    [
+        (Clue(AT_POSITION, 5, 0, house=0), "unknown attribute 5"),
+        (Clue(AT_POSITION, 0, 7, house=0), "unknown value 7"),
+        (Clue(AT_POSITION, 0, 0, house=2), "unknown house 2"),
+        (Clue(SAME_HOUSE, 0, 0, 2, 1), "unknown attribute 2"),
+        (Clue(NEXT_TO, 0, 0, 1, 7), "unknown value 7"),
+    ],
+)
+def test_solver_refuses_clues_outside_the_grid(clue, message):
+    """The solver checks clue references as a puzzle does, rather than
+    ignoring the clue or failing on an index."""
+    attributes = (Attribute("name", ("Alice", "Peter")), Attribute("pet", ("cat", "dog")))
+    with pytest.raises(StructureError, match=message):
+        solve_zebra(2, 2, [clue])
+    with pytest.raises(StructureError, match=message):
+        ZebraPuzzle("z", 2, attributes, (clue,), ZebraGrid(((0, 1), (0, 1))))
 
 
 def test_limit_truncates():
@@ -270,3 +296,25 @@ def test_5x5_puzzle_is_minimal():
     for dropped in range(len(puzzle.clues)):
         remaining = [c for i, c in enumerate(puzzle.clues) if i != dropped]
         assert len(solve_zebra(5, 5, remaining, limit=2)) == 2
+
+
+# sha256 of puzzle_to_json at shapes beyond the desk corpus, where the
+# minimizer's uniqueness search does the most work: the kept clue set must
+# not move when the search changes.
+GENERATED_SHA256 = {
+    (5, 5, 0): "e4ce95ef304ed98360d98afa175af15c19be6ef7f98a63ac0770751f48a679ae",
+    (5, 5, 1): "6e28f4e67294eabe20aea862e16200edde80d12b9cdef1ad7842760c38f15ffc",
+    (5, 5, 2): "3c6a90251df10cc30dde0115603a8a7cc87af9e51f34ae0ce4773677310a9896",
+    (6, 4, 0): "7ec79dab1ce28cf809e55b9cd9ddae0d38d125df09357c2baa4d98cea69354d6",
+    (6, 4, 1): "24aecb872aeec7bcd925bc4426a1ac153d93f4d0f8749702a15bd58b987866a9",
+    (5, 3, 0): "105cad4b05534574b6fa1ee15acef4e9f937d2bee072a89a599b6c46c09c7d22",
+    (3, 6, 0): "b2276fc0dd1d2c9cc27545acab2f3565b98ac4727de9e8ebe079684bcb7fa5c7",
+    (6, 6, 0): "efabe1ddce50eb082341ca6faf790e51397946a271d9cc7e7d40da8b0fce3c9a",
+}
+
+
+@pytest.mark.parametrize("shape", list(GENERATED_SHA256), ids=lambda s: f"{s[0]}x{s[1]}-seed{s[2]}")
+def test_generation_is_pinned_beyond_the_desk_shapes(shape):
+    n_houses, n_attrs, seed = shape
+    text = puzzle_to_json(generate_zebra(n_houses, n_attrs, seed=seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_SHA256[shape]
