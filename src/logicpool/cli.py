@@ -56,6 +56,17 @@ def _parse_zebra_configs(text: str) -> tuple[tuple[int, int, int], ...]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.preset == "desk":
+        given = [
+            flag
+            for flag, value in (
+                ("--kk-sizes", args.kk_sizes),
+                ("--kk-per-size", args.kk_per_size),
+                ("--zebra-configs", args.zebra_configs),
+            )
+            if value
+        ]
+        if given:
+            raise ConfigError(f"gen: --preset desk takes only --seed, not {', '.join(given)}")
         spec = desk_generate_spec(args.seed)
     else:
         spec = GenerateSpec(
@@ -65,8 +76,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         if not spec.kk_sizes and not spec.zebra_configs:
-            print("gen: nothing to generate (use --preset desk or --kk-sizes/--zebra-configs)", file=sys.stderr)
-            return 1
+            raise ConfigError("gen: nothing to generate (use --preset desk or --kk-sizes/--zebra-configs)")
         if spec.kk_sizes and spec.kk_per_size < 1:
             raise ConfigError(f"--kk-per-size must be at least 1 with --kk-sizes, got {spec.kk_per_size}")
     config = ExperimentConfig(run_dir=".", generate=spec)

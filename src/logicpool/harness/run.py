@@ -353,17 +353,6 @@ class _Runner:
         elif os.path.abspath(config.corpus_path) != os.path.abspath(corpus_path):
             shutil.copyfile(config.corpus_path, corpus_path)
 
-        # replay means no inner client: a journal miss is an error
-        inner = None if config.replay else config.backend.build()
-        client = JournalingClient(os.path.join(run_dir, JOURNAL_FILE), inner)
-        if config.verifier_backend is not None:
-            verifier_inner = None if config.replay else config.verifier_backend.build()
-            verifier_client = JournalingClient(
-                os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner
-            )
-        else:
-            verifier_client = client
-
         records_path = os.path.join(run_dir, RECORDS_FILE)
         stored = load_records(records_path, torn="truncate") if os.path.exists(records_path) else []
         # a stored record is reused only for the very request it answers
@@ -386,7 +375,17 @@ class _Runner:
         started: deque[list[_CandidateTask]] = deque()
         # scored pools, in corpus order, that may still wait on verifications
         waiting: deque[_Pool] = deque()
+        journals = contextlib.ExitStack()
         try:
+            # replay means no inner client: a journal miss is an error
+            inner = None if config.replay else config.backend.build()
+            client = journals.enter_context(JournalingClient(os.path.join(run_dir, JOURNAL_FILE), inner))
+            verifier_client = client
+            if config.verifier_backend is not None:
+                verifier_inner = None if config.replay else config.verifier_backend.build()
+                verifier_client = journals.enter_context(
+                    JournalingClient(os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner)
+                )
             for i in range(len(units) + ahead):
                 if i < len(units):
                     puzzle, sample = units[i]
@@ -433,11 +432,13 @@ class _Runner:
                         task.future.cancel()
             raise
         finally:
-            try:
-                while waiting:
-                    self._finish(waiting.popleft(), records_path)
-            finally:
-                executor.shutdown(cancel_futures=True)
+            # the journals are closed on every way out, once the workers stop
+            with journals:
+                try:
+                    while waiting:
+                        self._finish(waiting.popleft(), records_path)
+                finally:
+                    executor.shutdown(cancel_futures=True)
 
         # the file must hold exactly this run's records: the appends already
         # do unless a resume dropped, replaced or added some

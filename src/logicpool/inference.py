@@ -14,6 +14,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from collections.abc import Sequence as SequenceABC
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
@@ -513,7 +514,7 @@ def generate_request(
 
 @dataclass
 class JournalStats:
-    backend_calls: int = 0
+    backend_calls: int = 0  # backend calls whose response was journaled
     served_from_journal: int = 0
 
 
@@ -528,6 +529,19 @@ class JournalingClient:
     Opening the journal is one buffered pass that keeps only each line's
     key and byte offset; an entry is parsed when a lookup asks for it, so a
     fully cached rerun decodes nothing.
+
+    The journal is read and written through one descriptor that stays open
+    until ``close()`` (or the end of a ``with`` block). It is opened once
+    the load has truncated a torn final line, or at the first append when
+    there is no journal yet, so a replay without a journal creates no file.
+    An append is one write of the whole line, and a lookup one ``pread``.
+    This client must be the journal's only writer, as the run directory's
+    lock makes it: an entry's offset is the journal size this client knows,
+    not one asked of the file. The lock is held only while an append writes
+    and indexes its line and counts the backend call; lookups read the
+    index without it, since the index only grows, and take it only to
+    count a hit. A client dropped without ``close()`` closes its descriptor
+    when it is garbage-collected.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -537,13 +551,36 @@ class JournalingClient:
         self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int, int]] = {}  # key -> (offset, length, line)
         self._lines = 0
+        self._size = 0  # bytes in the journal: the next entry's offset
+        self._fd: int | None = None  # None until opened, -1 once closed
+        self._closer: weakref.finalize | None = None
         self._load()
+
+    def __enter__(self) -> "JournalingClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the journal. Call it once no lookup or append is in flight;
+        any after it fails."""
+        self._fd = -1
+        if self._closer is not None:
+            self._closer()
+
+    def _open(self) -> None:
+        fd = os.open(self.journal_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        self._closer = weakref.finalize(self, os.close, fd)
+        self._size = os.fstat(fd).st_size
+        self._fd = fd
 
     def _load(self) -> None:
         """Index the journal under the JSON-lines rule (a torn final line is
-        truncated away). Every entry is written key first, so a line that
-        does not start with its key and end with ``}`` is a DataError. The
-        format check reads only the line's head, up to its tokens list."""
+        truncated away) and open it. Every entry is written key first, so a
+        line that does not start with its key and end with ``}`` is a
+        DataError. The format check reads only the line's head, up to its
+        tokens list."""
         if not os.path.exists(self.journal_path):
             return
 
@@ -563,27 +600,37 @@ class JournalingClient:
         for number, offset, (key, length) in read_lines(self.journal_path, key_of, torn="truncate"):
             self._index[key] = (offset, length, number)
             self._lines = number
+        self._open()
 
     def _append(self, entry: dict[str, Any]) -> None:
+        """Write one entry and count the backend call that produced it. A
+        write that fails or stops short is cut back off the journal, so the
+        next append starts on a clean line."""
         line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.journal_path, "ab") as handle:
-                offset = handle.seek(0, os.SEEK_END)
-                handle.write(line)
+            if self._fd is None:
+                self._open()
+            offset, written = self._size, 0
+            try:
+                while written < len(line):
+                    written += os.write(self._fd, line[written:])
+            except BaseException:
+                os.ftruncate(self._fd, offset)
+                raise
+            self._size = offset + len(line)
             self._lines += 1
             self._index[entry["key"]] = (offset, len(line), self._lines)
+            self.stats.backend_calls += 1
 
     def _lookup(self, key: str, decode: Callable[[dict[str, Any]], T]) -> T | None:
         """Parse the entry under ``key`` and decode its response, or None."""
+        found = self._index.get(key)
+        if found is None:
+            return None
         with self._lock:
-            found = self._index.get(key)
-            if found is None:
-                return None
             self.stats.served_from_journal += 1
         offset, length, number = found
-        with open(self.journal_path, "rb") as handle:
-            handle.seek(offset)
-            raw = handle.read(length)
+        raw = os.pread(self._fd, length, offset)
         try:
             return decode(json.loads(raw))
         except (ValueError, TypeError, KeyError, DataError) as exc:
@@ -615,8 +662,6 @@ class JournalingClient:
         started = time.monotonic()
         response = self.inner.generate(text, params)
         elapsed = round(time.monotonic() - started, 6)
-        with self._lock:
-            self.stats.backend_calls += 1
         self._append(
             {
                 "key": key,
@@ -646,7 +691,5 @@ class JournalingClient:
                 f"no journaled verification for prompt starting {prompt_text_[:60]!r}"
             )
         result = self.inner.completion_probability(prompt_text_, candidates)
-        with self._lock:
-            self.stats.backend_calls += 1
         self._append({"key": key, "kind": "completion_probability", "request": request, "response": result})
         return result

@@ -8,6 +8,7 @@ path with the bytecode/kernel solvers they check.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import pytest
@@ -129,6 +130,38 @@ def random_zebra_clues(rng: random.Random, n_houses: int, n_attrs: int, n_clues:
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+_FD_DIR = "/proc/self/fd"
+
+
+def _open_fds() -> dict[str, str]:
+    fds = {}
+    for fd in os.listdir(_FD_DIR):
+        try:
+            fds[fd] = os.readlink(os.path.join(_FD_DIR, fd))
+        except OSError:  # the directory's own descriptor, closed by now
+            pass
+    return fds
+
+
+@pytest.fixture
+def no_fd_leaks():
+    """Fail the test if it leaves a file descriptor open that was not open
+    before it. ``error::ResourceWarning`` catches only file objects; this
+    also catches raw descriptors. The fixture's value runs the same check
+    mid-test. Checks nothing where the process has no ``/proc/self/fd``."""
+    if not os.path.isdir(_FD_DIR):
+        yield lambda: None
+        return
+    before = _open_fds()
+
+    def check() -> None:
+        leaked = {fd: target for fd, target in _open_fds().items() if before.get(fd) != target}
+        assert not leaked, f"descriptors left open: {leaked}"
+
+    yield check
+    check()
 
 
 # ---------------------------------------------------------------------------

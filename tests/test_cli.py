@@ -69,10 +69,14 @@ def test_render_from_corpus_file(tmp_path, capsys):
         (["gen", "--out", "{out}", "--zebra-configs", "1x3"], "--zebra-configs '1x3'"),
         (["gen", "--out", "{out}", "--zebra-configs", "2x2:1,7x7:1"], "--zebra-configs '7x7:1': 7x7 is not a shape from 2x2 to 6x6"),
         (["render", "--strategy", "no_strategy", "--family", "zebra", "--houses", "7"], "--houses/--attrs: 7x2 is not a shape from 2x2 to 6x6"),
+        (["gen", "--out", "{out}", "--preset", "desk", "--kk-sizes", "3", "--zebra-configs", "2x2:1"],
+         "--preset desk takes only --seed, not --kk-sizes, --zebra-configs"),
+        (["gen", "--out", "{out}"], "gen: nothing to generate"),
     ],
     ids=["index-out-of-range", "malformed-puzzle-file", "bad-zebra-configs", "bad-kk-sizes",
          "n-chars-above-6", "n-chars-below-3", "kk-size-above-6", "kk-per-size-zero",
-         "zebra-count-zero", "zebra-one-house", "zebra-above-6x6", "render-zebra-above-6x6"],
+         "zebra-count-zero", "zebra-one-house", "zebra-above-6x6", "render-zebra-above-6x6",
+         "desk-preset-with-shape-flags", "gen-nothing"],
 )
 def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
     corpus = tmp_path / "c.jsonl"

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logicpool import inference
 from logicpool.cli import main as cli_main
@@ -35,6 +36,10 @@ from logicpool.selection import CRITERIA, CanonicalAnswer
 from logicpool.verifier import chunk
 
 from conftest import STRATEGY_SENTINELS, ClosedWorld
+
+
+# every test here must close the files and descriptors it opens
+pytestmark = pytest.mark.usefixtures("no_fd_leaks")
 
 
 def mock_config(tmp_path, world_paths, run_name="run", **overrides):
@@ -533,6 +538,51 @@ def test_crash_with_verifier_criteria_waits_only_for_verifications(tmp_path, wor
     assert sum(r.verifier is not None for r in stored) == 9
 
 
+@pytest.fixture
+def kept_journals(monkeypatch):
+    """Every journal client a run opens, kept alive after the run, so that
+    only the run's own close() frees a journal's descriptor."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    kept = []
+
+    class KeptJournal(inference.JournalingClient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    monkeypatch.setattr(run_module, "JournalingClient", KeptJournal)
+    return kept
+
+
+def test_run_closes_its_journals_after_a_clean_run_and_a_replay(tmp_path, world, no_fd_leaks, kept_journals):
+    _, paths = world
+    verifier = BackendConfig(kind="mock", script_path=paths["script"])
+    assert run(mock_config(tmp_path, paths, run_name="closed", verifier_backend=verifier)).exit_code == 0
+    assert len(kept_journals) == 2
+    no_fd_leaks()
+    replayed = run(mock_config(tmp_path, paths, run_name="closed", verifier_backend=verifier, replay=True))
+    assert replayed.exit_code == 0 and replayed.backend_calls == 0
+    assert len(kept_journals) == 4
+    no_fd_leaks()
+    # a replay without journals fails every request and creates no journal
+    missing = run(mock_config(tmp_path, paths, run_name="closed_empty", verifier_backend=verifier, replay=True))
+    assert missing.exit_code == 2
+    assert len(kept_journals) == 6
+    assert not (tmp_path / "closed_empty" / "journal.jsonl").exists()
+    assert not (tmp_path / "closed_empty" / "verifier_journal.jsonl").exists()
+
+
+def test_run_closes_its_journals_after_a_crash(tmp_path, world, no_fd_leaks, kept_journals):
+    world_obj, paths = world
+    backend = CrashingBackendConfig(
+        kind="mock", script_path=paths["script"], needle=world_obj.question_needle("zebraA")
+    )
+    with pytest.raises(RuntimeError):
+        run(mock_config(tmp_path, paths, run_name="closed_crash", backend=backend))
+    assert len(kept_journals) == 1
+    no_fd_leaks()
+
+
 class CountdownMock(MockBackend):
     """A mock that crashes on every backend call after its first ``calls``."""
 
@@ -607,6 +657,45 @@ def test_a_crash_at_any_backend_call_resumes_to_the_uninterrupted_outputs(tmp_pa
         assert resumed.exit_code == 0, k
         assert run_outputs(resumed.run_dir) == expected, k
 
+
+@pytest.fixture(scope="module")
+def uninterrupted(world, tmp_path_factory):
+    """The outputs of the crash-point runs when nothing crashes, by concurrency."""
+    _, paths = world
+    base = tmp_path_factory.mktemp("uninterrupted")
+    return {
+        concurrency: run_outputs(run(crash_point_config(base, paths, f"whole{concurrency}", concurrency)).run_dir)
+        for concurrency in (1, 3)
+    }
+
+
+def crash_point_config(base, paths, name, concurrency, **overrides):
+    criteria = ("majority_vote", "verifier", "oracle")
+    return mock_config(base, paths, run_name=name, criteria=criteria, concurrency=concurrency, **overrides)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(0, 38), concurrency=st.sampled_from([1, 3]), cut=st.integers(0, 1000))
+def test_a_crash_at_a_drawn_call_and_a_cut_in_the_last_journal_line_resumes(
+    world, uninterrupted, tmp_path_factory, k, concurrency, cut
+):
+    """The run crashes after a drawn number k of the 39 backend calls, at
+    concurrency 1 or 3, and the journal's last line is cut after ``cut``
+    thousandths of its bytes (1000 leaves it whole, 0 removes it). The
+    resume with an intact backend writes what an uninterrupted run does."""
+    _, paths = world
+    base = tmp_path_factory.mktemp("crash_point")
+    backend = CountdownBackendConfig(kind="mock", script_path=paths["script"], calls=k)
+    with pytest.raises(RuntimeError):
+        run(crash_point_config(base, paths, "run", concurrency, backend=backend))
+    journal = base / "run" / "journal.jsonl"
+    if journal.exists():
+        size = journal.stat().st_size
+        last_line = journal.read_bytes().rfind(b"\n", 0, size - 1) + 1
+        os.truncate(journal, last_line + (size - last_line) * cut // 1000)
+    resumed = run(crash_point_config(base, paths, "run", concurrency))
+    assert resumed.exit_code == 0
+    assert run_outputs(resumed.run_dir) == uninterrupted[concurrency]
 
 def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
     """Run with one worker and all criteria, and return what happened in

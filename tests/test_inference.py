@@ -1,6 +1,8 @@
+import errno
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -19,10 +21,14 @@ from logicpool.inference import (
     SamplingParams,
     TokenInfo,
     first_token_candidate_mass,
+    generate_request,
     make_token,
     response_from_obj,
     response_to_obj,
 )
+
+# every test here must close the files and descriptors it opens
+pytestmark = pytest.mark.usefixtures("no_fd_leaks")
 
 
 def test_requests_is_imported_only_by_the_http_client():
@@ -483,3 +489,115 @@ def test_concurrent_appends_and_lookups_keep_the_index_consistent(tmp_path):
     reopened = JournalingClient(str(journal))
     for prompt in prompts:
         assert reopened.generate(prompt, SamplingParams()).full_text == prompt
+
+
+def test_threaded_appends_and_lookups_index_every_entry_at_its_own_offset(tmp_path):
+    """Writers append distinct entries while readers look up entries that
+    may not be written yet and entries that never are."""
+    journal = tmp_path / "journal.jsonl"
+    client = JournalingClient(str(journal), _EchoBackend())
+    writers, readers, per_writer = 6, 4, 40
+    batches = [[f"p{w * per_writer + i}" for i in range(per_writer)] for w in range(writers)]
+    prompt_of = {generate_request(p, SamplingParams())[0]: p for batch in batches for p in batch}
+    written = list(prompt_of)
+    absent = [generate_request(f"x{i}", SamplingParams())[0] for i in range(50)]
+    writing_done = threading.Event()
+    errors = []
+
+    def write(batch):
+        try:
+            for prompt in batch:
+                assert client.generate(prompt, SamplingParams()).full_text == prompt
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def read(seed):
+        rng = random.Random(seed)
+        try:
+            while not writing_done.is_set():
+                key = rng.choice(written)
+                entry = client._lookup(key, lambda entry: entry)
+                assert entry is None or entry["request"]["prompt"] == prompt_of[key]
+                assert client._lookup(rng.choice(absent), lambda entry: entry) is None
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reading = [threading.Thread(target=read, args=(n,)) for n in range(readers)]
+        writing = [threading.Thread(target=write, args=(batch,)) for batch in batches]
+        for thread in reading + writing:
+            thread.start()
+        for thread in writing:
+            thread.join(timeout=60)
+        writing_done.set()
+        for thread in reading:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in reading + writing)
+    assert errors == []
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert client.stats.backend_calls == len(lines) == writers * per_writer
+    assert sorted(client._index) == sorted(written)
+    for key, (offset, length, number) in client._index.items():
+        raw = os.pread(client._fd, length, offset)
+        assert raw == lines[number - 1]
+        assert json.loads(raw)["key"] == key
+    client.close()
+    with JournalingClient(str(journal)) as reopened:
+        assert reopened._index == client._index
+
+
+def test_a_failed_journal_write_is_cut_back_before_the_next_append(tmp_path, monkeypatch):
+    """A write that stops half way through a line and fails leaves the
+    journal as it was, so the next append and the next load read clean."""
+    journal = tmp_path / "journal.jsonl"
+    inner = _CountingBackend()
+    client = JournalingClient(str(journal), inner)
+    client.generate("p", SamplingParams())
+    intact = journal.read_bytes()
+    real_write = os.write
+
+    def half_then_fail(fd, data):
+        if fd != client._fd:
+            return real_write(fd, data)
+        real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        client.generate("q", SamplingParams())
+    monkeypatch.undo()
+    assert journal.read_bytes() == intact
+    client.generate("r", SamplingParams())
+    client.generate("q", SamplingParams())  # the lost response is asked for again
+    assert inner.calls == 4 and client.stats.backend_calls == 3
+    client.close()
+    assert [json.loads(line)["request"]["prompt"] for line in journal.read_text().splitlines()] == ["p", "r", "q"]
+    with JournalingClient(str(journal)) as reopened:
+        for prompt in ("p", "q", "r"):
+            assert reopened.generate(prompt, SamplingParams()).full_text == "hi"
+        assert reopened.stats.backend_calls == 0
+
+
+def test_journal_descriptor_lives_until_close_or_collection(tmp_path, no_fd_leaks):
+    missing = tmp_path / "missing.jsonl"
+    with JournalingClient(str(missing)) as replayer:
+        with pytest.raises(ReplayMissError):
+            replayer.generate("p", SamplingParams())
+    assert not missing.exists()  # a replay creates no journal
+
+    journal = tmp_path / "journal.jsonl"
+    with JournalingClient(str(journal), _CountingBackend()) as client:
+        recorded = client.generate("p", SamplingParams())  # opens the journal
+        assert client.generate("p", SamplingParams()) == recorded
+    no_fd_leaks()
+    with pytest.raises(OSError):  # a closed client serves nothing
+        client.generate("p", SamplingParams())
+
+    dropped = JournalingClient(str(journal))  # opens the journal at load
+    assert dropped.generate("p", SamplingParams()) == recorded
+    del dropped
+    no_fd_leaks()
