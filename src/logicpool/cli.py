@@ -18,7 +18,8 @@ from .harness.config import (
     check_kk_size, check_zebra_shape, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec,
 )
 from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
-from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment, write_reports
+from .harness.report import ReportTable, write_reports
+from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment
 from .harness.sweep import sweep, sweep_csv
 from .prompts import Strategy, render
 from .puzzles import generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
@@ -86,15 +87,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_tables(tables: dict[str, ReportTable]) -> None:
+    for family, table in tables.items():
+        print(f"[{family}]")
+        print(table.to_markdown())
+        print()
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_file(args.config)
     if args.replay:
         config.replay = True
     result = run_experiment(config)
-    for family, table in result.tables.items():
-        print(f"[{family}]")
-        print(table.to_markdown())
-        print()
+    _print_tables(result.tables)
     if result.failures:
         print(f"{len(result.failures)} partial failures; see failures.jsonl", file=sys.stderr)
     print(f"run dir: {result.run_dir} (backend calls: {result.backend_calls})")
@@ -104,11 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     records = load_records(os.path.join(args.run_dir, RECORDS_FILE))
     selections = load_selections(os.path.join(args.run_dir, SELECTIONS_FILE))
-    tables = write_reports(args.run_dir, records, selections)
-    for family, table in tables.items():
-        print(f"[{family}]")
-        print(table.to_markdown())
-        print()
+    _print_tables(write_reports(args.run_dir, records, selections))
     return 0
 
 

@@ -139,6 +139,11 @@ class ExperimentConfig:
                 if count < 1:
                     raise ConfigError(f"config corpus.generate.zebra_configs: {list(entry)} has a count below 1")
                 check_zebra_shape(houses, attrs, "config corpus.generate.zebra_configs")
+            if not self.generate.kk_sizes and not self.generate.zebra_configs:
+                raise ConfigError(
+                    "config corpus.generate: generates no puzzles; give kk_sizes and kk_per_size, "
+                    "zebra_configs, or the desk preset"
+                )
 
     def strategy_pool(self) -> list[Strategy]:
         """The pool's strategies in enum order, the order of a pool's records."""

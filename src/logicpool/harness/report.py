@@ -1,16 +1,22 @@
-"""Difficulty-stratified accuracy tables from records and selection rows."""
+"""Accuracy tables, clue-count series and report files from records and
+selection rows. One rule names the row an outcome counts toward: a record's
+strategy title ("No strategy", ...), a selection row's criterion, and
+``Oracle`` for the oracle criterion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Iterator
 
 from ..prompts import Strategy
 from ..selection import ORACLE
 from .records import EvalRecord, SelectionRow
 
-KK_STRATA = ("3 Person", "4 Person", "5 Person", "6 Person")
-KK_COLUMNS = KK_STRATA + ("Avg.",)
+KK_COLUMNS = ("3 Person", "4 Person", "5 Person", "6 Person", "Avg.")
 ZEBRA_COLUMNS = ("Easy Avg.", "Hard Avg.", "All Avg.")
+REPORT_MD_FILE = "report.md"
+_HEADINGS = {"kk": "Knights and knaves", "zebra": "Zebra"}  # report.md sections, in order
 
 
 @dataclass
@@ -29,14 +35,16 @@ class Cell:
 
 @dataclass
 class ReportTable:
-    """Rows are single strategies, then criteria, then the oracle; columns
-    are the family's difficulty strata plus the overall average."""
+    """Rows are every strategy in enum order, then the criteria in the order
+    the selection rows first name them; columns are the family's difficulty
+    strata plus the overall average."""
 
     family: str
     columns: tuple[str, ...]
     rows: list[tuple[str, dict[str, Cell]]] = field(default_factory=list)
 
     def row(self, name: str) -> dict[str, Cell]:
+        """The row's cells, added as an empty row if the table lacks it."""
         for row_name, cells in self.rows:
             if row_name == name:
                 return cells
@@ -45,65 +53,64 @@ class ReportTable:
         return cells
 
     def accuracy(self, name: str, column: str) -> float | None:
-        return self.row(name)[column].accuracy
+        """The accuracy in one cell, None where it holds no outcome. A row
+        the table lacks is a KeyError."""
+        for row_name, cells in self.rows:
+            if row_name == name:
+                return cells[column].accuracy
+        raise KeyError(f"{self.family} table has no row {name!r}")
+
+    def _grid(self, corner: str, number: Callable[[float], str], empty: str) -> list[list[str]]:
+        """The header (``corner``, then the columns) and one line per row:
+        its name, then each cell's accuracy through ``number``, or ``empty``
+        where the cell holds no outcome."""
+        grid = [[corner, *self.columns]]
+        for name, cells in self.rows:
+            accuracies = (cells[column].accuracy for column in self.columns)
+            grid.append([name, *(empty if value is None else number(value) for value in accuracies)])
+        return grid
 
     def to_markdown(self) -> str:
-        header = f"| {'':24} | " + " | ".join(self.columns) + " |"
-        divider = "|" + "-" * 26 + "|" + "|".join("-" * (len(c) + 2) for c in self.columns) + "|"
-        lines = [header, divider]
-        for name, cells in self.rows:
-            rendered = []
-            for column in self.columns:
-                cell = cells[column]
-                rendered.append("-" if cell.accuracy is None else f"{cell.accuracy * 100:.1f}%")
-            lines.append(f"| {name:24} | " + " | ".join(rendered) + " |")
+        lines = [
+            f"| {name:24} | " + " | ".join(cells) + " |"
+            for name, *cells in self._grid("", lambda value: f"{value * 100:.1f}%", "-")
+        ]
+        lines.insert(1, "|" + "-" * 26 + "|" + "|".join("-" * (len(c) + 2) for c in self.columns) + "|")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        lines = ["row," + ",".join(self.columns)]
-        for name, cells in self.rows:
-            rendered = []
-            for column in self.columns:
-                cell = cells[column]
-                rendered.append("" if cell.accuracy is None else f"{cell.accuracy:.6f}")
-            lines.append(f"{name}," + ",".join(rendered))
-        return "\n".join(lines)
+        return "\n".join(",".join(line) for line in self._grid("row", lambda value: f"{value:.6f}", ""))
 
 
-def _kk_columns_for(difficulty: str) -> tuple[str, ...]:
-    return (difficulty, "Avg.")
-
-
-def _zebra_columns_for(difficulty: str) -> tuple[str, ...]:
-    return ("Easy Avg." if difficulty == "easy" else "Hard Avg.", "All Avg.")
-
-
-def _columns_for(family: str, difficulty: str) -> tuple[str, ...]:
-    return _kk_columns_for(difficulty) if family == "kk" else _zebra_columns_for(difficulty)
+def _outcomes(
+    records: list[EvalRecord], selections: list[SelectionRow], family: str
+) -> Iterator[tuple[str, int | None, str, bool]]:
+    """(difficulty, n_clues, row name, correct) for every record of the
+    family, then for every selection row of it."""
+    for record in records:
+        if record.family == family:
+            title = Strategy.from_key(record.strategy).title
+            yield record.difficulty, record.n_clues, title, record.correct
+    for row in selections:
+        if row.family == family:
+            name = "Oracle" if row.criterion == ORACLE else row.criterion
+            yield row.difficulty, row.n_clues, name, row.correct
 
 
 def stratify(records: list[EvalRecord], selections: list[SelectionRow], family: str) -> ReportTable:
-    """Accuracy per (row, stratum): strategy rows from records, criterion
-    and oracle rows from selection outcomes."""
-    columns = KK_COLUMNS if family == "kk" else ZEBRA_COLUMNS
-    table = ReportTable(family=family, columns=columns)
-
-    for strategy in Strategy:  # fix row order up front
+    """Accuracy per (row, stratum) over the family's outcomes. An outcome
+    counts in its stratum's column (a kk difficulty, or zebra's easy or hard
+    average) and in the last column, the family's overall average."""
+    table = ReportTable(family=family, columns=KK_COLUMNS if family == "kk" else ZEBRA_COLUMNS)
+    for strategy in Strategy:  # every strategy has a row, in enum order
         table.row(strategy.title)
-    for record in records:
-        if record.family != family:
-            continue
-        cells = table.row(Strategy.from_key(record.strategy).title)
-        for column in _columns_for(family, record.difficulty):
-            cells[column].add(record.correct)
-
-    for row in selections:
-        if row.family != family:
-            continue
-        name = "Oracle" if row.criterion == ORACLE else row.criterion
+    overall = table.columns[-1]
+    for difficulty, _, name, correct in _outcomes(records, selections, family):
+        if family != "kk":
+            difficulty = "Easy Avg." if difficulty == "easy" else "Hard Avg."
         cells = table.row(name)
-        for column in _columns_for(family, row.difficulty):
-            cells[column].add(row.correct)
+        cells[difficulty].add(correct)
+        cells[overall].add(correct)
     return table
 
 
@@ -113,25 +120,10 @@ def clue_count_series(
     """Accuracy grouped by zebra clue count: (row name, n_clues, accuracy,
     total) tuples, plot-ready."""
     cells: dict[tuple[str, int], Cell] = {}
-
-    def bump(name: str, n_clues: int | None, ok: bool) -> None:
-        if n_clues is None:
-            return
-        cells.setdefault((name, n_clues), Cell()).add(ok)
-
-    for record in records:
-        if record.family == "zebra":
-            bump(Strategy.from_key(record.strategy).title, record.n_clues, record.correct)
-    for row in selections:
-        if row.family == "zebra":
-            name = "Oracle" if row.criterion == ORACLE else row.criterion
-            bump(name, row.n_clues, row.correct)
-    series = [
-        (name, n_clues, cell.accuracy or 0.0, cell.total)
-        for (name, n_clues), cell in cells.items()
-    ]
-    series.sort(key=lambda item: (item[0], item[1]))
-    return series
+    for _, n_clues, name, correct in _outcomes(records, selections, "zebra"):
+        if n_clues is not None:
+            cells.setdefault((name, n_clues), Cell()).add(correct)
+    return sorted((name, n_clues, cell.accuracy or 0.0, cell.total) for (name, n_clues), cell in cells.items())
 
 
 def clue_series_csv(series: list[tuple[str, int, float, int]]) -> str:
@@ -139,3 +131,21 @@ def clue_series_csv(series: list[tuple[str, int, float, int]]) -> str:
     for name, n_clues, accuracy, total in series:
         lines.append(f"{name},{n_clues},{accuracy:.6f},{total}")
     return "\n".join(lines)
+
+
+def write_reports(
+    run_dir: str, records: list[EvalRecord], selections: list[SelectionRow]
+) -> dict[str, ReportTable]:
+    """Write ``report.md``, a ``report_<family>.csv`` per family that has
+    records and, with zebra records, ``clue_accuracy.csv``; return the
+    tables by family."""
+    families = {record.family for record in records}
+    tables = {family: stratify(records, selections, family) for family in _HEADINGS if family in families}
+    for family, table in tables.items():
+        Path(run_dir, f"report_{family}.csv").write_text(table.to_csv() + "\n", encoding="utf-8")
+    if "zebra" in tables:
+        series = clue_count_series(records, selections)
+        Path(run_dir, "clue_accuracy.csv").write_text(clue_series_csv(series) + "\n", encoding="utf-8")
+    sections = [f"## {_HEADINGS[family]}\n\n{table.to_markdown()}\n" for family, table in tables.items()]
+    Path(run_dir, REPORT_MD_FILE).write_text("# Accuracy report\n\n" + "\n".join(sections), encoding="utf-8")
+    return tables

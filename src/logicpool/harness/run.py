@@ -57,7 +57,8 @@ from .records import (
     read_jsonl,
     write_jsonl,
 )
-from .report import ReportTable, clue_count_series, clue_series_csv, stratify
+# run() calls write_reports as this module's global, so it can be wrapped here
+from .report import ReportTable, write_reports
 
 RECORDS_FILE = "records.jsonl"
 SELECTIONS_FILE = "selections.jsonl"
@@ -66,7 +67,6 @@ VERIFIER_JOURNAL_FILE = "verifier_journal.jsonl"
 CORPUS_FILE = "corpus.jsonl"
 MANIFEST_FILE = "manifest.json"
 FAILURES_FILE = "failures.jsonl"
-REPORT_MD_FILE = "report.md"
 LOCK_FILE = ".lock"
 
 
@@ -339,6 +339,8 @@ class _Runner:
         # before the run directory is made, so a corpus that cannot be read
         # leaves no directory behind
         corpus = build_corpus(config)
+        if not corpus:  # an empty generate spec is refused with the config
+            raise ConfigError(f"config corpus.path: {config.corpus_path} holds no puzzles")
         os.makedirs(config.run_dir, exist_ok=True)
         with _run_lock(config.run_dir):
             return self._run_locked(corpus)
@@ -490,28 +492,6 @@ class _Runner:
         with open(os.path.join(run_dir, MANIFEST_FILE), "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, ensure_ascii=False)
             handle.write("\n")
-
-
-def write_reports(
-    run_dir: str, records: list[EvalRecord], selections: list[SelectionRow]
-) -> dict[str, ReportTable]:
-    tables: dict[str, ReportTable] = {}
-    sections: list[str] = []
-    for family, heading in (("kk", "Knights and knaves"), ("zebra", "Zebra")):
-        if not any(r.family == family for r in records):
-            continue
-        table = stratify(records, selections, family)
-        tables[family] = table
-        sections.append(f"## {heading}\n\n{table.to_markdown()}\n")
-        with open(os.path.join(run_dir, f"report_{family}.csv"), "w", encoding="utf-8") as handle:
-            handle.write(table.to_csv() + "\n")
-    if any(r.family == "zebra" for r in records):
-        series = clue_count_series(records, selections)
-        with open(os.path.join(run_dir, "clue_accuracy.csv"), "w", encoding="utf-8") as handle:
-            handle.write(clue_series_csv(series) + "\n")
-    with open(os.path.join(run_dir, REPORT_MD_FILE), "w", encoding="utf-8") as handle:
-        handle.write("# Accuracy report\n\n" + "\n".join(sections))
-    return tables
 
 
 def run(config: ExperimentConfig) -> RunResult:

@@ -15,7 +15,7 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Sequence as SequenceABC
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
@@ -500,15 +500,8 @@ def generate_request(
     """The journaled form of one generation and its key: the sha256 of the
     prompt text, every sampling parameter and the tag. The key is the one
     identity of a response, in the journal and in the run's records."""
-    request = {
-        "prompt": prompt_text(prompt),
-        "top_p": params.top_p,
-        "temperature": params.temperature,
-        "max_tokens": params.max_tokens,
-        "seed": params.seed,
-        "top_k": params.top_k,
-        "tag": tag,
-    }
+    sampling = {f.name: getattr(params, f.name) for f in fields(params)}  # a new field is keyed too
+    request = {"prompt": prompt_text(prompt), **sampling, "tag": tag}
     return _request_key("generate", request), request
 
 

@@ -261,6 +261,8 @@ def test_zebra_shape_above_6x6_in_a_config_is_an_error_line(tmp_path, capsys):
     [
         ({"kk_sizes": [3], "kk_per_size": 0}, "config corpus.generate.kk_per_size: 0 is not an integer >= 1"),
         ({"zebra_configs": [[2, 2, 0]]}, "config corpus.generate.zebra_configs: [2, 2, 0] has a count below 1"),
+        ({}, "config corpus.generate: generates no puzzles"),
+        ({"kk_per_size": 5}, "config corpus.generate: generates no puzzles"),
     ],
 )
 def test_corpus_count_below_one_in_a_config_names_the_setting(tmp_path, capsys, generate, message):

@@ -74,6 +74,30 @@ def test_config_requires_exactly_one_corpus_source(tmp_path):
         )
 
 
+@pytest.mark.parametrize("generate", [{}, {"kk_per_size": 5}, {"seed": 3}, {"kk_sizes": [], "zebra_configs": []}])
+def test_a_generate_spec_that_generates_nothing_is_refused(tmp_path, generate):
+    obj = {"run_dir": "rd", "corpus": {"generate": generate}, "backend": {"kind": "mock", "script": "mock.json"}}
+    with pytest.raises(ConfigError, match=r"^config corpus\.generate: generates no puzzles"):
+        config_from_obj(obj, base_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=r"^config corpus\.generate: generates no puzzles"):
+        ExperimentConfig(run_dir=str(tmp_path), generate=GenerateSpec(**generate))
+
+
+def test_an_empty_corpus_file_is_refused_before_the_run_starts(tmp_path, world):
+    _, paths = world
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    config = mock_config(tmp_path, {**paths, "corpus": str(empty)})
+    with pytest.raises(ConfigError, match="holds no puzzles"):
+        run(config)
+    assert not os.path.exists(config.run_dir)
+    # an existing run directory is left as it was: no lock file, no outputs
+    os.makedirs(config.run_dir)
+    with pytest.raises(ConfigError, match="holds no puzzles"):
+        run(config)
+    assert os.listdir(config.run_dir) == []
+
+
 def test_config_rejects_unknown_criterion(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(run_dir=str(tmp_path), corpus_path="x.jsonl", criteria=("coin_flip",))

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -601,3 +602,39 @@ def test_journal_descriptor_lives_until_close_or_collection(tmp_path, no_fd_leak
     assert dropped.generate("p", SamplingParams()) == recorded
     del dropped
     no_fd_leaks()
+
+
+# a value other than the default for every SamplingParams field; a new field
+# needs one here before the key test below can pass
+OTHER_SAMPLING = {"top_p": 0.5, "temperature": 1.3, "max_tokens": 77, "seed": 7, "top_k": 3}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SamplingParams)])
+def test_every_sampling_field_changes_the_generation_key(name):
+    params = SamplingParams()
+    changed = dataclasses.replace(params, **{name: OTHER_SAMPLING[name]})
+    assert getattr(changed, name) != getattr(params, name)
+    key, request = generate_request("Puzzle: who is a knight?", changed, "s0")
+    assert request[name] == OTHER_SAMPLING[name]
+    assert key != generate_request("Puzzle: who is a knight?", params, "s0")[0]
+
+
+def test_default_generation_key_and_journal_line_are_pinned(tmp_path):
+    """The key and the journaled request of the default sampling settings,
+    as the journals written so far hold them: a resume finds its responses
+    only while both stay the same."""
+    prompt = "Puzzle: who is a knight?"
+    key, request = generate_request(prompt, SamplingParams(), "s0")
+    assert key == "8419241b9e4a509087d8a4a0bb23e13c6e4c66e586e7ae7c0249e3e4ad0d63ac"
+    assert generate_request(prompt, SamplingParams())[0] == (
+        "32519c425f302815173c876d74649c36fad9e388b578d4070f8943abec441b2b"
+    )
+    backend = MockBackend({"responses": [{"match": "", "text": "Answer: none"}]})
+    with JournalingClient(str(tmp_path / "journal.jsonl"), backend) as client:
+        client.generate_timed(prompt, SamplingParams(), (key, request))
+    line = (tmp_path / "journal.jsonl").read_text(encoding="utf-8")
+    assert line.startswith(
+        f'{{"key": "{key}", "kind": "generate", "request": {{"prompt": "Puzzle: who is a knight?", '
+        '"top_p": 0.9, "temperature": 0.6, "max_tokens": 3072, "seed": null, "top_k": 20, "tag": "s0"}, '
+        '"response": '
+    )
