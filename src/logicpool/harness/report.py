@@ -138,14 +138,19 @@ def write_reports(
 ) -> dict[str, ReportTable]:
     """Write ``report.md``, a ``report_<family>.csv`` per family that has
     records and, with zebra records, ``clue_accuracy.csv``; return the
-    tables by family."""
+    tables by family. A report file these records do not produce is
+    removed, so the directory holds no report of an earlier corpus."""
     families = {record.family for record in records}
     tables = {family: stratify(records, selections, family) for family in _HEADINGS if family in families}
-    for family, table in tables.items():
-        Path(run_dir, f"report_{family}.csv").write_text(table.to_csv() + "\n", encoding="utf-8")
-    if "zebra" in tables:
-        series = clue_count_series(records, selections)
-        Path(run_dir, "clue_accuracy.csv").write_text(clue_series_csv(series) + "\n", encoding="utf-8")
+    csvs = {f"report_{family}.csv": tables[family].to_csv() if family in tables else None for family in _HEADINGS}
+    csvs["clue_accuracy.csv"] = (
+        clue_series_csv(clue_count_series(records, selections)) if "zebra" in tables else None
+    )
+    for name, text in csvs.items():
+        if text is None:
+            Path(run_dir, name).unlink(missing_ok=True)
+        else:
+            Path(run_dir, name).write_text(text + "\n", encoding="utf-8")
     sections = [f"## {_HEADINGS[family]}\n\n{table.to_markdown()}\n" for family, table in tables.items()]
     Path(run_dir, REPORT_MD_FILE).write_text("# Accuracy report\n\n" + "\n".join(sections), encoding="utf-8")
     return tables

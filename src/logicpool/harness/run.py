@@ -5,6 +5,14 @@ copy of token data), EvalRecords (JSONL), per-puzzle selection rows,
 reports, and a manifest. Everything downstream of the journal is pure, so
 re-running a completed directory (or replaying its journal into a fresh
 one) reproduces records and reports byte-for-byte with zero backend calls.
+
+A run is a pipeline of (puzzle, sample) pools, one ``_Pool`` each. A pool
+is started when its prompts are rendered and its missing generations
+submitted, scored ``2 * concurrency`` pools later (its new records built,
+its verifications submitted), and finished in corpus order once its
+verifications land (its selection rows made, its new records appended).
+So the work in flight does not grow with the corpus, and one pool's
+verifications overlap the next pools' generations.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError, NoAnswerError
 from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
-from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
+from ..prompts import TEMPLATE_VERSION, Strategy, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from ..scoring import score_response, segment
 from ..selection import (
@@ -35,6 +43,7 @@ from ..selection import (
     VOTE_PROB,
     VOTE_VERIFIER,
     CandidatePool,
+    CanonicalAnswer,
     SelectionResult,
     majority_groups,
     extract_answer,
@@ -145,10 +154,7 @@ def apply_criterion(
 
 @dataclass
 class _CandidateTask:
-    puzzle: Puzzle
     strategy: Strategy
-    sample: int
-    prompt: RenderedPrompt
     request_sha256: str
     future: Future | _Deferred | None = None  # set while a generation is pending
     verification: Future | _Deferred | None = None  # set while a verification is pending
@@ -158,28 +164,34 @@ class _CandidateTask:
 
 @dataclass
 class _Pool:
-    """One (puzzle, sample) candidate pool from its scored records to its
-    selection; ``new`` are the tasks whose records this run builds from
+    """One (puzzle, sample) candidate pool, from its generations to its
+    selection rows. ``shared`` holds the fields its records and selection
+    rows share; ``new`` are the tasks whose records this run builds from
     their generations."""
 
+    puzzle: Puzzle
+    sample: int
+    question: str
+    truth: CanonicalAnswer
+    shared: dict
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
 
     def candidates(self) -> CandidatePool:
         """The pool of the tasks' current records, which are in strategy
         order because the tasks are."""
-        return CandidatePool(self.tasks[0].puzzle.puzzle_id, [task.record for task in self.tasks])
+        return CandidatePool(self.puzzle.puzzle_id, [task.record for task in self.tasks])
 
     def verified(self) -> bool:
         return all(task.verification is None or task.verification.done() for task in self.tasks)
 
 
-def _failure_row(kind: str, task: _CandidateTask, exc: LogicPoolError) -> dict:
+def _failure_row(kind: str, pool: _Pool, task: _CandidateTask, exc: LogicPoolError) -> dict:
     return {
         "kind": kind,
-        "puzzle_id": task.puzzle.puzzle_id,
+        "puzzle_id": pool.puzzle.puzzle_id,
         "strategy": task.strategy.key,
-        "sample": task.sample,
+        "sample": pool.sample,
         "error": str(exc),
     }
 
@@ -213,65 +225,83 @@ class _Runner:
         self.records: list[EvalRecord] = []
         self.selections: list[SelectionRow] = []
 
-    # -- record construction -------------------------------------------------
+    # -- the pool pipeline -----------------------------------------------------
 
-    def _build_record(self, task: _CandidateTask) -> EvalRecord:
+    def _start(self, puzzle: Puzzle, sample: int, strategies, existing, client, submit) -> _Pool:
+        """Render the pool's prompts and key them, take the stored record of
+        each request, and submit the generations of the others."""
+        config = self.config
+        tasks, new = [], []
+        for strategy in strategies:
+            prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
+            keyed = generate_request(prompt, config.sampling, f"s{sample}")
+            task = _CandidateTask(strategy, keyed[0], record=existing.get((puzzle.puzzle_id, keyed[0])))
+            if task.record is None:
+                task.future = submit(client.generate_timed, prompt, config.sampling, keyed)
+                new.append(task)
+            tasks.append(task)
+        shared = dict(
+            puzzle_id=puzzle.puzzle_id,
+            family=puzzle.family,
+            difficulty=puzzle.difficulty,
+            sample=sample,
+            n_clues=len(puzzle.clues) if hasattr(puzzle, "clues") else None,
+        )
+        return _Pool(puzzle, sample, prompt.question, truth_answer(puzzle), shared, tasks, new)
+
+    def _build_record(self, pool: _Pool, task: _CandidateTask) -> EvalRecord:
         """Take the task's generation and score it. A failed generation or a
         response that cannot be scored sets the task's failure row and the
         record's error; the response itself is not kept, so a replay holds
         one decoded response at a time."""
         future, task.future = task.future, None
-        puzzle = task.puzzle
         text, finish_reason, confidence, elapsed, error = "", "error", None, 0.0, None
         try:
             response, elapsed = future.result()
         except LogicPoolError as exc:
-            task.failure = _failure_row("generate", task, exc)
+            task.failure = _failure_row("generate", pool, task, exc)
         else:
             text = response.full_text
             finish_reason = response.finish_reason
             try:
                 confidence = score_response(response, segment(response))
             except LogicPoolError as exc:
-                task.failure = _failure_row("score", task, exc)
+                task.failure = _failure_row("score", pool, task, exc)
         if task.failure is not None:
             error = task.failure["error"]
-        answer = extract_answer(text, puzzle)
+        answer = extract_answer(text, pool.puzzle)
         return EvalRecord(
-            puzzle_id=puzzle.puzzle_id,
-            family=puzzle.family,
-            difficulty=puzzle.difficulty,
             strategy=task.strategy.key,
-            sample=task.sample,
             request_sha256=task.request_sha256,
             response_text=text,
             finish_reason=finish_reason,
             answer=answer,
-            correct=answer.parse_ok and answer == truth_answer(puzzle),
+            correct=answer.parse_ok and answer == pool.truth,
             confidence=confidence,
             verifier=None,
             elapsed_s=elapsed,
-            n_clues=len(puzzle.clues) if hasattr(puzzle, "clues") else None,
             error=error,
+            **pool.shared,
         )
 
-    # -- verification ---------------------------------------------------------
-
-    def _submit_verification(self, pool: _Pool, verifier_client, submit) -> None:
-        """Submit the verifications the criteria need, skipping cached
-        scores: every parseable candidate for ``verifier``; for
-        ``vote_verifier`` without it, only the tied majority groups."""
+    def _score(self, pool: _Pool, verifier_client, submit) -> None:
+        """Build the pool's new records, then submit the verifications the
+        criteria need, skipping stored scores: every parseable candidate for
+        ``verifier``; for ``vote_verifier`` without it, only the tied
+        majority groups."""
+        for task in pool.new:
+            task.record = self._build_record(pool, task)
+        criteria = self.config.criteria
+        if VERIFIER not in criteria and VOTE_VERIFIER not in criteria:
+            return
         indices = [i for i, task in enumerate(pool.tasks) if task.record.answer.parse_ok]
-        if VERIFIER not in self.config.criteria and indices:
+        if VERIFIER not in criteria and indices:
             winners, tie = majority_groups(pool.candidates())
             indices = [i for group in winners for i in group] if tie else []
-        question = pool.tasks[0].prompt.question
         for i in indices:
             task = pool.tasks[i]
             if task.record.verifier is None:
-                task.verification = submit(_verify_text, question, task.record.response_text, verifier_client)
-
-    # -- selection -------------------------------------------------------------
+                task.verification = submit(_verify_text, pool.question, task.record.response_text, verifier_client)
 
     def _finish(self, pool: _Pool, records_path: str) -> None:
         """Take the pool's verifier scores, apply every criterion and persist
@@ -286,7 +316,7 @@ class _Runner:
                 try:
                     task.record = dataclasses.replace(task.record, verifier=future.result())
                 except LogicPoolError as exc:
-                    self.failures.append(_failure_row("verify", task, exc))
+                    self.failures.append(_failure_row("verify", pool, task, exc))
         self._select(pool)
         self.records.extend(task.record for task in pool.tasks)
         if pool.new:
@@ -294,41 +324,24 @@ class _Runner:
 
     def _select(self, pool: _Pool) -> None:
         """Apply every criterion to one (puzzle, sample) pool."""
-        puzzle = pool.tasks[0].puzzle
-        sample = pool.tasks[0].sample
         candidates = pool.candidates()
-        truth = truth_answer(puzzle)
-        base = dict(
-            puzzle_id=puzzle.puzzle_id,
-            family=puzzle.family,
-            difficulty=puzzle.difficulty,
-            n_clues=len(puzzle.clues) if hasattr(puzzle, "clues") else None,
-        )
         for criterion in self.config.criteria:
             if criterion == ORACLE:
-                self.selections.append(
-                    SelectionRow(criterion=ORACLE, correct=oracle(candidates, truth), sample=sample, **base)
-                )
-                continue
-            try:
-                result = apply_criterion(criterion, candidates, self.config.lambda_p, self.config.lambda_e)
-            except (NoAnswerError, ValueError) as exc:
-                self.selections.append(
-                    SelectionRow(criterion=criterion, correct=False, error=str(exc), sample=sample, **base)
-                )
-                continue
-            chosen = candidates.candidates[result.chosen_index]
-            self.selections.append(
-                SelectionRow(
-                    criterion=criterion,
-                    correct=chosen.answer == truth,
-                    chosen_strategy=chosen.strategy,
-                    tie_occurred=result.tie_occurred,
-                    tie_breaker_used=result.tie_breaker_used,
-                    sample=sample,
-                    **base,
-                )
-            )
+                outcome = dict(correct=oracle(candidates, pool.truth))
+            else:
+                try:
+                    result = apply_criterion(criterion, candidates, self.config.lambda_p, self.config.lambda_e)
+                except (NoAnswerError, ValueError) as exc:
+                    outcome = dict(correct=False, error=str(exc))
+                else:
+                    chosen = candidates.candidates[result.chosen_index]
+                    outcome = dict(
+                        correct=chosen.answer == pool.truth,
+                        chosen_strategy=chosen.strategy,
+                        tie_occurred=result.tie_occurred,
+                        tie_breaker_used=result.tie_breaker_used,
+                    )
+            self.selections.append(SelectionRow(criterion=criterion, **outcome, **pool.shared))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -362,22 +375,25 @@ class _Runner:
         existing = {(r.puzzle_id, r.key): r for r in stored if r.error is None}
 
         strategies = config.strategy_pool()
-        verifying = VERIFIER in config.criteria or VOTE_VERIFIER in config.criteria
-
         executor = ThreadPoolExecutor(max_workers=config.concurrency)
         # one rule for every generation and verification: a replay runs it on
         # this thread when its result is taken, any other run hands it to the
         # workers, which serve journal hits from the journal
         submit = _Deferred if config.replay else executor.submit
-        units = [(puzzle, sample) for puzzle in corpus for sample in range(config.samples)]
-        # a unit's pool is scored ``ahead`` units after its generations
-        # start, so work in flight does not grow with the corpus and a
-        # pool's verifications queue right behind the window
         ahead = 2 * config.concurrency
-        started: deque[list[_CandidateTask]] = deque()
+        started: deque[_Pool] = deque()
         # scored pools, in corpus order, that may still wait on verifications
         waiting: deque[_Pool] = deque()
         journals = contextlib.ExitStack()
+
+        def score() -> None:
+            # the pool leaves ``started`` once scored, so an error while
+            # scoring still cancels its pending generations
+            self._score(started[0], verifier_client, submit)
+            waiting.append(started.popleft())
+            while waiting and waiting[0].verified():
+                self._finish(waiting.popleft(), records_path)
+
         try:
             # replay means no inner client: a journal miss is an error
             inner = None if config.replay else config.backend.build()
@@ -388,48 +404,20 @@ class _Runner:
                 verifier_client = journals.enter_context(
                     JournalingClient(os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner)
                 )
-            for i in range(len(units) + ahead):
-                if i < len(units):
-                    puzzle, sample = units[i]
-                    tasks = []
-                    for strategy in strategies:
-                        prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
-                        keyed = generate_request(prompt, config.sampling, f"s{sample}")
-                        task = _CandidateTask(
-                            puzzle=puzzle,
-                            strategy=strategy,
-                            sample=sample,
-                            prompt=prompt,
-                            request_sha256=keyed[0],
-                            record=existing.get((puzzle.puzzle_id, keyed[0])),
-                        )
-                        if task.record is None:
-                            task.future = submit(client.generate_timed, prompt, config.sampling, keyed)
-                        tasks.append(task)
-                    started.append(tasks)
-                if i < ahead:
-                    continue
-                # pools are selected and persisted in order as their
-                # verifications land, so one pool's verification overlaps
-                # the next pools'
-                pool_tasks = started[0]
-                new = [task for task in pool_tasks if task.record is None]
-                for task in new:
-                    task.record = self._build_record(task)
-                pool = _Pool(pool_tasks, new)
-                started.popleft()
-                if verifying:
-                    self._submit_verification(pool, verifier_client, submit)
-                waiting.append(pool)
-                while waiting and waiting[0].verified():
-                    self._finish(waiting.popleft(), records_path)
+            for puzzle in corpus:
+                for sample in range(config.samples):
+                    started.append(self._start(puzzle, sample, strategies, existing, client, submit))
+                    if len(started) > ahead:
+                        score()
+            while started:
+                score()
         except BaseException:
             # an error leaving the loop must not wait for the started
             # generations: drop those not running yet; the pools already
             # scored are still persisted below, which waits only for their
             # verifications
-            for tasks in started:
-                for task in tasks:
+            for pool in started:
+                for task in pool.tasks:
                     if task.future is not None:
                         task.future.cancel()
             raise

@@ -274,9 +274,6 @@ class MockBackend:
     def __init__(self, script: dict[str, Any]):
         self._responses = list(script.get("responses", []))
         self._distributions = list(script.get("first_token_distributions", []))
-        self.generate_calls = 0
-        self.probability_calls = 0
-        self.probability_prompts: list[str] = []
 
     @classmethod
     def from_file(cls, path: str) -> "MockBackend":
@@ -293,7 +290,6 @@ class MockBackend:
 
     def generate(self, prompt: RenderedPrompt | str, params: SamplingParams) -> ModelResponse:
         text = prompt_text(prompt)
-        self.generate_calls += 1
         rule = self._pick(self._responses, text)
         if "tokens" in rule:
             tokens = [
@@ -313,8 +309,6 @@ class MockBackend:
     def completion_probability(
         self, prompt_text_: str, candidates: Sequence[str]
     ) -> dict[str, float]:
-        self.probability_calls += 1
-        self.probability_prompts.append(prompt_text_)
         rule = self._pick(self._distributions, prompt_text_)
         alternatives = [
             (token, math.log(p) if p > 0 else -745.0)
@@ -535,6 +529,13 @@ class JournalingClient:
     index without it, since the index only grows, and take it only to
     count a hit. A client dropped without ``close()`` closes its descriptor
     when it is garbage-collected.
+
+    Each key costs at most one backend call. A miss claims its key, after
+    checking the index again, under a claim lock of its own; a request for
+    a claimed key waits for that call and is then served from the journal
+    (or, if the call raised, makes its own). A claim is released only after
+    its entry is indexed, so a miss that finds no claim and no entry is the
+    first.
     """
 
     def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
@@ -543,6 +544,10 @@ class JournalingClient:
         self.stats = JournalStats()
         self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int, int]] = {}  # key -> (offset, length, line)
+        # keys whose backend call is in flight, under their own lock: the
+        # journal lock is held across a write, which a claim must not wait for
+        self._claim_lock = threading.Lock()
+        self._claimed: dict[str, threading.Event] = {}
         self._lines = 0
         self._size = 0  # bytes in the journal: the next entry's offset
         self._fd: int | None = None  # None until opened, -1 once closed
@@ -629,6 +634,34 @@ class JournalingClient:
         except (ValueError, TypeError, KeyError, DataError) as exc:
             raise DataError(f"{self.journal_path}: line {number} is not a journal entry ({exc!r})") from None
 
+    def _fetch(
+        self, key: str, decode: Callable[[dict[str, Any]], T], call: Callable[[], T], what: str, prompt: str
+    ) -> T:
+        """The response under ``key``: decoded from the journal or, once this
+        request holds the key's claim, from ``call()``, which asks the
+        backend and appends the entry. Without a backend, a miss raises a
+        ReplayMissError that names ``what`` is missing and the prompt."""
+        while True:
+            hit = self._lookup(key, decode)
+            if hit is not None:
+                return hit
+            if self.inner is None:
+                raise ReplayMissError(f"no journaled {what} for prompt starting {prompt[:60]!r}")
+            with self._claim_lock:
+                if key in self._index:  # appended since the lookup
+                    continue
+                claim = self._claimed.get(key)
+                if claim is None:
+                    self._claimed[key] = threading.Event()
+            if claim is not None:
+                claim.wait()
+                continue
+            try:
+                return call()
+            finally:
+                with self._claim_lock:
+                    self._claimed.pop(key).set()
+
     def generate_timed(
         self,
         prompt: RenderedPrompt | str,
@@ -644,27 +677,26 @@ class JournalingClient:
         prompt) apart; without it the request is untagged.
         """
         key, request = keyed or generate_request(prompt, params)
-        hit = self._lookup(
-            key, lambda entry: (response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0)))
-        )
-        if hit is not None:
-            return hit
-        text = request["prompt"]
-        if self.inner is None:
-            raise ReplayMissError(f"no journaled response for prompt starting {text[:60]!r}")
-        started = time.monotonic()
-        response = self.inner.generate(text, params)
-        elapsed = round(time.monotonic() - started, 6)
-        self._append(
-            {
-                "key": key,
-                "kind": "generate",
-                "request": request,
-                "response": response_to_obj(response),
-                "elapsed_s": elapsed,
-            }
-        )
-        return response, elapsed
+
+        def call() -> tuple[ModelResponse, float]:
+            started = time.monotonic()
+            response = self.inner.generate(request["prompt"], params)
+            elapsed = round(time.monotonic() - started, 6)
+            self._append(
+                {
+                    "key": key,
+                    "kind": "generate",
+                    "request": request,
+                    "response": response_to_obj(response),
+                    "elapsed_s": elapsed,
+                }
+            )
+            return response, elapsed
+
+        def decode(entry: dict[str, Any]) -> tuple[ModelResponse, float]:
+            return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
+
+        return self._fetch(key, decode, call, "response", request["prompt"])
 
     def generate(
         self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
@@ -676,13 +708,10 @@ class JournalingClient:
     ) -> dict[str, float]:
         request = {"prompt": prompt_text_, "candidates": sorted(candidates)}
         key = _request_key("completion_probability", request)
-        hit = self._lookup(key, lambda entry: dict(entry["response"]))
-        if hit is not None:
-            return hit
-        if self.inner is None:
-            raise ReplayMissError(
-                f"no journaled verification for prompt starting {prompt_text_[:60]!r}"
-            )
-        result = self.inner.completion_probability(prompt_text_, candidates)
-        self._append({"key": key, "kind": "completion_probability", "request": request, "response": result})
-        return result
+
+        def call() -> dict[str, float]:
+            result = self.inner.completion_probability(prompt_text_, candidates)
+            self._append({"key": key, "kind": "completion_probability", "request": request, "response": result})
+            return result
+
+        return self._fetch(key, lambda entry: dict(entry["response"]), call, "verification", prompt_text_)

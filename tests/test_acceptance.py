@@ -39,6 +39,7 @@ from logicpool.verifier import chunk, verify
 from conftest import ClosedWorld, random_statement, random_zebra_clues, solve_kk_oracle, solve_zebra_oracle
 from test_selection import table_row_pool
 from test_sweep import crossover_lambda, record as sweep_record
+from test_verifier import RecordingBackend
 
 
 @contextmanager
@@ -293,7 +294,7 @@ def test_criterion_6_verifier_protocol():
         # prefix prompts embed chunks 0..i verbatim
         text = " ".join(words(40, f"p{i}_", ".") for i in range(8))
         chunked = chunk(text)
-        backend = MockBackend(
+        backend = RecordingBackend(
             {"first_token_distributions": [{"match": "", "distribution": {" Yes": 0.9}}]}
         )
         score = verify("the question", chunked, backend)

@@ -274,6 +274,18 @@ def test_rerun_issues_zero_backend_calls(tmp_path, world):
     assert [r.to_obj() for r in first.records] == [r.to_obj() for r in second.records]
 
 
+def test_each_distinct_request_costs_one_backend_call(tmp_path, world):
+    """The two samples of a pool ask the same verifications, often at the
+    same moment; each distinct request still reaches the backend once, on
+    every run."""
+    _, paths = world
+    for attempt in range(5):
+        config = mock_config(tmp_path, paths, run_name=f"run{attempt}", samples=2, concurrency=4)
+        result = run(config)
+        keys = [entry["key"] for entry in read_jsonl(os.path.join(config.run_dir, "journal.jsonl"))]
+        assert result.backend_calls == len(keys) == len(set(keys)) == 59
+
+
 class NoSubmitExecutor(ThreadPoolExecutor):
     def submit(self, fn, /, *args, **kwargs):
         pytest.fail("a replay sent work to the worker pool")

@@ -114,8 +114,20 @@ def test_chunk_size_invariants(run_lengths, terminate_last, target):
 # ---------------------------------------------------------------------------
 
 
+class RecordingBackend(MockBackend):
+    """A mock that keeps the prompt of every probability call."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.probability_prompts = []
+
+    def completion_probability(self, prompt_text, candidates):
+        self.probability_prompts.append(prompt_text)
+        return super().completion_probability(prompt_text, candidates)
+
+
 def constant_backend(p_yes):
-    return MockBackend(
+    return RecordingBackend(
         {"first_token_distributions": [{"match": "", "distribution": {" Yes": p_yes, " No": 1 - p_yes}}]}
     )
 
