@@ -526,9 +526,9 @@ class JournalingClient:
     lock makes it: an entry's offset is the journal size this client knows,
     not one asked of the file. The lock is held only while an append writes
     and indexes its line and counts the backend call; lookups read the
-    index without it, since the index only grows, and take it only to
-    count a hit. A client dropped without ``close()`` closes its descriptor
-    when it is garbage-collected.
+    index without it, since the index only grows, and count a hit under a
+    lock of their own, so a hit never waits on a write. A client dropped
+    without ``close()`` closes its descriptor when it is garbage-collected.
 
     Each key costs at most one backend call. A miss claims its key, after
     checking the index again, under a claim lock of its own; a request for
@@ -543,6 +543,7 @@ class JournalingClient:
         self.inner = inner
         self.stats = JournalStats()
         self._lock = threading.Lock()
+        self._hits_lock = threading.Lock()  # counts journal hits; no write holds it
         self._index: dict[str, tuple[int, int, int]] = {}  # key -> (offset, length, line)
         # keys whose backend call is in flight, under their own lock: the
         # journal lock is held across a write, which a claim must not wait for
@@ -625,7 +626,7 @@ class JournalingClient:
         found = self._index.get(key)
         if found is None:
             return None
-        with self._lock:
+        with self._hits_lock:
             self.stats.served_from_journal += 1
         offset, length, number = found
         raw = os.pread(self._fd, length, offset)

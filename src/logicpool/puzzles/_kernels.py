@@ -1,10 +1,14 @@
 """Enumeration kernels behind the puzzle solvers.
 
-Knights-and-knaves runs compiled statement bytecode on Python integers used
-as bitsets over all 2^n truth assignments, so a solve makes no numpy call.
-Zebra solving compiles each clue into a numpy constraint table and walks
-per-attribute permutations depth-first with forward checking on those
-tables (``ZebraTables``).
+Knights-and-knaves runs statement bytecode on Python integers used as
+bitsets over all 2^n truth assignments, so a solve makes no numpy call; the
+generator draws its statements straight into that bytecode. Zebra solving
+keeps a uint8 table per pair of attributes that counts, for each pair of
+their permutations, the value pairs whose clues forbid it; each value pair
+tracks the house pairs its clues forbid, so a clue whose house pairs stay
+forbidden changes no table. The search walks per-attribute permutations
+depth-first with forward checking on the ``count == 0`` tables
+(``ZebraTables``).
 """
 
 from __future__ import annotations
@@ -79,8 +83,9 @@ def kk_consistent_masks(code: Sequence[Sequence[int]], bounds: Sequence[int], n_
 # ---------------------------------------------------------------------------
 
 
-def _violates(kind: int, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Where a two-reference clue fails, given the houses of its references."""
+def _fails(kind: int, ha: int, hb: int) -> bool:
+    """Whether a two-reference clue fails with its references in houses
+    ``ha`` and ``hb``."""
     if kind == K_SAME_HOUSE:
         return ha != hb
     if kind == K_LEFT_OF:
@@ -88,20 +93,58 @@ def _violates(kind: int, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     if kind == K_DIRECTLY_LEFT_OF:
         return ha + 1 != hb
     if kind == K_NEXT_TO:
-        return np.abs(ha - hb) != 1
+        return abs(ha - hb) != 1
     return ha == hb  # K_NOT_SAME_HOUSE
+
+
+@functools.cache
+def _failing_house_pairs(n_houses: int) -> dict[tuple[int, bool], int]:
+    """For each two-reference clue kind, the house pairs at which it fails,
+    as a bitset with bit ``8 * h1 + h2`` for the pair (h1, h2); with
+    ``swapped`` the pair is read as (second reference, first reference)."""
+    houses = range(n_houses)
+    return {
+        (kind, swapped): sum(
+            1 << (8 * h1 + h2)
+            for h1 in houses
+            for h2 in houses
+            if _fails(kind, *((h2, h1) if swapped else (h1, h2)))
+        )
+        for kind in (K_SAME_HOUSE, K_LEFT_OF, K_DIRECTLY_LEFT_OF, K_NEXT_TO, K_NOT_SAME_HOUSE)
+        for swapped in (False, True)
+    }
+
+
+ValuePair = tuple[int, int, int, int]  # (attribute, value, attribute, value), first <= second
+Compiled = tuple[ValuePair, Key, int]  # a clue's value pair, table key and failing house pairs
 
 
 class ZebraTables:
     """The constraint tables of a zebra clue set over ``m_attrs`` attributes.
 
     ``pos[j, v]`` is the house of value ``v`` under permutation ``j``, with
-    permutations in lexicographic order. A clue compiles to the cells it
-    forbids under a key: ``(a, a)`` for a mask over the permutations of
-    attribute ``a``, ``(a, b)`` with ``a < b`` for a table whose rows are
-    ``a``'s permutations and whose columns are ``b``'s. Each key keeps an
-    int16 count of the clues forbidding each cell, summed in place, and the
-    ``count == 0`` table derived from it once per ``add`` or ``remove``.
+    permutations in lexicographic order. A table key is ``(a, a)`` for a
+    mask over the permutations of attribute ``a``, or ``(a, b)`` with
+    ``a < b`` for a table whose rows are ``a``'s permutations and whose
+    columns are ``b``'s.
+
+    Each clue constrains one value pair: its two (attribute, value)
+    references, or for ``at_position`` its one reference paired with
+    itself. It forbids the house pairs at which it fails, and so the cells
+    of its key that put the pair's values on one of them. Per value pair
+    the tables count the clues forbidding each house-pair set (bit
+    ``8 * h1 + h2`` for houses ``(h1, h2)``). A cell's uint8 ``count`` is
+    the number of value pairs on its key that forbid it: at most n^2, or
+    n(n + 1)/2 on ``(a, a)``, however often clues repeat. ``allowed`` is
+    ``count == 0``.
+
+    Clues are compiled once, when the tables are built, and are taken out
+    and put back by index. A clue whose house pairs another clue on its
+    value pair still forbids changes no table. Otherwise its key's counts
+    change at the cells on the house pairs it alone forbade: each of the
+    first value's permutations takes the byte of those pairs' second houses
+    at its own house, masked with the second value's one-hot house bits
+    (``1 << houses[v]``).
 
     Taking a clue out returns the cells it alone forbade. A grid that the
     drop lets in puts one of those freed cells under the clue's key, and a
@@ -109,104 +152,167 @@ class ZebraTables:
     whether a drop adds a solution by searching only for such a grid.
     """
 
-    def __init__(self, pos: np.ndarray, m_attrs: int, clues: Iterable[Sequence[int]] = ()) -> None:
-        self.n_perms = pos.shape[0]
-        self.houses = np.ascontiguousarray(pos.T, dtype=np.int8)  # houses[v, j] = pos[j, v]
+    def __init__(self, pos: np.ndarray, m_attrs: int, clues: Sequence[Sequence[int]] = ()) -> None:
+        self.n_perms, self.n_houses = pos.shape
         self.m_attrs = m_attrs
+        houses = np.ascontiguousarray(pos.T, dtype=np.uint8)  # houses[v, j] = pos[j, v]
+        self._houses = list(houses)
+        self._house_columns = [row[:, None] for row in houses]
+        self._house_bits = list(np.left_shift(1, houses, dtype=np.uint8))  # each value's one-hot house
+        self._failing = _failing_house_pairs(self.n_houses)
+        self._diagonal = sum(1 << (9 * h) for h in range(self.n_houses))
         self.count: dict[Key, np.ndarray] = {}
         self.allowed: dict[Key, np.ndarray] = {}
-        self.add(clues)
+        # value pair -> {house-pair set: how many of the clues in forbid exactly that set}
+        self._forbidding: dict[ValuePair, dict[int, int]] = {}
+        self._transposed: dict[Key, np.ndarray] = {}  # contiguous allowed[key].T, dropped on change
+        self._plans: dict[Key | None, tuple[list[int], list[list[tuple[int, Key, bool]]]]] = {}
+        # the cells an update touched, as 0/1 bytes and as a mask: the whole
+        # buffer for a key of two attributes, its first row for one
+        hit = np.empty((self.n_perms, self.n_perms), dtype=np.uint8)
+        self._hit = (hit, hit[0])
+        self._hit_mask = (hit.view(bool), hit[0].view(bool))
+        self._everything = np.ones(self.n_perms, dtype=bool)
+        self._clues = [self._compile(clue) for clue in clues]
+        for pair, _, forbids in self._clues:
+            self._put(pair, forbids)
+        for pair, sets in self._forbidding.items():
+            forbidden = _union(sets)
+            if forbidden:
+                self._update(pair, forbidden, 1)
+        for key, count in self.count.items():
+            self.allowed[key] = count == 0
 
-    def compile(self, clue: Sequence[int]) -> tuple[Key, np.ndarray]:
-        """One encoded clue row -> (key, boolean table of the cells it forbids)."""
-        kind, a_attr, a_val, b_attr, b_val, house = clue
-        ha = self.houses[a_val]
+    def _compile(self, clue: Sequence[int]) -> Compiled:
+        """One encoded clue row -> (value pair, key, failing house pairs)."""
+        kind, a, va, b, vb, house = clue
         if kind == K_AT_POSITION:
-            return (a_attr, a_attr), ha != house
-        hb = self.houses[b_val]
-        if a_attr == b_attr:
-            return (a_attr, a_attr), _violates(kind, ha, hb)
-        if a_attr < b_attr:
-            return (a_attr, b_attr), _violates(kind, ha[:, None], hb[None, :])
-        return (b_attr, a_attr), _violates(kind, ha[None, :], hb[:, None])
+            return (a, va, a, va), (a, a), self._diagonal & ~(1 << (9 * house))
+        swapped = (b, vb) < (a, va)
+        if swapped:
+            a, va, b, vb = b, vb, a, va
+        return (a, va, b, vb), (a, b), self._failing[kind, swapped]
 
-    def add(self, clues: Iterable[Sequence[int]]) -> None:
-        """Put encoded clues in: sum each one's forbidden cells into its
-        key's count, then derive every touched key's allowed table once."""
-        touched: set[Key] = set()
-        for clue in clues:
-            key, forbid = self.compile(clue)
-            count = self.count.get(key)
-            if count is None:
-                self.count[key] = forbid.astype(np.int16)
-            else:
-                count += forbid
-            touched.add(key)
-        for key in touched:
-            self.allowed[key] = self.count[key] == 0
+    def _put(self, pair: ValuePair, forbids: int) -> int:
+        """Count one more clue forbidding ``forbids`` on ``pair``; return
+        the house pairs that were not forbidden before."""
+        sets = self._forbidding.setdefault(pair, {})
+        new = forbids & ~_union(sets)
+        sets[forbids] = sets.get(forbids, 0) + 1
+        return new
 
-    def remove(self, clue: Sequence[int]) -> tuple[Key, np.ndarray]:
-        """Take an encoded clue out; return its key and the cells it alone
-        forbade, now allowed."""
-        key, forbid = self.compile(clue)
-        count = self.count[key]
-        count -= forbid
-        allowed = self.allowed[key]
-        np.equal(count, 0, out=allowed)
-        return key, allowed & forbid
+    def _update(self, pair: ValuePair, house_pairs: int, step: int) -> bool:
+        """Add ``step`` (1 or -1) to the count of every cell of the pair's
+        key whose values sit on one of ``house_pairs``, and leave those
+        cells in the hit buffer, which the next update overwrites.
+        ``allowed`` is left to the caller. Returns whether the key is of one
+        attribute, which selects the buffer."""
+        a, va, b, vb = pair
+        one = a == b
+        rows = np.frombuffer(house_pairs.to_bytes(self.n_houses, "little"), dtype=np.uint8)
+        # per permutation of a: the houses b's value may not take
+        first = rows[self._houses[va] if one else self._house_columns[va]]
+        hit = self._hit[one]
+        np.bitwise_and(first, self._house_bits[vb], out=hit)
+        np.not_equal(hit, 0, out=self._hit_mask[one])
+        count = self.count.get((a, b))
+        if count is None:
+            count = self.count[a, b] = np.zeros(hit.shape, dtype=np.uint8)
+        (np.add if step > 0 else np.subtract)(count, hit, out=count)
+        return one
+
+    def remove(self, index: int) -> tuple[Key, np.ndarray | None]:
+        """Take clue ``index`` out; return its key and the cells it alone
+        forbade, now allowed, or None when it frees no cell. The cells are a
+        buffer that the next ``remove`` or ``restore`` overwrites."""
+        pair, key, forbids = self._clues[index]
+        sets = self._forbidding[pair]
+        sets[forbids] -= 1
+        if not sets[forbids]:
+            del sets[forbids]
+        lost = forbids & ~_union(sets)
+        if not lost:
+            return key, None
+        one = self._update(pair, lost, -1)
+        freed = np.greater(self._hit[one], self.count[key], out=self._hit_mask[one])  # hit, now with no count
+        if not freed.any():
+            return key, None
+        np.logical_or(self.allowed[key], freed, out=self.allowed[key])
+        self._transposed.pop(key, None)
+        return key, freed
+
+    def restore(self, index: int) -> None:
+        """Put clue ``index`` back after ``remove(index)``."""
+        pair, key, forbids = self._clues[index]
+        new = self._put(pair, forbids)
+        if new:
+            one = self._update(pair, new, 1)
+            np.greater(self.allowed[key], self._hit_mask[one], out=self.allowed[key])  # allowed and not hit
+            self._transposed.pop(key, None)
 
     def _root(self) -> list[np.ndarray]:
-        everything = np.ones(self.n_perms, dtype=bool)
-        return [self.allowed.get((a, a), everything) for a in range(self.m_attrs)]
+        return [self.allowed.get((a, a), self._everything) for a in range(self.m_attrs)]
 
     def solutions(self, limit: int) -> np.ndarray:
         """Permutation-index tuples (one per attribute) allowed by every
         table, in lexicographic order, truncated at ``limit`` rows."""
-        found = self._search(range(self.m_attrs), self._root(), self.allowed, limit)
+        found = self._search(None, self._root(), limit)
         return np.array(found, dtype=np.int64).reshape(-1, self.m_attrs)
 
-    def has_solution_in(self, key: Key, cells: np.ndarray) -> bool:
+    def has_solution_in(self, key: Key, cells: np.ndarray | None) -> bool:
         """Whether some grid allowed by every table has its ``key`` cell in
-        ``cells``, a subset of ``allowed[key]``.
+        ``cells``, a subset of ``allowed[key]`` (None for no cell).
 
-        The search puts ``cells`` in place of the key's table, cuts the root
-        domains of the key's attributes to the rows and columns holding one
-        of them, assigns those attributes first and stops at the first grid.
+        The search puts ``cells`` in place of the key's table (or root
+        domain), assigns the key's attributes first and stops at the first
+        grid. A first attribute's candidate whose row holds no cell is
+        dropped by the first narrowing, which reads ``cells``.
         """
-        if not cells.any():
+        if cells is None:
             return False
-        a, b = key
         root = self._root()
-        tables = self.allowed
-        if a == b:
-            root[a] = cells
-        else:
-            root[a] = root[a] & cells.any(axis=1)
-            root[b] = root[b] & cells.any(axis=0)
-            tables = {**tables, key: cells}
-        first = [a] if a == b else [a, b]
-        order = first + [x for x in range(self.m_attrs) if x not in key]
-        return bool(self._search(order, root, tables, 1))
+        if key[0] == key[1]:
+            root[key[0]] = cells
+        return bool(self._search(key, root, 1, cells))
+
+    def _plan(self, key: Key | None) -> tuple[list[int], list[list[tuple[int, Key, bool]]]]:
+        """The assignment order of a search (ascending for ``None``, else
+        ``key``'s attributes first) and, per depth, each later attribute
+        with the key of the table that narrows it and whether that table is
+        read transposed."""
+        plan = self._plans.get(key)
+        if plan is None:
+            order = list(range(self.m_attrs))
+            if key is not None:
+                order = sorted(set(key)) + [x for x in order if x not in key]
+            later = [
+                [(b, (min(a, b), max(a, b)), a > b) for b in order[depth + 1 :]]
+                for depth, a in enumerate(order)
+            ]
+            plan = self._plans[key] = (order, later)
+        return plan
+
+    def _transpose(self, key: Key) -> np.ndarray:
+        table = self._transposed.get(key)
+        if table is None:
+            table = self._transposed[key] = np.ascontiguousarray(self.allowed[key].T)
+        return table
 
     def _search(
-        self, order: Sequence[int], root: list[np.ndarray], tables: dict[Key, np.ndarray], limit: int
+        self, key: Key | None, root: list[np.ndarray], limit: int, cells: np.ndarray | None = None
     ) -> list[tuple[int, ...]]:
         """Permutation-index tuples (one per attribute) within the ``root``
-        domains and allowed by every pair table in ``tables``, truncated at
-        ``limit``. Attributes are assigned in ``order``; with ascending order
-        the tuples come out in lexicographic order.
+        domains and allowed by every pair table, with ``cells`` in place of
+        ``key``'s, truncated at ``limit``, in the order ``_plan(key)``
+        assigns; with ``key`` None the tuples come out in lexicographic
+        order.
 
         Before descending, every later attribute's domain is narrowed by its
         pair table for each candidate, and a candidate that empties one is
         dropped before the next table is read."""
-        later: list[list[tuple[int, np.ndarray]]] = []
-        for depth, a in enumerate(order):
-            narrowing = []
-            for b in order[depth + 1 :]:
-                table = tables.get((min(a, b), max(a, b)))
-                if table is not None:
-                    narrowing.append((b, table if a < b else table.T))
-            later.append(narrowing)
+        order, plan = self._plan(key)
+        tables = self.allowed
+        later: list[list[tuple[int, np.ndarray]] | None] = [None] * len(order)  # read on first reach
         found: list[tuple[int, ...]] = []
         assigned = [0] * self.m_attrs
 
@@ -214,14 +320,23 @@ class ZebraTables:
             if depth == len(order):
                 found.append(tuple(assigned))
                 return len(found) >= limit
+            narrowing = later[depth]
+            if narrowing is None:
+                narrowing = later[depth] = [
+                    (b, cells if k == key else self._transpose(k) if transposed else tables[k])
+                    for b, k, transposed in plan[depth]
+                    if k in tables
+                ]
             candidates = domains[order[depth]].nonzero()[0]
             narrowed = []
-            for b, table in later[depth]:
+            for b, table in narrowing:
                 rows = table[candidates]  # a copy, so narrowing it in place is safe
                 rows &= domains[b]
-                alive = rows.any(axis=1)
+                alive = np.logical_or.reduce(rows, axis=1)
                 if not alive.all():
                     candidates = candidates[alive]
+                    if not len(candidates):
+                        return False
                     narrowed = [(c, r[alive]) for c, r in narrowed]
                     rows = rows[alive]
                 narrowed.append((b, rows))
@@ -237,6 +352,13 @@ class ZebraTables:
         descend(0, root)
         del descend  # the closure refers to itself; free the tables it holds now, not at the next gc
         return found
+
+
+def _union(sets: Iterable[int]) -> int:
+    union = 0
+    for house_pairs in sets:
+        union |= house_pairs
+    return union
 
 
 def zebra_solutions(pos: np.ndarray, clues: np.ndarray, m_attrs: int, limit: int) -> np.ndarray:

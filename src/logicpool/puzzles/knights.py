@@ -15,17 +15,17 @@ from . import _kernels
 from .statements import (
     KNAVE,
     KNIGHT,
-    Atom,
-    BinaryOp,
-    Not,
     OP_AND,
+    OP_ATOM,
     OP_IFF,
     OP_IMPLIES,
+    OP_NOT,
     OP_OR,
     Statement,
     character_label,
     compile_statements,
     evaluate_statement,
+    statement_from_code,
 )
 
 MAX_CHARS = 16
@@ -96,33 +96,43 @@ def solve_kk(statements: list[Statement] | tuple[Statement, ...], n_chars: int) 
 _BINARY_OPCODES = (OP_AND, OP_OR, OP_IMPLIES, OP_IFF)
 # Statement shapes: depth <= 2 and at most 2 connectives.
 _SHAPES = ("atom", "not_atom", "binary", "not_binary", "binary_not_left", "binary_not_right")
+_NOT = (OP_NOT, 0, 0)
 
 
-def _sample_atom(rng: random.Random, n_chars: int) -> Atom:
-    return Atom(rng.randrange(n_chars), rng.choice((KNIGHT, KNAVE)))
+def _draw_atom(rng: random.Random, n_chars: int) -> tuple[int, int, int]:
+    return (OP_ATOM, rng.randrange(n_chars), rng.choice((1, 0)))  # knight (1) or knave, as (KNIGHT, KNAVE)
+
+
+def _draw_statement(rng: random.Random, n_chars: int) -> list[tuple[int, int, int]]:
+    """One statement drawn uniformly over the generation grammar's shapes,
+    as the solver bytecode ``compile_statements`` gives for it."""
+    shape = rng.choice(_SHAPES)
+    if shape == "atom":
+        return [_draw_atom(rng, n_chars)]
+    if shape == "not_atom":
+        return [_draw_atom(rng, n_chars), _NOT]
+    op = (rng.choice(_BINARY_OPCODES), 0, 0)
+    left = [_draw_atom(rng, n_chars)]
+    right = [_draw_atom(rng, n_chars)]
+    if shape == "binary_not_left":
+        left.append(_NOT)
+    elif shape == "binary_not_right":
+        right.append(_NOT)
+    code = left + right + [op]
+    if shape == "not_binary":
+        code.append(_NOT)
+    return code
 
 
 def sample_statement(rng: random.Random, n_chars: int) -> Statement:
     """One statement drawn uniformly over the generation grammar's shapes."""
-    shape = rng.choice(_SHAPES)
-    if shape == "atom":
-        return _sample_atom(rng, n_chars)
-    if shape == "not_atom":
-        return Not(_sample_atom(rng, n_chars))
-    op = rng.choice(_BINARY_OPCODES)
-    left: Statement = _sample_atom(rng, n_chars)
-    right: Statement = _sample_atom(rng, n_chars)
-    if shape == "not_binary":
-        return Not(BinaryOp(op, left, right))
-    if shape == "binary_not_left":
-        left = Not(left)
-    elif shape == "binary_not_right":
-        right = Not(right)
-    return BinaryOp(op, left, right)
+    return statement_from_code(_draw_statement(rng, n_chars))
 
 
 def generate_kk(n_chars: int, seed: int, budget: int = GENERATION_BUDGET) -> KnightsKnavesPuzzle:
     """Rejection-sample statement sets until exactly one assignment survives.
+    Each set is drawn and solved as bytecode; statements are built only for
+    the set kept.
 
     Deterministic for a given (n_chars, seed).
     """
@@ -130,14 +140,18 @@ def generate_kk(n_chars: int, seed: int, budget: int = GENERATION_BUDGET) -> Kni
         raise ValueError(f"n_chars must be in [3, 6], got {n_chars}")
     rng = random.Random(f"kk:{n_chars}:{seed}")
     for _ in range(budget):
-        statements = tuple(sample_statement(rng, n_chars) for _ in range(n_chars))
-        solutions = solve_kk(statements, n_chars)
-        if len(solutions) == 1:
+        code: list[tuple[int, int, int]] = []
+        bounds = [0]
+        for _ in range(n_chars):
+            code += _draw_statement(rng, n_chars)
+            bounds.append(len(code))
+        masks = _kernels.kk_consistent_masks(code, bounds, n_chars)
+        if len(masks) == 1:
             return KnightsKnavesPuzzle(
                 puzzle_id=f"kk{n_chars}-{seed:06d}",
                 n_chars=n_chars,
-                statements=statements,
-                solution=solutions[0],
+                statements=tuple(statement_from_code(code[s:e]) for s, e in zip(bounds, bounds[1:])),
+                solution=assignment_from_mask(masks[0], n_chars),
                 seed=seed,
             )
     raise GenerationError(

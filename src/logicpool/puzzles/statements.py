@@ -8,6 +8,7 @@ identified by index; display labels are the letters A, B, C, ...
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import StructureError
 
@@ -150,6 +151,21 @@ def compile_statements(
         emit(statement)
         bounds.append(len(code))
     return code, bounds
+
+
+def statement_from_code(code: Sequence[tuple[int, int, int]]) -> Statement:
+    """The statement whose ``compile_statements`` rows are ``code``."""
+    stack: list[Statement] = []
+    for op, arg1, arg2 in code:
+        if op == OP_ATOM:
+            stack.append(Atom(arg1, KNIGHT if arg2 else KNAVE))
+        elif op == OP_NOT:
+            stack.append(Not(stack.pop()))
+        else:
+            right = stack.pop()
+            stack.append(BinaryOp(op, stack.pop(), right))
+    (statement,) = stack
+    return statement
 
 
 def render_statement(statement: Statement) -> str:

@@ -214,8 +214,11 @@ def solve_zebra(
 ) -> list[ZebraGrid]:
     """All grids satisfying every clue, in lexicographic permutation order.
 
-    ``limit`` caps the number of returned grids (uniqueness checks pass 2).
+    ``limit`` caps the number of returned grids (uniqueness checks pass 2)
+    and must be at least 1.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     _check_capacity(n_houses, n_attrs)
     if n_houses < 2 or n_attrs < 1:
         raise StructureError("need n_houses >= 2 and at least one attribute")
@@ -231,32 +234,39 @@ def solve_zebra(
 # ---------------------------------------------------------------------------
 
 
-def _clue_sort_key(clue: Clue) -> tuple:
-    return (CLUE_KINDS.index(clue.kind), clue.a_attr, clue.a_val, clue.b_attr, clue.b_val, clue.house)
-
-
-def _all_true_clues(grid: ZebraGrid, n_houses: int, n_attrs: int) -> list[Clue]:
-    """Every clue of the six kinds that holds in ``grid``."""
+def _true_clue_rows(grid: ZebraGrid, n_houses: int, n_attrs: int) -> list[tuple[int, ...]]:
+    """Every clue of the six kinds that holds in ``grid``, as encoded rows:
+    (kind code, a_attr, a_val, b_attr, b_val, house), with kind codes in
+    ``CLUE_KINDS`` order, so rows sort as the clues a puzzle lists."""
     pos = [[grid.position_of(a, v) for v in range(n_houses)] for a in range(n_attrs)]
-    clues: list[Clue] = []
-    for a in range(n_attrs):
-        for v in range(n_houses):
-            clues.append(Clue(AT_POSITION, a, v, house=pos[a][v]))
+    rows = [
+        (_kernels.K_AT_POSITION, a, v, -1, -1, pos[a][v]) for a in range(n_attrs) for v in range(n_houses)
+    ]
     entities = [(a, v) for a in range(n_attrs) for v in range(n_houses)]
     for i, (aa, av) in enumerate(entities):
         for bb, bv in entities[i + 1 :]:
             ha, hb = pos[aa][av], pos[bb][bv]
             if ha == hb:
                 if aa != bb:
-                    clues.append(Clue(SAME_HOUSE, aa, av, bb, bv))
+                    rows.append((_kernels.K_SAME_HOUSE, aa, av, bb, bv, -1))
                 continue
-            clues.append(Clue(NOT_SAME_HOUSE, aa, av, bb, bv))
+            rows.append((_kernels.K_NOT_SAME_HOUSE, aa, av, bb, bv, -1))
             left, right = ((aa, av), (bb, bv)) if ha < hb else ((bb, bv), (aa, av))
-            clues.append(Clue(LEFT_OF, left[0], left[1], right[0], right[1]))
+            rows.append((_kernels.K_LEFT_OF, *left, *right, -1))
             if abs(ha - hb) == 1:
-                clues.append(Clue(DIRECTLY_LEFT_OF, left[0], left[1], right[0], right[1]))
-                clues.append(Clue(NEXT_TO, aa, av, bb, bv))
-    return clues
+                rows.append((_kernels.K_DIRECTLY_LEFT_OF, *left, *right, -1))
+                rows.append((_kernels.K_NEXT_TO, aa, av, bb, bv, -1))
+    return rows
+
+
+def _clue_from_row(row: tuple[int, ...]) -> Clue:
+    kind, a_attr, a_val, b_attr, b_val, house = row
+    return Clue(CLUE_KINDS[kind], a_attr, a_val, b_attr, b_val, house)
+
+
+def _all_true_clues(grid: ZebraGrid, n_houses: int, n_attrs: int) -> list[Clue]:
+    """Every clue of the six kinds that holds in ``grid``."""
+    return [_clue_from_row(row) for row in _true_clue_rows(grid, n_houses, n_attrs)]
 
 
 def generate_zebra(n_houses: int, n_attrs: int, seed: int) -> ZebraPuzzle:
@@ -277,30 +287,26 @@ def generate_zebra(n_houses: int, n_attrs: int, seed: int) -> ZebraPuzzle:
     perms = [tuple(rng.sample(range(n_houses), n_houses)) for _ in range(n_attrs)]
     grid = ZebraGrid(tuple(perms))
 
-    clues = _all_true_clues(grid, n_houses, n_attrs)
-    rng.shuffle(clues)
-    encoded = _encode_clues(clues).tolist()
-    tables = _kernels.ZebraTables(_position_table(n_houses)[1], n_attrs, encoded)
+    rows = _true_clue_rows(grid, n_houses, n_attrs)
+    rng.shuffle(rows)
+    tables = _kernels.ZebraTables(_position_table(n_houses)[1], n_attrs, rows)
     # Drop each clue in turn and put it back if the solution stops being
     # unique. The solution was unique before the drop and satisfies the
     # dropped clue, so another one exists exactly when some grid uses a
-    # cell the drop freed; a drop that frees none needs no search. A clue
-    # is compiled again to take it out or put it back rather than kept from
-    # the build: at 6x6 the 1,290 pair clues' (720, 720) tables would take
-    # 670 MB together.
+    # cell the drop freed; a drop that frees none needs no search.
     kept = []
-    for clue, row in zip(clues, encoded):
-        key, freed = tables.remove(row)
+    for index, row in enumerate(rows):
+        key, freed = tables.remove(index)
         if tables.has_solution_in(key, freed):
-            tables.add([row])
-            kept.append(clue)
-    kept.sort(key=_clue_sort_key)
+            tables.restore(index)
+            kept.append(row)
+    kept.sort()
 
     return ZebraPuzzle(
         puzzle_id=f"zebra{n_houses}x{n_attrs}-{seed:06d}",
         n_houses=n_houses,
         attributes=attributes,
-        clues=tuple(kept),
+        clues=tuple(_clue_from_row(row) for row in kept),
         solution=grid,
         seed=seed,
     )

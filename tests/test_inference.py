@@ -377,6 +377,24 @@ def test_journal_entries_are_parsed_on_lookup(tmp_path):
     assert JournalingClient(str(journal)).generate("r", SamplingParams()).full_text == "hi"
 
 
+def test_a_journal_hit_does_not_wait_on_the_write_lock(tmp_path):
+    """An append holds the journal lock across its write; a lookup of an
+    indexed key reads and counts its hit without that lock."""
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    client = JournalingClient(str(journal), _CountingBackend())
+    served = []
+    reader = threading.Thread(target=lambda: served.append(client.generate("p", SamplingParams()).full_text))
+    with client._lock:  # as a write in flight on another worker holds it
+        reader.start()
+        reader.join(timeout=5)
+        finished = not reader.is_alive()
+    reader.join(timeout=5)
+    client.close()
+    assert finished, "the journal hit waited on the write lock"
+    assert served == ["hi"] and client.stats.served_from_journal == 1
+
+
 class _ScriptedBackend:
     """Answers each prompt with its response from a dict."""
 

@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import CapacityError, GenerationError
 from logicpool.puzzles import puzzle_to_json
+from logicpool.puzzles import _kernels
+from logicpool.puzzles._kernels import kk_consistent_masks
 from logicpool.puzzles.knights import (
     assignment_as_dict,
+    assignment_from_mask,
     assignment_to_mask,
     check_assignment,
     generate_kk,
@@ -14,9 +17,16 @@ from logicpool.puzzles.knights import (
     solve_kk,
 )
 from logicpool.puzzles.statements import (
+    OP_AND,
+    OP_IFF,
+    OP_IMPLIES,
+    OP_OR,
     Atom,
+    BinaryOp,
     Iff,
     Implies,
+    Not,
+    compile_statements,
     connective_count,
     statement_depth,
 )
@@ -106,6 +116,58 @@ def test_generator_grammar_bounds():
         statement = sample_statement(rng, 4)
         assert statement_depth(statement) <= 2
         assert connective_count(statement) <= 2
+
+
+def _reference_sample_statement(rng, n_chars):
+    """The generation grammar as a direct object sampler: the same draws in
+    the same order as ``sample_statement``."""
+    def atom():
+        return Atom(rng.randrange(n_chars), rng.choice((KNIGHT, KNAVE)))
+
+    shape = rng.choice(("atom", "not_atom", "binary", "not_binary", "binary_not_left", "binary_not_right"))
+    if shape == "atom":
+        return atom()
+    if shape == "not_atom":
+        return Not(atom())
+    op = rng.choice((OP_AND, OP_OR, OP_IMPLIES, OP_IFF))
+    left, right = atom(), atom()
+    if shape == "not_binary":
+        return Not(BinaryOp(op, left, right))
+    if shape == "binary_not_left":
+        left = Not(left)
+    elif shape == "binary_not_right":
+        right = Not(right)
+    return BinaryOp(op, left, right)
+
+
+def test_sampler_draws_what_the_object_grammar_draws():
+    for seed in range(50):
+        rng, reference = random.Random(seed), random.Random(seed)
+        n_chars = 3 + seed % 4
+        for _ in range(40):
+            assert sample_statement(rng, n_chars) == _reference_sample_statement(reference, n_chars)
+        assert rng.random() == reference.random()  # and consume the stream alike
+
+
+def test_generation_solves_the_bytecode_of_the_statements_it_returns(monkeypatch):
+    """generate_kk samples bytecode and builds statements only for the set
+    it keeps; the last set it solved compiles from those statements."""
+    solved = []
+
+    def recording(code, bounds, n_chars):
+        solved.append((list(code), list(bounds)))
+        return kk_consistent_masks(code, bounds, n_chars)
+
+    monkeypatch.setattr(_kernels, "kk_consistent_masks", recording)
+    rng = random.Random(20)
+    for _ in range(40):
+        n_chars, seed = rng.randint(3, 6), rng.randrange(100_000)
+        solved.clear()
+        puzzle = generate_kk(n_chars, seed=seed)
+        assert solved[-1] == compile_statements(list(puzzle.statements), n_chars)
+        assert [assignment_from_mask(m, n_chars) for m in kk_consistent_masks(*solved[-1], n_chars)] == [
+            puzzle.solution
+        ]
 
 
 def test_thousand_generated_puzzles_respect_depth_bound():

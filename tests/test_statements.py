@@ -15,6 +15,7 @@ from logicpool.puzzles.statements import (
     evaluate_statement,
     render_statement,
     statement_depth,
+    statement_from_code,
     statement_from_obj,
     statement_to_obj,
 )
@@ -78,6 +79,8 @@ def test_bytecode_matches_recursive_evaluation():
         n_chars = rng.randint(1, 5)
         statements = [random_statement(rng, n_chars) for _ in range(n_chars)]
         code, bounds = compile_statements(statements, n_chars)
+        # and the bytecode of each statement decompiles back to it
+        assert [statement_from_code(code[s:e]) for s, e in zip(bounds, bounds[1:])] == statements
         masks = set(int(m) for m in _kernels.kk_consistent_masks(code, bounds, n_chars))
         for mask in range(1 << n_chars):
             flags = tuple(bool((mask >> i) & 1) for i in range(n_chars))

@@ -10,6 +10,7 @@ from logicpool.puzzles import puzzle_from_json, puzzle_from_obj, puzzle_to_json,
 from logicpool.puzzles.zebra import (
     AT_POSITION,
     ATTRIBUTE_POOLS,
+    CLUE_KINDS,
     Attribute,
     Clue,
     LEFT_OF,
@@ -22,7 +23,6 @@ from logicpool.puzzles.zebra import (
     render_clue,
     solve_zebra,
     _all_true_clues,
-    _clue_sort_key,
     zebra_difficulty,
 )
 
@@ -90,6 +90,13 @@ def test_solver_refuses_clues_outside_the_grid(clue, message):
 def test_limit_truncates():
     grids = solve_zebra(3, 2, [], limit=5)
     assert len(grids) == 5
+
+
+@pytest.mark.parametrize("limit", [0, -1, -10_000])
+def test_limit_below_one_is_refused(limit):
+    # a limit of 0 used to return one grid
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        solve_zebra(3, 2, [], limit=limit)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -232,6 +239,11 @@ def test_loader_rejects_inconsistent_solution():
     data["solution"] = data["solution"][::-1]
     with pytest.raises(StructureError):
         puzzle_from_json(json.dumps(data))
+
+
+def _clue_sort_key(clue):
+    """The order a generated puzzle lists its clues in."""
+    return (CLUE_KINDS.index(clue.kind), clue.a_attr, clue.a_val, clue.b_attr, clue.b_val, clue.house)
 
 
 def _saturated_in_drop_order(n_houses, n_attrs, seed):
