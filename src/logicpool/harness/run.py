@@ -7,12 +7,18 @@ re-running a completed directory (or replaying its journal into a fresh
 one) reproduces records and reports byte-for-byte with zero backend calls.
 
 A run is a pipeline of (puzzle, sample) pools, one ``_Pool`` each. A pool
-is started when its prompts are rendered and its missing generations
-submitted, scored ``2 * concurrency`` pools later (its new records built,
-its verifications submitted), and finished in corpus order once its
-verifications land (its selection rows made, its new records appended).
-So the work in flight does not grow with the corpus, and one pool's
-verifications overlap the next pools' generations.
+is started when its prompts are rendered and keyed and its missing
+generations started, scored ``2 * concurrency`` pools later (its new
+records built, the calls of its verification prefixes started), and
+finished in corpus order once those calls land (its candidates verified,
+its selection rows made, its new records appended). So the work in flight
+does not grow with the corpus, and one pool's verifications overlap the
+next pools' generations.
+
+The thread that calls ``run()`` is the only one that touches a journal:
+it keys every request, serves journal hits, keeps one future per key in
+flight and appends each landed response. The worker threads only run the
+backend's calls. A replay's clients have no backend, so it starts nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError, NoAnswerError
 from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
-from ..prompts import TEMPLATE_VERSION, Strategy, render
+from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 from ..scoring import score_response, segment
 from ..selection import (
@@ -56,7 +62,7 @@ from ..selection import (
     vote_plus_prob,
     vote_plus_verifier,
 )
-from ..verifier import VerifierScore, chunk, verify
+from ..verifier import YES, ChunkedAnswer, chunk, prefix_prompts, verify
 from .config import ExperimentConfig
 from .records import (
     EvalRecord,
@@ -155,10 +161,10 @@ def apply_criterion(
 @dataclass
 class _CandidateTask:
     strategy: Strategy
-    request_sha256: str
-    future: Future | _Deferred | None = None  # set while a generation is pending
-    verification: Future | _Deferred | None = None  # set while a verification is pending
+    prompt: RenderedPrompt
+    keyed: tuple[str, dict]  # the generation's key and journaled request
     record: EvalRecord | None = None
+    chunked: ChunkedAnswer | None = None  # set while a verification is pending
     failure: dict | None = None  # the generate or score failure row
 
 
@@ -176,14 +182,15 @@ class _Pool:
     shared: dict
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
+    futures: list[Future]  # its backend calls in flight: generations, then verification prefixes
 
     def candidates(self) -> CandidatePool:
         """The pool of the tasks' current records, which are in strategy
         order because the tasks are."""
         return CandidatePool(self.puzzle.puzzle_id, [task.record for task in self.tasks])
 
-    def verified(self) -> bool:
-        return all(task.verification is None or task.verification.done() for task in self.tasks)
+    def landed(self) -> bool:
+        return all(future.done() for future in self.futures)
 
 
 def _failure_row(kind: str, pool: _Pool, task: _CandidateTask, exc: LogicPoolError) -> dict:
@@ -196,48 +203,29 @@ def _failure_row(kind: str, pool: _Pool, task: _CandidateTask, exc: LogicPoolErr
     }
 
 
-def _verify_text(question: str, text: str, client) -> VerifierScore:
-    return verify(question, chunk(text), client)
-
-
-class _Deferred:
-    """Stands in for a Future in a replay, which has no backend to wait on:
-    ``fn(*args)`` runs on the calling thread when the result is asked for,
-    so a replay decodes one response at a time."""
-
-    def __init__(self, fn, *args) -> None:
-        self._fn, self._args = fn, args
-
-    def done(self) -> bool:
-        return True
-
-    def cancel(self) -> bool:
-        return False
-
-    def result(self):
-        return self._fn(*self._args)
-
-
 class _Runner:
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
         self.failures: list[dict] = []
         self.records: list[EvalRecord] = []
         self.selections: list[SelectionRow] = []
+        # the run's journals, opened by run(); one client unless verification has its own backend
+        self.client: JournalingClient | None = None
+        self.verifier_client: JournalingClient | None = None
 
     # -- the pool pipeline -----------------------------------------------------
 
-    def _start(self, puzzle: Puzzle, sample: int, strategies, existing, client, submit) -> _Pool:
+    def _start(self, puzzle: Puzzle, sample: int, strategies, existing) -> _Pool:
         """Render the pool's prompts and key them, take the stored record of
-        each request, and submit the generations of the others."""
+        each request, and start the generations of the others."""
         config = self.config
-        tasks, new = [], []
+        tasks, new, futures = [], [], []
         for strategy in strategies:
             prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
             keyed = generate_request(prompt, config.sampling, f"s{sample}")
-            task = _CandidateTask(strategy, keyed[0], record=existing.get((puzzle.puzzle_id, keyed[0])))
+            task = _CandidateTask(strategy, prompt, keyed, record=existing.get((puzzle.puzzle_id, keyed[0])))
             if task.record is None:
-                task.future = submit(client.generate_timed, prompt, config.sampling, keyed)
+                futures.append(self.client.start("generate", prompt, config.sampling, keyed))
                 new.append(task)
             tasks.append(task)
         shared = dict(
@@ -247,17 +235,17 @@ class _Runner:
             sample=sample,
             n_clues=len(puzzle.clues) if hasattr(puzzle, "clues") else None,
         )
-        return _Pool(puzzle, sample, prompt.question, truth_answer(puzzle), shared, tasks, new)
+        futures = [future for future in futures if future is not None]
+        return _Pool(puzzle, sample, prompt.question, truth_answer(puzzle), shared, tasks, new, futures)
 
     def _build_record(self, pool: _Pool, task: _CandidateTask) -> EvalRecord:
         """Take the task's generation and score it. A failed generation or a
         response that cannot be scored sets the task's failure row and the
         record's error; the response itself is not kept, so a replay holds
         one decoded response at a time."""
-        future, task.future = task.future, None
         text, finish_reason, confidence, elapsed, error = "", "error", None, 0.0, None
         try:
-            response, elapsed = future.result()
+            response, elapsed = self.client.generate_timed(task.prompt, self.config.sampling, task.keyed)
         except LogicPoolError as exc:
             task.failure = _failure_row("generate", pool, task, exc)
         else:
@@ -272,7 +260,7 @@ class _Runner:
         answer = extract_answer(text, pool.puzzle)
         return EvalRecord(
             strategy=task.strategy.key,
-            request_sha256=task.request_sha256,
+            request_sha256=task.keyed[0],
             response_text=text,
             finish_reason=finish_reason,
             answer=answer,
@@ -284,39 +272,49 @@ class _Runner:
             **pool.shared,
         )
 
-    def _score(self, pool: _Pool, verifier_client, submit) -> None:
-        """Build the pool's new records, then submit the verifications the
-        criteria need, skipping stored scores: every parseable candidate for
-        ``verifier``; for ``vote_verifier`` without it, only the tied
-        majority groups."""
+    def _score(self, pool: _Pool) -> None:
+        """Build the pool's new records, then start the prefix calls of the
+        verifications the criteria need, skipping stored scores: every
+        parseable candidate for ``verifier``; for ``vote_verifier`` without
+        it, only the tied majority groups. Any other candidate keeps no
+        score, so a resume under fewer criteria writes a fresh run's
+        records."""
         for task in pool.new:
             task.record = self._build_record(pool, task)
         criteria = self.config.criteria
-        if VERIFIER not in criteria and VOTE_VERIFIER not in criteria:
-            return
-        indices = [i for i, task in enumerate(pool.tasks) if task.record.answer.parse_ok]
+        indices = []
+        if VERIFIER in criteria or VOTE_VERIFIER in criteria:
+            indices = [i for i, task in enumerate(pool.tasks) if task.record.answer.parse_ok]
         if VERIFIER not in criteria and indices:
             winners, tie = majority_groups(pool.candidates())
             indices = [i for group in winners for i in group] if tie else []
-        for i in indices:
-            task = pool.tasks[i]
-            if task.record.verifier is None:
-                task.verification = submit(_verify_text, pool.question, task.record.response_text, verifier_client)
+        futures = []
+        for i, task in enumerate(pool.tasks):
+            if i not in indices:
+                if task.record.verifier is not None:
+                    task.record = dataclasses.replace(task.record, verifier=None)
+            elif task.record.verifier is None:
+                task.chunked = chunk(task.record.response_text)
+                for prompt in prefix_prompts(pool.question, task.chunked):
+                    futures.append(self.verifier_client.start("completion_probability", prompt, [YES]))
+        pool.futures = [future for future in futures if future is not None]
 
     def _finish(self, pool: _Pool, records_path: str) -> None:
-        """Take the pool's verifier scores, apply every criterion and persist
+        """Verify the pool's candidates, apply every criterion and persist
         its new records. Its failure rows are recorded here, generate and
         score rows before verify rows, so failures run pool by pool
         whatever order the backend answers in. A verified record is
         replaced by a scored copy, so the run sees that it changed."""
         self.failures.extend(task.failure for task in pool.tasks if task.failure is not None)
         for task in pool.tasks:
-            if task.verification is not None:
-                future, task.verification = task.verification, None
+            if task.chunked is not None:
+                chunked, task.chunked = task.chunked, None
                 try:
-                    task.record = dataclasses.replace(task.record, verifier=future.result())
+                    score = verify(pool.question, chunked, self.verifier_client)
                 except LogicPoolError as exc:
                     self.failures.append(_failure_row("verify", pool, task, exc))
+                else:
+                    task.record = dataclasses.replace(task.record, verifier=score)
         self._select(pool)
         self.records.extend(task.record for task in pool.tasks)
         if pool.new:
@@ -376,37 +374,34 @@ class _Runner:
 
         strategies = config.strategy_pool()
         executor = ThreadPoolExecutor(max_workers=config.concurrency)
-        # one rule for every generation and verification: a replay runs it on
-        # this thread when its result is taken, any other run hands it to the
-        # workers, which serve journal hits from the journal
-        submit = _Deferred if config.replay else executor.submit
         ahead = 2 * config.concurrency
         started: deque[_Pool] = deque()
-        # scored pools, in corpus order, that may still wait on verifications
+        # scored pools, in corpus order, whose verification calls may still be in flight
         waiting: deque[_Pool] = deque()
         journals = contextlib.ExitStack()
 
         def score() -> None:
             # the pool leaves ``started`` once scored, so an error while
             # scoring still cancels its pending generations
-            self._score(started[0], verifier_client, submit)
+            self._score(started[0])
             waiting.append(started.popleft())
-            while waiting and waiting[0].verified():
+            while waiting and waiting[0].landed():
                 self._finish(waiting.popleft(), records_path)
 
         try:
             # replay means no inner client: a journal miss is an error
             inner = None if config.replay else config.backend.build()
-            client = journals.enter_context(JournalingClient(os.path.join(run_dir, JOURNAL_FILE), inner))
-            verifier_client = client
+            path = os.path.join(run_dir, JOURNAL_FILE)
+            self.client = self.verifier_client = journals.enter_context(
+                JournalingClient(path, inner, executor.submit)
+            )
             if config.verifier_backend is not None:
                 verifier_inner = None if config.replay else config.verifier_backend.build()
-                verifier_client = journals.enter_context(
-                    JournalingClient(os.path.join(run_dir, VERIFIER_JOURNAL_FILE), verifier_inner)
-                )
+                path = os.path.join(run_dir, VERIFIER_JOURNAL_FILE)
+                self.verifier_client = journals.enter_context(JournalingClient(path, verifier_inner, executor.submit))
             for puzzle in corpus:
                 for sample in range(config.samples):
-                    started.append(self._start(puzzle, sample, strategies, existing, client, submit))
+                    started.append(self._start(puzzle, sample, strategies, existing))
                     if len(started) > ahead:
                         score()
             while started:
@@ -417,12 +412,12 @@ class _Runner:
             # scored are still persisted below, which waits only for their
             # verifications
             for pool in started:
-                for task in pool.tasks:
-                    if task.future is not None:
-                        task.future.cancel()
+                for future in pool.futures:
+                    future.cancel()
             raise
         finally:
-            # the journals are closed on every way out, once the workers stop
+            # on every way out the running calls finish, then the journals
+            # append every call that landed and close
             with journals:
                 try:
                     while waiting:
@@ -447,9 +442,9 @@ class _Runner:
         tables = write_reports(run_dir, self.records, self.selections)
         self._write_manifest(run_dir, corpus_path, len(corpus))
 
-        backend_calls = client.stats.backend_calls
-        if verifier_client is not client:
-            backend_calls += verifier_client.stats.backend_calls
+        backend_calls = self.client.stats.backend_calls
+        if self.verifier_client is not self.client:
+            backend_calls += self.verifier_client.stats.backend_calls
         return RunResult(
             run_dir=run_dir,
             records=self.records,

@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import re
-import threading
 import time
 import weakref
 from dataclasses import dataclass, field, fields
@@ -26,6 +25,8 @@ from .jsonl import read_lines
 from .prompts import RenderedPrompt
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     import requests
 
 logger = logging.getLogger(__name__)
@@ -499,6 +500,38 @@ def generate_request(
     return _request_key("generate", request), request
 
 
+def _keyed(method: str, prompt: RenderedPrompt | str, arg: Any) -> tuple[str, dict[str, Any]]:
+    """The key and journaled form of ``inner.<method>(prompt, arg)``; a
+    generation is untagged, a probability's candidates are sorted."""
+    if method == "generate":
+        return generate_request(prompt, arg)
+    request = {"prompt": prompt, "candidates": sorted(arg)}
+    return _request_key(method, request), request
+
+
+def _timed(call: Callable[..., T], *args: Any) -> tuple[T, float]:
+    """``call(*args)`` and its wall time in seconds. This is all a worker
+    thread runs, so a journaled ``elapsed_s`` is the backend's latency."""
+    started = time.monotonic()
+    result = call(*args)
+    return result, round(time.monotonic() - started, 6)
+
+
+def _entry(key: str, method: str, request: dict[str, Any], result: Any, elapsed: float) -> dict[str, Any]:
+    """The journal entry of one backend call; a generation keeps its latency."""
+    entry = {"key": key, "kind": method, "request": request, "response": result}
+    if method == "generate":
+        entry.update(response=response_to_obj(result), elapsed_s=elapsed)
+    return entry
+
+
+def _decoded(entry: dict[str, Any]) -> tuple[Any, float]:
+    """The result and latency of an entry that ``_entry`` wrote."""
+    if entry["kind"] == "generate":
+        return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
+    return dict(entry["response"]), 0.0
+
+
 @dataclass
 class JournalStats:
     backend_calls: int = 0  # backend calls whose response was journaled
@@ -509,8 +542,8 @@ class JournalingClient:
     """Wraps a client with an append-only request/response journal.
 
     Requests already present in the journal are served from it (no backend
-    call); new ones hit the inner client and are appended. Without an inner
-    client the journal is replayed: a missing entry is an error, so
+    call); new ones go to the inner client and are appended. Without an
+    inner client the journal is replayed: a missing entry is an error, so
     completed runs re-execute bit-for-bit offline.
 
     Opening the journal is one buffered pass that keeps only each line's
@@ -524,31 +557,24 @@ class JournalingClient:
     An append is one write of the whole line, and a lookup one ``pread``.
     This client must be the journal's only writer, as the run directory's
     lock makes it: an entry's offset is the journal size this client knows,
-    not one asked of the file. The lock is held only while an append writes
-    and indexes its line and counts the backend call; lookups read the
-    index without it, since the index only grows, and count a hit under a
-    lock of their own, so a hit never waits on a write. A client dropped
-    without ``close()`` closes its descriptor when it is garbage-collected.
+    not one asked of the file. A client dropped without ``close()`` closes
+    its descriptor when it is garbage-collected.
 
-    Each key costs at most one backend call. A miss claims its key, after
-    checking the index again, under a claim lock of its own; a request for
-    a claimed key waits for that call and is then served from the journal
-    (or, if the call raised, makes its own). A claim is released only after
-    its entry is indexed, so a miss that finds no claim and no entry is the
-    first.
+    One thread owns the client and makes every call on it. ``start`` hands
+    a backend call to ``submit`` (an executor's), whose worker runs only
+    the inner client's method, and keeps one future per key in flight. A
+    blocking call (``generate_timed``, ``completion_probability``) takes
+    that future and appends its entry, or serves a journal hit, or else
+    calls the backend itself. A call that raised is no longer in flight.
     """
 
-    def __init__(self, journal_path: str, inner: InferenceClient | None = None) -> None:
+    def __init__(self, journal_path: str, inner: InferenceClient | None = None, submit=None) -> None:
         self.journal_path = journal_path
         self.inner = inner
         self.stats = JournalStats()
-        self._lock = threading.Lock()
-        self._hits_lock = threading.Lock()  # counts journal hits; no write holds it
+        self._submit = submit
         self._index: dict[str, tuple[int, int, int]] = {}  # key -> (offset, length, line)
-        # keys whose backend call is in flight, under their own lock: the
-        # journal lock is held across a write, which a claim must not wait for
-        self._claim_lock = threading.Lock()
-        self._claimed: dict[str, threading.Event] = {}
+        self._in_flight: dict[str, tuple[Future, str, dict[str, Any]]] = {}  # key -> (future, method, request)
         self._lines = 0
         self._size = 0  # bytes in the journal: the next entry's offset
         self._fd: int | None = None  # None until opened, -1 once closed
@@ -562,11 +588,18 @@ class JournalingClient:
         self.close()
 
     def close(self) -> None:
-        """Close the journal. Call it once no lookup or append is in flight;
-        any after it fails."""
-        self._fd = -1
-        if self._closer is not None:
-            self._closer()
+        """Append each call that landed without error and was never asked
+        for, then close the journal; any later lookup or append fails. Call
+        it once no backend call runs: one still running is lost."""
+        try:
+            for key, (future, method, request) in self._in_flight.items():
+                if future.done() and not future.cancelled() and future.exception() is None:
+                    self._append(_entry(key, method, request, *future.result()))
+        finally:
+            self._in_flight.clear()
+            self._fd = -1
+            if self._closer is not None:
+                self._closer()
 
     def _open(self) -> None:
         fd = os.open(self.journal_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
@@ -606,68 +639,62 @@ class JournalingClient:
         write that fails or stops short is cut back off the journal, so the
         next append starts on a clean line."""
         line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
-        with self._lock:
-            if self._fd is None:
-                self._open()
-            offset, written = self._size, 0
-            try:
-                while written < len(line):
-                    written += os.write(self._fd, line[written:])
-            except BaseException:
-                os.ftruncate(self._fd, offset)
-                raise
-            self._size = offset + len(line)
-            self._lines += 1
-            self._index[entry["key"]] = (offset, len(line), self._lines)
-            self.stats.backend_calls += 1
-
-    def _lookup(self, key: str, decode: Callable[[dict[str, Any]], T]) -> T | None:
-        """Parse the entry under ``key`` and decode its response, or None."""
-        found = self._index.get(key)
-        if found is None:
-            return None
-        with self._hits_lock:
-            self.stats.served_from_journal += 1
-        offset, length, number = found
-        raw = os.pread(self._fd, length, offset)
+        if self._fd is None:
+            self._open()
+        offset, written = self._size, 0
         try:
-            return decode(json.loads(raw))
-        except (ValueError, TypeError, KeyError, DataError) as exc:
-            raise DataError(f"{self.journal_path}: line {number} is not a journal entry ({exc!r})") from None
+            while written < len(line):
+                written += os.write(self._fd, line[written:])
+        except BaseException:
+            os.ftruncate(self._fd, offset)
+            raise
+        self._size = offset + len(line)
+        self._lines += 1
+        self._index[entry["key"]] = (offset, len(line), self._lines)
+        self.stats.backend_calls += 1
 
-    def _fetch(
-        self, key: str, decode: Callable[[dict[str, Any]], T], call: Callable[[], T], what: str, prompt: str
-    ) -> T:
-        """The response under ``key``: decoded from the journal or, once this
-        request holds the key's claim, from ``call()``, which asks the
-        backend and appends the entry. Without a backend, a miss raises a
-        ReplayMissError that names ``what`` is missing and the prompt."""
-        while True:
-            hit = self._lookup(key, decode)
-            if hit is not None:
-                return hit
-            if self.inner is None:
-                raise ReplayMissError(f"no journaled {what} for prompt starting {prompt[:60]!r}")
-            with self._claim_lock:
-                if key in self._index:  # appended since the lookup
-                    continue
-                claim = self._claimed.get(key)
-                if claim is None:
-                    self._claimed[key] = threading.Event()
-            if claim is not None:
-                claim.wait()
-                continue
+    def start(self, method: str, prompt: RenderedPrompt | str, arg: Any, keyed=None) -> Future | None:
+        """Submit the backend call ``inner.<method>(prompt, arg)`` and return
+        its future, or the future already in flight for its key. Returns
+        None for a journal hit, and when there is no backend or no
+        ``submit``. ``keyed`` is the request's key and journaled form."""
+        if self.inner is None or self._submit is None:
+            return None
+        key, request = keyed or _keyed(method, prompt, arg)
+        if key not in self._index and key not in self._in_flight:
+            future = self._submit(_timed, getattr(self.inner, method), request["prompt"], arg)
+            self._in_flight[key] = (future, method, request)
+        return self._in_flight[key][0] if key in self._in_flight else None
+
+    def _take(self, method: str, prompt: RenderedPrompt | str, arg: Any, keyed=None) -> tuple[Any, float]:
+        """The result of ``inner.<method>(prompt, arg)`` and its latency:
+        parsed from the journal when a lookup finds it there (a ``pread``),
+        or taken from the key's future, or asked of the backend here; a
+        result from the backend is appended. Without a backend, a miss
+        raises a ReplayMissError naming the prompt."""
+        key, request = keyed or _keyed(method, prompt, arg)
+        found = self._index.get(key)
+        if found is not None:
+            self.stats.served_from_journal += 1
+            offset, length, number = found
+            raw = os.pread(self._fd, length, offset)
             try:
-                return call()
-            finally:
-                with self._claim_lock:
-                    self._claimed.pop(key).set()
+                return _decoded(json.loads(raw))
+            except (ValueError, TypeError, KeyError, DataError) as exc:
+                raise DataError(f"{self.journal_path}: line {number} is not a journal entry ({exc!r})") from None
+        if self.inner is None:
+            what = "response" if method == "generate" else "verification"
+            raise ReplayMissError(f"no journaled {what} for prompt starting {request['prompt'][:60]!r}")
+        in_flight = self._in_flight.pop(key, None)
+        if in_flight is None:
+            result = _timed(getattr(self.inner, method), request["prompt"], arg)
+        else:
+            result = in_flight[0].result()
+        self._append(_entry(key, method, request, *result))
+        return result
 
     def generate_timed(
-        self,
-        prompt: RenderedPrompt | str,
-        params: SamplingParams,
-        keyed: tuple[str, dict[str, Any]] | None = None,
+        self, prompt: RenderedPrompt | str, params: SamplingParams, keyed=None
     ) -> tuple[ModelResponse, float]:
         """Like generate, but also returns the backend latency. Latency is
         journaled with the response, so journal hits report the original
@@ -677,42 +704,10 @@ class JournalingClient:
         tells otherwise-identical requests (e.g. repeated samples of one
         prompt) apart; without it the request is untagged.
         """
-        key, request = keyed or generate_request(prompt, params)
+        return self._take("generate", prompt, params, keyed)
 
-        def call() -> tuple[ModelResponse, float]:
-            started = time.monotonic()
-            response = self.inner.generate(request["prompt"], params)
-            elapsed = round(time.monotonic() - started, 6)
-            self._append(
-                {
-                    "key": key,
-                    "kind": "generate",
-                    "request": request,
-                    "response": response_to_obj(response),
-                    "elapsed_s": elapsed,
-                }
-            )
-            return response, elapsed
-
-        def decode(entry: dict[str, Any]) -> tuple[ModelResponse, float]:
-            return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
-
-        return self._fetch(key, decode, call, "response", request["prompt"])
-
-    def generate(
-        self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
-    ) -> ModelResponse:
+    def generate(self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = "") -> ModelResponse:
         return self.generate_timed(prompt, params, generate_request(prompt, params, tag))[0]
 
-    def completion_probability(
-        self, prompt_text_: str, candidates: Sequence[str]
-    ) -> dict[str, float]:
-        request = {"prompt": prompt_text_, "candidates": sorted(candidates)}
-        key = _request_key("completion_probability", request)
-
-        def call() -> dict[str, float]:
-            result = self.inner.completion_probability(prompt_text_, candidates)
-            self._append({"key": key, "kind": "completion_probability", "request": request, "response": result})
-            return result
-
-        return self._fetch(key, lambda entry: dict(entry["response"]), call, "verification", prompt_text_)
+    def completion_probability(self, prompt_text_: str, candidates: Sequence[str]) -> dict[str, float]:
+        return self._take("completion_probability", prompt_text_, candidates)[0]

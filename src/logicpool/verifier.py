@@ -87,22 +87,24 @@ def build_verification_prompt(question: str, chunks: Sequence[str]) -> str:
     return verifier_template().replace("{question}", question).replace("{answer}", " ".join(chunks))
 
 
-def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> VerifierScore:
-    """Cumulative-prefix verification: prompt i embeds chunks 0..i, and the
-    score is the mean P("Yes") over all prefixes.
+def prefix_prompts(question: str, chunked: ChunkedAnswer) -> list[str]:
+    """The verification prompt of each prefix of chunks, in prefix order:
+    prompt i embeds chunks 0..i."""
+    return [build_verification_prompt(question, chunked.chunks[: i + 1]) for i in range(len(chunked.chunks))]
 
-    Prefix prompts go out sequentially within a candidate: each embeds all
-    prior chunks, and sequential issue keeps the candidate's journal
-    entries in prefix order. The run harness calls this once per candidate
-    on its executor, so candidates of different pools overlap. A failed
-    prefix (BackendError) fails the whole verification: a partial mean is
-    never a score. The prefixes already answered stay in the journal, so a
-    retry asks only for the rest.
+
+def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> VerifierScore:
+    """Cumulative-prefix verification: the score is the mean P("Yes") over
+    the prompts of ``prefix_prompts``.
+
+    The prefixes are asked one after another, so a journaling client
+    appends the candidate's entries in prefix order. The run harness starts
+    every prefix call of a candidate on its workers first and calls this
+    once they have landed. A failed prefix (BackendError) fails the whole
+    verification: a partial mean is never a score. The prefixes already
+    answered stay in the journal, so a retry asks only for the rest.
     """
     if not chunked.chunks:
         raise ValueError("need at least one chunk to verify")
-    per_chunk = []
-    for i in range(len(chunked.chunks)):
-        prompt = build_verification_prompt(question, chunked.chunks[: i + 1])
-        per_chunk.append(client.completion_probability(prompt, [YES])[YES])
+    per_chunk = [client.completion_probability(prompt, [YES])[YES] for prompt in prefix_prompts(question, chunked)]
     return VerifierScore(per_chunk=tuple(per_chunk), mean=sum(per_chunk) / len(per_chunk))

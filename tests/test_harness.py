@@ -1,5 +1,7 @@
 import fcntl
+import functools
 import importlib
+import inspect
 import json
 import math
 import os
@@ -668,7 +670,9 @@ def run_outputs(run_dir):
 def test_a_crash_at_any_backend_call_resumes_to_the_uninterrupted_outputs(tmp_path, world, concurrency):
     """The run crashes after k backend calls, for every k up to the 39 calls
     the whole run makes, with the journal's last line torn on odd k. The
-    resume with an intact backend writes what an uninterrupted run does."""
+    resume with an intact backend writes what an uninterrupted run does,
+    and pays again only for the torn line: every call that succeeded
+    before the crash is journaled."""
     _, paths = world
 
     def config(name, **overrides):
@@ -687,11 +691,16 @@ def test_a_crash_at_any_backend_call_resumes_to_the_uninterrupted_outputs(tmp_pa
             crashed = True
         assert crashed == (k < 39), k
         journal = tmp_path / f"crash{k}" / "journal.jsonl"
-        if k % 2 and journal.stat().st_size:
+        torn = bool(k % 2 and journal.stat().st_size)
+        if torn:
             tear_last_line(journal)
         resumed = run(config(f"crash{k}"))
         assert resumed.exit_code == 0, k
         assert run_outputs(resumed.run_dir) == expected, k
+        if torn:
+            assert resumed.backend_calls <= 40 - k, k
+        else:
+            assert resumed.backend_calls == 39 - k, k
 
 
 @pytest.fixture(scope="module")
@@ -718,31 +727,39 @@ def test_a_crash_at_a_drawn_call_and_a_cut_in_the_last_journal_line_resumes(
     """The run crashes after a drawn number k of the 39 backend calls, at
     concurrency 1 or 3, and the journal's last line is cut after ``cut``
     thousandths of its bytes (1000 leaves it whole, 0 removes it). The
-    resume with an intact backend writes what an uninterrupted run does."""
+    resume with an intact backend writes what an uninterrupted run does,
+    paying again only for the cut line."""
     _, paths = world
     base = tmp_path_factory.mktemp("crash_point")
     backend = CountdownBackendConfig(kind="mock", script_path=paths["script"], calls=k)
     with pytest.raises(RuntimeError):
         run(crash_point_config(base, paths, "run", concurrency, backend=backend))
     journal = base / "run" / "journal.jsonl"
+    whole = True
     if journal.exists():
         size = journal.stat().st_size
         last_line = journal.read_bytes().rfind(b"\n", 0, size - 1) + 1
         os.truncate(journal, last_line + (size - last_line) * cut // 1000)
+        whole = cut == 1000
     resumed = run(crash_point_config(base, paths, "run", concurrency))
     assert resumed.exit_code == 0
     assert run_outputs(resumed.run_dir) == uninterrupted[concurrency]
+    if whole:
+        assert resumed.backend_calls == 39 - k
+    else:
+        assert resumed.backend_calls <= 40 - k
 
 def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
     """Run with one worker and all criteria, and return what happened in
-    order: each submission to the worker pool ("generate" or "verify") and
-    each response scored ("score")."""
+    order: each submission to the worker pool ("generate", or "verify" for
+    a verification prefix) and each response scored ("score")."""
     run_module = importlib.import_module("logicpool.harness.run")
     events = []
 
     class RecordingExecutor(ThreadPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            events.append("verify" if fn is run_module._verify_text else "generate")
+            call = args[0]  # the inner backend's method that the worker runs
+            events.append("verify" if call.__name__ == "completion_probability" else "generate")
             return super().submit(fn, *args, **kwargs)
 
     real_score = run_module.score_response
@@ -888,6 +905,113 @@ def test_lambda_change_on_resume_matches_fresh_replay(tmp_path, world):
         assert resumed_bytes == (replay_dir / name).read_bytes(), (
             f"{name} differs between the resumed and the replayed run"
         )
+
+
+@pytest.mark.parametrize("criteria", [("majority_vote", "oracle"), ("vote_verifier", "oracle")])
+def test_criteria_change_on_resume_matches_a_fresh_run(tmp_path, world, criteria):
+    """A record keeps a verifier score only when this run's criteria ask for
+    it: a run with every criterion, resumed under fewer, writes what a
+    fresh run under those criteria writes."""
+    _, paths = world
+    run(mock_config(tmp_path, paths, run_name="criteria"))
+    resumed = run(mock_config(tmp_path, paths, run_name="criteria", criteria=criteria))
+    assert resumed.backend_calls == 0
+    fresh = run(mock_config(tmp_path, paths, run_name="criteria_fresh", criteria=criteria))
+    stored = load_records(os.path.join(resumed.run_dir, "records.jsonl"))
+    assert without_timing(stored) == without_timing(fresh.records)
+    assert without_timing(resumed.records) == without_timing(fresh.records)
+    for name in ("selections.jsonl", "report.md"):
+        assert Path(resumed.run_dir, name).read_bytes() == Path(fresh.run_dir, name).read_bytes(), name
+
+
+class SleepingMock(MockBackend):
+    """A mock whose generations take at least ``sleep_s`` seconds."""
+
+    def __init__(self, script, sleep_s):
+        super().__init__(script)
+        self.sleep_s = sleep_s
+
+    def generate(self, prompt, params):
+        time.sleep(self.sleep_s)
+        return super().generate(prompt, params)
+
+
+@dataclass
+class SleepingBackendConfig(BackendConfig):
+    sleep_s: float = 0.0
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return SleepingMock(json.load(handle), self.sleep_s)
+
+
+def test_journaled_latency_is_the_backend_call(tmp_path, world):
+    """``elapsed_s`` times the backend call on its worker: in a threaded run
+    it lies between the backend's sleep and the run's wall time, and a
+    rerun and a replay read back the same numbers."""
+    _, paths = world
+    sleep_s = 0.02
+    backend = SleepingBackendConfig(kind="mock", script_path=paths["script"], sleep_s=sleep_s)
+    criteria = ("majority_vote", "oracle")
+    config = mock_config(tmp_path, paths, run_name="latency", backend=backend, criteria=criteria)
+    began = time.monotonic()
+    cold = run(config)
+    wall = time.monotonic() - began
+    elapsed = [r.elapsed_s for r in cold.records]
+    assert len(elapsed) == 20
+    assert all(sleep_s <= e <= wall for e in elapsed), (elapsed, wall)
+    journal = read_jsonl(os.path.join(config.run_dir, "journal.jsonl"))
+    assert sorted(entry["elapsed_s"] for entry in journal) == sorted(elapsed)
+
+    assert [r.elapsed_s for r in run(config).records] == elapsed
+    replay_dir = tmp_path / "latency_replay"
+    os.makedirs(replay_dir)
+    shutil.copyfile(os.path.join(config.run_dir, "journal.jsonl"), replay_dir / "journal.jsonl")
+    replay = run(mock_config(tmp_path, paths, run_name="latency_replay", criteria=criteria, replay=True))
+    assert [r.elapsed_s for r in replay.records] == elapsed
+
+
+def test_only_the_run_thread_touches_a_journal(tmp_path, world, monkeypatch):
+    """Every ``JournalingClient`` method runs on the thread that called
+    run(), in a threaded cold run, a rerun and a replay; the cold run's
+    backend calls all run on the workers."""
+    _, paths = world
+    owner = threading.get_ident()
+    client_threads, backend_threads = [], []
+
+    def recording(func, threads):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name, func in list(vars(inference.JournalingClient).items()):
+        if inspect.isfunction(func):
+            monkeypatch.setattr(inference.JournalingClient, name, recording(func, client_threads))
+    for name in ("generate", "completion_probability"):
+        monkeypatch.setattr(MockBackend, name, recording(getattr(MockBackend, name), backend_threads))
+
+    os.makedirs(tmp_path / "owner_replay")
+    steps = [
+        ("cold", mock_config(tmp_path, paths, run_name="owner", samples=2, concurrency=4)),
+        ("rerun", mock_config(tmp_path, paths, run_name="owner", samples=2, concurrency=4)),
+        ("replay", mock_config(tmp_path, paths, run_name="owner_replay", samples=2, concurrency=4, replay=True)),
+    ]
+    for step, config in steps:
+        if step == "replay":
+            shutil.copyfile(tmp_path / "owner" / "journal.jsonl", tmp_path / "owner_replay" / "journal.jsonl")
+        client_threads.clear()
+        backend_threads.clear()
+        result = run(config)
+        assert result.exit_code == 0, step
+        assert client_threads and set(client_threads) == {owner}, step
+        if step == "cold":
+            assert len(backend_threads) == result.backend_calls == 59
+            assert owner not in backend_threads
+        else:
+            assert backend_threads == [], step
 
 
 def test_temperature_change_on_resume_regenerates_every_record(tmp_path, world):

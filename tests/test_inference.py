@@ -6,8 +6,7 @@ import os
 import random
 import subprocess
 import sys
-import threading
-import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -64,6 +63,10 @@ def test_sampling_defaults_match_protocol():
 def test_sampling_validation(kwargs):
     with pytest.raises(ValueError):
         SamplingParams(**kwargs)
+
+
+def test_a_single_alternative_per_token_is_a_valid_top_k():
+    assert SamplingParams(top_k=1).top_k == 1
 
 
 @pytest.mark.parametrize(
@@ -124,6 +127,13 @@ def test_mock_respects_max_tokens():
     response = backend.generate("p", SamplingParams(max_tokens=1))
     assert len(response.tokens) == 1
     assert response.finish_reason == "length"
+
+
+def test_mock_response_of_exactly_max_tokens_stopped_by_itself():
+    backend = MockBackend({"responses": [{"match": "", "text": "one two three four"}]})
+    response = backend.generate("p", SamplingParams(max_tokens=4))
+    assert len(response.texts) == 4
+    assert response.finish_reason == "stop"
 
 
 def test_mock_explicit_tokens_and_match_all():
@@ -377,24 +387,6 @@ def test_journal_entries_are_parsed_on_lookup(tmp_path):
     assert JournalingClient(str(journal)).generate("r", SamplingParams()).full_text == "hi"
 
 
-def test_a_journal_hit_does_not_wait_on_the_write_lock(tmp_path):
-    """An append holds the journal lock across its write; a lookup of an
-    indexed key reads and counts its hit without that lock."""
-    journal = tmp_path / "journal.jsonl"
-    _record_two(journal)
-    client = JournalingClient(str(journal), _CountingBackend())
-    served = []
-    reader = threading.Thread(target=lambda: served.append(client.generate("p", SamplingParams()).full_text))
-    with client._lock:  # as a write in flight on another worker holds it
-        reader.start()
-        reader.join(timeout=5)
-        finished = not reader.is_alive()
-    reader.join(timeout=5)
-    client.close()
-    assert finished, "the journal hit waited on the write lock"
-    assert served == ["hi"] and client.stats.served_from_journal == 1
-
-
 class _ScriptedBackend:
     """Answers each prompt with its response from a dict."""
 
@@ -470,175 +462,208 @@ def test_prompt_holding_the_tokens_key_text_opens(tmp_path):
 
 
 class _EchoBackend:
-    """One token per response: the prompt itself, with a logprob read from it."""
-
-    def generate(self, prompt, params):
-        return ModelResponse.from_tokens((make_token(prompt, -int(prompt[1:]) / 1000),), "stop")
-
-
-def test_concurrent_appends_and_lookups_keep_the_index_consistent(tmp_path):
-    journal = tmp_path / "journal.jsonl"
-    client = JournalingClient(str(journal), _EchoBackend())
-    prompts = [f"p{i}" for i in range(200)]
-    errors = []
-
-    def work(offset):
-        try:
-            for i in range(offset, offset + len(prompts)):
-                prompt = prompts[i % len(prompts)]
-                response = client.generate(prompt, SamplingParams())
-                assert response.full_text == prompt
-                assert response.logprobs[0] == -int(prompt[1:]) / 1000
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(17 * n,)) for n in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert client.stats.backend_calls == len(prompts)
-    assert client.stats.served_from_journal == 7 * len(prompts)
-    reopened = JournalingClient(str(journal))
-    for prompt in prompts:
-        assert reopened.generate(prompt, SamplingParams()).full_text == prompt
-
-
-class _SlowBackend(_CountingBackend):
-    """Answers after a pause; the first ``failures`` calls raise instead."""
+    """One token per response: the prompt itself, with a logprob read from
+    it. The first ``failures`` calls raise instead."""
 
     def __init__(self, failures=0):
-        super().__init__()
+        self.calls = 0
         self.failures = failures
-        self._count = threading.Lock()
 
     def generate(self, prompt, params):
-        with self._count:
-            self.calls += 1
-            fail = self.calls <= self.failures
-        time.sleep(0.05)
-        if fail:
+        self.calls += 1
+        if self.calls <= self.failures:
             raise BackendError("endpoint down")
-        return ModelResponse.from_tokens((make_token("hi", -0.1),), "stop")
+        return ModelResponse.from_tokens((make_token(prompt, -int(prompt[1:]) / 1000),), "stop")
 
     def completion_probability(self, prompt_text, candidates):
-        with self._count:
-            self.calls += 1
-        time.sleep(0.05)
-        return {c: 0.5 for c in candidates}
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise BackendError("endpoint down")
+        return {c: int(prompt_text[1:]) / 1000 for c in candidates}
 
 
-def _ask_at_once(threads, ask):
-    """Run ``ask()`` on ``threads`` threads released together; return the
-    results and the errors."""
-    start = threading.Barrier(threads)
-    results, errors = [], []
+class _HeldCall(Future):
+    """A backend call that runs when ``land()`` is called, or when its
+    result is asked for, on the calling thread."""
 
-    def work():
-        start.wait(timeout=10)
-        try:
-            results.append(ask())
-        except Exception as exc:  # reported by the caller
-            errors.append(exc)
+    def __init__(self, fn, args):
+        super().__init__()
+        self._call = fn, args
 
-    workers = [threading.Thread(target=work) for _ in range(threads)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=30)
-    assert not any(worker.is_alive() for worker in workers)
-    return results, errors
+    def land(self):
+        if not self.done():
+            fn, args = self._call
+            try:
+                self.set_result(fn(*args))
+            except Exception as exc:  # the future holds it
+                self.set_exception(exc)
+
+    def result(self, timeout=None):
+        self.land()
+        return super().result(timeout)
+
+
+class _HeldCalls:
+    """A ``submit`` that holds each call until it is landed, so a test
+    decides when a call in flight lands."""
+
+    def __init__(self):
+        self.held = []
+
+    def __call__(self, fn, *args):
+        self.held.append(_HeldCall(fn, args))
+        return self.held[-1]
+
+    def land(self, count=None):
+        """Land the first ``count`` calls held (all by default)."""
+        landing = self.held if count is None else self.held[:count]
+        self.held = self.held[len(landing):]
+        for call in landing:
+            call.land()
+
+
+def _ask(client, kind, prompt):
+    if kind == "generate":
+        return client.generate_timed(prompt, SamplingParams())[0].full_text
+    return client.completion_probability(prompt, ["Yes"])
 
 
 @pytest.mark.parametrize("kind", ["generate", "completion_probability"])
-def test_threads_asking_one_slow_request_make_one_backend_call(tmp_path, kind):
+def test_a_key_in_flight_costs_one_backend_call(tmp_path, kind):
+    """Starting a key that is in flight returns its future; the first
+    request takes the landed call and appends it, the rest are hits."""
     journal = tmp_path / "journal.jsonl"
-    inner = _SlowBackend()
-    with JournalingClient(str(journal), inner) as client:
-        if kind == "generate":
-            results, errors = _ask_at_once(8, lambda: client.generate("p", SamplingParams()).full_text)
-        else:
-            results, errors = _ask_at_once(8, lambda: client.completion_probability("p", ["Yes"]))
-        assert errors == []
-        assert results == [results[0]] * 8
+    inner, held = _EchoBackend(), _HeldCalls()
+    arg = SamplingParams() if kind == "generate" else ["Yes"]
+    with JournalingClient(str(journal), inner, held) as client:
+        futures = [client.start(kind, "p7", arg) for _ in range(3)]
+        assert futures[0] is not None and futures == [futures[0]] * 3
+        assert len(held.held) == 1 and inner.calls == 0
+        held.land()
+        results = [_ask(client, kind, "p7") for _ in range(3)]
+        assert results == [results[0]] * 3
         assert inner.calls == 1
-        assert client.stats.backend_calls == 1 and client.stats.served_from_journal == 7
+        assert client.stats.backend_calls == 1 and client.stats.served_from_journal == 2
+        assert client.start(kind, "p7", arg) is None  # journaled now
     assert len(journal.read_bytes().splitlines()) == 1
 
 
-def test_a_request_waiting_on_a_failed_call_makes_its_own(tmp_path):
+def test_start_returns_none_for_a_hit_a_replay_and_no_submit(tmp_path):
     journal = tmp_path / "journal.jsonl"
-    inner = _SlowBackend(failures=1)
-    with JournalingClient(str(journal), inner) as client:
-        results, errors = _ask_at_once(2, lambda: client.generate("p", SamplingParams()).full_text)
-        assert [str(exc) for exc in errors] == ["endpoint down"]
-        assert results == ["hi"]
+    with JournalingClient(str(journal), _EchoBackend()) as inline:
+        assert inline.start("generate", "p1", SamplingParams()) is None  # no submit: served when asked
+        assert inline.generate("p1", SamplingParams()).full_text == "p1"
+    held = _HeldCalls()
+    with JournalingClient(str(journal), _EchoBackend(), held) as client:
+        assert client.start("generate", "p1", SamplingParams()) is None
+    with JournalingClient(str(journal), None, held) as replayer:
+        assert replayer.start("generate", "p2", SamplingParams()) is None
+    assert held.held == []
+
+
+def test_a_request_after_a_failed_call_makes_its_own(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    inner, held = _EchoBackend(failures=1), _HeldCalls()
+    with JournalingClient(str(journal), inner, held) as client:
+        client.start("generate", "p1", SamplingParams())
+        held.land()
+        with pytest.raises(BackendError, match="endpoint down"):
+            client.generate("p1", SamplingParams())
+        assert client.generate("p1", SamplingParams()).full_text == "p1"  # called here
+        assert held.held == []
         assert inner.calls == 2 and client.stats.backend_calls == 1
     assert len(journal.read_bytes().splitlines()) == 1
 
 
-def test_threaded_appends_and_lookups_index_every_entry_at_its_own_offset(tmp_path):
-    """Writers append distinct entries while readers look up entries that
-    may not be written yet and entries that never are."""
+def test_close_appends_the_calls_that_landed_and_drops_the_rest(tmp_path):
+    """Closing appends each call that landed without error and was never
+    asked for; a call that failed or has not landed is not journaled."""
     journal = tmp_path / "journal.jsonl"
-    client = JournalingClient(str(journal), _EchoBackend())
-    writers, readers, per_writer = 6, 4, 40
-    batches = [[f"p{w * per_writer + i}" for i in range(per_writer)] for w in range(writers)]
-    prompt_of = {generate_request(p, SamplingParams())[0]: p for batch in batches for p in batch}
-    written = list(prompt_of)
-    absent = [generate_request(f"x{i}", SamplingParams())[0] for i in range(50)]
-    writing_done = threading.Event()
-    errors = []
-
-    def write(batch):
-        try:
-            for prompt in batch:
-                assert client.generate(prompt, SamplingParams()).full_text == prompt
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    def read(seed):
-        rng = random.Random(seed)
-        try:
-            while not writing_done.is_set():
-                key = rng.choice(written)
-                entry = client._lookup(key, lambda entry: entry)
-                assert entry is None or entry["request"]["prompt"] == prompt_of[key]
-                assert client._lookup(rng.choice(absent), lambda entry: entry) is None
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reading = [threading.Thread(target=read, args=(n,)) for n in range(readers)]
-        writing = [threading.Thread(target=write, args=(batch,)) for batch in batches]
-        for thread in reading + writing:
-            thread.start()
-        for thread in writing:
-            thread.join(timeout=60)
-        writing_done.set()
-        for thread in reading:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in reading + writing)
-    assert errors == []
-    lines = journal.read_bytes().splitlines(keepends=True)
-    assert client.stats.backend_calls == len(lines) == writers * per_writer
-    assert sorted(client._index) == sorted(written)
-    for key, (offset, length, number) in client._index.items():
-        raw = os.pread(client._fd, length, offset)
-        assert raw == lines[number - 1]
-        assert json.loads(raw)["key"] == key
+    inner, held = _EchoBackend(failures=1), _HeldCalls()
+    client = JournalingClient(str(journal), inner, held)
+    for prompt in ("p1", "p2", "p3", "p4"):
+        client.start("generate", prompt, SamplingParams())
+    client.start("completion_probability", "p5", ["Yes"])
+    held.land(3)  # p1 fails, p2 and p3 land
+    assert not journal.exists()
     client.close()
+    assert client.stats.backend_calls == 2
+    with JournalingClient(str(journal)) as reopened:
+        assert reopened.generate("p2", SamplingParams()).full_text == "p2"
+        assert reopened.generate("p3", SamplingParams()).full_text == "p3"
+        for prompt in ("p1", "p4"):
+            with pytest.raises(ReplayMissError):
+                reopened.generate(prompt, SamplingParams())
+        with pytest.raises(ReplayMissError):
+            reopened.completion_probability("p5", ["Yes"])
+
+
+def test_hit_and_call_counts_over_interleaved_starts_and_requests(tmp_path):
+    """Each of 50 prompts is started and asked for several times, in a
+    shuffled order with calls landing in between: one backend call per
+    prompt, every other request a hit, and the responses are each
+    prompt's own."""
+    journal = tmp_path / "journal.jsonl"
+    inner, held = _EchoBackend(), _HeldCalls()
+    prompts = [f"p{i}" for i in range(50)]
+    steps = [("start", p) for p in prompts] * 2 + [("ask", p) for p in prompts] * 4
+    rng = random.Random(3)
+    rng.shuffle(steps)
+    asked = set()
+    with JournalingClient(str(journal), inner, held) as client:
+        for step, prompt in steps:
+            if step == "start":
+                client.start("generate", prompt, SamplingParams())
+            else:
+                response = client.generate(prompt, SamplingParams())
+                assert response.full_text == prompt
+                assert response.logprobs[0] == -int(prompt[1:]) / 1000
+                asked.add(prompt)
+            if rng.random() < 0.3:
+                held.land(rng.randrange(1, 4))
+        held.land()
+    assert inner.calls == client.stats.backend_calls == len(prompts)
+    assert asked == set(prompts)
+    assert client.stats.served_from_journal == 3 * len(prompts)
+    with JournalingClient(str(journal)) as reopened:
+        for prompt in prompts:
+            assert reopened.generate(prompt, SamplingParams()).full_text == prompt
+        assert reopened.stats.backend_calls == 0
+
+
+def test_interleaved_calls_index_every_entry_at_its_own_offset(tmp_path):
+    """Calls are started, landed, appended and looked up in a random order,
+    the lookups asking for keys journaled, in flight, not started yet and
+    never journaled; every entry is indexed at its own offset, and a reload
+    indexes the same."""
+    journal = tmp_path / "journal.jsonl"
+    inner, held = _EchoBackend(), _HeldCalls()
+    client = JournalingClient(str(journal), inner, held)
+    prompts = [f"p{i}" for i in range(120)]
+    rng = random.Random(11)
+    order = prompts[:]
+    rng.shuffle(order)
+    asked = set()
+    for n, prompt in enumerate(order):
+        if n % 3:
+            client.start("generate", prompt, SamplingParams())
+            asked.add(prompt)
+        held.land(rng.randrange(0, 3))
+        looked_up = rng.choice(prompts)
+        assert client.generate(looked_up, SamplingParams()).full_text == looked_up
+        asked.add(looked_up)
+        assert generate_request(f"x{n}", SamplingParams())[0] not in client._index
+    held.land()
+    client.close()  # appends the calls started and never asked for
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert inner.calls == client.stats.backend_calls == len(lines)
+    assert sorted(json.loads(line)["request"]["prompt"] for line in lines) == sorted(asked)
+    assert sorted(client._index) == sorted(json.loads(line)["key"] for line in lines)
+    with open(journal, "rb") as handle:
+        for key, (offset, length, number) in client._index.items():
+            raw = os.pread(handle.fileno(), length, offset)
+            assert raw == lines[number - 1]
+            assert json.loads(raw)["key"] == key
     with JournalingClient(str(journal)) as reopened:
         assert reopened._index == client._index
 

@@ -163,6 +163,14 @@ def test_client_error_is_not_retried(stub_server, session):
     assert len(handler.requests) == 1
 
 
+def test_client_error_names_its_status(stub_server, session):
+    base_url, handler = stub_server
+    handler.script.append((400, {"error": "bad request"}))
+    client = OpenAIClient(base_url, model="m", max_retries=0, session=session)
+    with pytest.raises(ProtocolError, match="^HTTP 400: "):
+        client.generate("p", SamplingParams())
+
+
 def test_missing_logprobs_is_protocol_error(stub_server, session):
     base_url, handler = stub_server
     handler.script.append((200, {"choices": [{"finish_reason": "stop"}]}))

@@ -75,6 +75,17 @@ def test_chunk_rejects_empty_text():
         chunk("   ")
 
 
+def test_a_word_count_that_is_a_multiple_of_the_target_leaves_no_empty_chunk():
+    """A text that ends exactly at the target, with or without a sentence
+    end there, closes its last chunk and starts no empty one."""
+    assert chunk("one two three four", target_words=4).chunks == ("one two three four",)
+    assert chunk("one two three four five six seven eight", target_words=4).chunks == (
+        "one two three four",
+        "five six seven eight",
+    )
+    assert chunk("a b c d. e f g h", target_words=4).chunks == ("a b c d.", "e f g h")
+
+
 def test_custom_target_words():
     text = " ".join(sentence(5, i) for i in range(4))
     chunked = chunk(text, target_words=10)
