@@ -11,9 +11,11 @@ is started when its prompts are rendered and keyed and its missing
 generations started, scored ``2 * concurrency`` pools later (its new
 records built, the calls of its verification prefixes started), and
 finished in corpus order once those calls land (its candidates verified,
-its selection rows made, its new records appended). So the work in flight
-does not grow with the corpus, and one pool's verifications overlap the
-next pools' generations.
+its new records appended). So the work in flight does not grow with the
+corpus, and one pool's verifications overlap the next pools' generations.
+A finished pool keeps only its records, its truth and its shared fields.
+After the last pool, one pass makes every selection row: each criterion
+selects all pools in one call (``selection.select_pools``).
 
 The thread that calls ``run()`` is the only one that touches a journal:
 it keys every request, serves journal hits, keeps one future per key in
@@ -35,7 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import __version__
-from ..errors import ConfigError, LogicPoolError, NoAnswerError
+from ..errors import ConfigError, LogicPoolError
 from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
@@ -51,14 +53,16 @@ from ..selection import (
     CandidatePool,
     CanonicalAnswer,
     SelectionResult,
-    majority_groups,
     extract_answer,
+    majority_groups,
     majority_vote,
     oracle,
     select_max_prob,
     select_min_entropy,
+    select_pools,
     select_verifier,
     truth_answer,
+    vote_groups,
     vote_plus_prob,
     vote_plus_verifier,
 )
@@ -141,8 +145,8 @@ def _sha256_file(path: str) -> str:
 def apply_criterion(
     criterion: str, pool: CandidatePool, lambda_p: float, lambda_e: float
 ) -> SelectionResult:
-    """Apply one criterion other than the oracle to a pool. The lambdas
-    weight the stored segment scores here, for the run and the sweep alike."""
+    """Apply one criterion other than the oracle to one pool, as the run's
+    selection pass applies it to each pool."""
     if criterion == MAJORITY_VOTE:
         return majority_vote(pool)
     if criterion == MAX_PROB:
@@ -209,6 +213,8 @@ class _Runner:
         self.failures: list[dict] = []
         self.records: list[EvalRecord] = []
         self.selections: list[SelectionRow] = []
+        # the finished pools, in corpus order, as their records, truth and shared fields
+        self.finished: list[tuple[CandidatePool, CanonicalAnswer, dict]] = []
         # the run's journals, opened by run(); one client unless verification has its own backend
         self.client: JournalingClient | None = None
         self.verifier_client: JournalingClient | None = None
@@ -300,11 +306,12 @@ class _Runner:
         pool.futures = [future for future in futures if future is not None]
 
     def _finish(self, pool: _Pool, records_path: str) -> None:
-        """Verify the pool's candidates, apply every criterion and persist
-        its new records. Its failure rows are recorded here, generate and
-        score rows before verify rows, so failures run pool by pool
-        whatever order the backend answers in. A verified record is
-        replaced by a scored copy, so the run sees that it changed."""
+        """Verify the pool's candidates, persist its new records and keep
+        what the selection pass reads of it. Its failure rows are recorded
+        here, generate and score rows before verify rows, so failures run
+        pool by pool whatever order the backend answers in. A verified
+        record is replaced by a scored copy, so the run sees that it
+        changed."""
         self.failures.extend(task.failure for task in pool.tasks if task.failure is not None)
         for task in pool.tasks:
             if task.chunked is not None:
@@ -315,31 +322,42 @@ class _Runner:
                     self.failures.append(_failure_row("verify", pool, task, exc))
                 else:
                     task.record = dataclasses.replace(task.record, verifier=score)
-        self._select(pool)
         self.records.extend(task.record for task in pool.tasks)
+        self.finished.append((pool.candidates(), pool.truth, pool.shared))
         if pool.new:
             append_jsonl(records_path, [task.record.to_obj() for task in pool.new])
 
-    def _select(self, pool: _Pool) -> None:
-        """Apply every criterion to one (puzzle, sample) pool."""
-        candidates = pool.candidates()
-        for criterion in self.config.criteria:
-            if criterion == ORACLE:
-                outcome = dict(correct=oracle(candidates, pool.truth))
-            else:
-                try:
-                    result = apply_criterion(criterion, candidates, self.config.lambda_p, self.config.lambda_e)
-                except (NoAnswerError, ValueError) as exc:
-                    outcome = dict(correct=False, error=str(exc))
-                else:
+    def _select(self) -> None:
+        """Apply every criterion to every finished pool in one pass. The
+        rows come in corpus order, each pool's in the criteria's order. Each
+        criterion other than the oracle selects all pools in one call, and
+        the vote criteria share one ``majority_groups`` call per pool."""
+        config = self.config
+        pools = [candidates for candidates, _, _ in self.finished]
+        groups = None
+        if {MAJORITY_VOTE, VOTE_PROB, VOTE_VERIFIER} & set(config.criteria):
+            # through this module's global, so it can be wrapped here
+            groups = vote_groups(pools, majority_groups)
+        outcomes = {
+            criterion: select_pools(criterion, pools, config.lambda_p, config.lambda_e, groups)
+            for criterion in config.criteria
+            if criterion != ORACLE
+        }
+        for p, (candidates, truth, shared) in enumerate(self.finished):
+            for criterion in config.criteria:
+                if criterion == ORACLE:
+                    outcome = dict(correct=oracle(candidates, truth))
+                elif isinstance(result := outcomes[criterion][p], SelectionResult):
                     chosen = candidates.candidates[result.chosen_index]
                     outcome = dict(
-                        correct=chosen.answer == pool.truth,
+                        correct=chosen.answer == truth,
                         chosen_strategy=chosen.strategy,
                         tie_occurred=result.tie_occurred,
                         tie_breaker_used=result.tie_breaker_used,
                     )
-            self.selections.append(SelectionRow(criterion=criterion, **outcome, **pool.shared))
+                else:
+                    outcome = dict(correct=False, error=str(result))
+                self.selections.append(SelectionRow(criterion=criterion, **outcome, **shared))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -424,6 +442,8 @@ class _Runner:
                         self._finish(waiting.popleft(), records_path)
                 finally:
                     executor.shutdown(cancel_futures=True)
+
+        self._select()
 
         # the file must hold exactly this run's records: the appends already
         # do unless a resume dropped, replaced or added some

@@ -176,12 +176,43 @@ class ZebraTables:
         self._clues = [self._compile(clue) for clue in clues]
         for pair, _, forbids in self._clues:
             self._put(pair, forbids)
-        for pair, sets in self._forbidding.items():
-            forbidden = _union(sets)
-            if forbidden:
-                self._update(pair, forbidden, 1)
+        self._count(pos)
         for key, count in self.count.items():
             self.allowed[key] = count == 0
+
+    def _count(self, pos: np.ndarray) -> None:
+        """Build every key's counts, one pass per key over all its value pairs.
+
+        ``forbids[k][va * n + h1, vb * n + h2]`` is 1 when the value pair
+        (va, vb) on the k-th key forbids the house pair (h1, h2), and
+        ``cells[j, v] = v * n + pos[j, v]`` is the row of value ``v`` under
+        permutation ``j``. A cell (j, l) of a key (a, b) then counts
+        ``forbids[cells[j, va], cells[l, vb]]`` over the value pairs; a
+        key (a, a) counts the same with l = j.
+        """
+        n = self.n_houses
+        pairs = [(pair, _union(sets)) for pair, sets in self._forbidding.items()]
+        pairs = [(pair, forbidden) for pair, forbidden in pairs if forbidden]
+        if not pairs:
+            return
+        keys = list(dict.fromkeys((a, b) for (a, _, b, _), _ in pairs))
+        slot = {key: k for k, key in enumerate(keys)}
+        rows = np.frombuffer(b"".join(f.to_bytes(n, "little") for _, f in pairs), dtype=np.uint8)
+        houses = np.unpackbits(rows.reshape(-1, n, 1), axis=2, bitorder="little")[:, :, :n]  # [pair, h1, h2]
+        forbids = np.zeros((len(keys), n, n, n, n), dtype=np.uint8)  # [key, va, h1, vb, h2]
+        forbids[
+            [slot[a, b] for (a, _, b, _), _ in pairs], [va for (_, va, _, _), _ in pairs], :,
+            [vb for (_, _, _, vb), _ in pairs], :,
+        ] = houses
+        forbids = forbids.reshape(len(keys), n * n, n * n)
+        cells = np.arange(n) * n + pos
+        for key, table in zip(keys, forbids):
+            if key[0] == key[1]:
+                self.count[key] = table[cells[:, :, None], cells[:, None, :]].sum(axis=(1, 2), dtype=np.uint8)
+            else:
+                # by_column[(va, h1), l]: the pairs of value va at house h1 that forbid column l
+                by_column = np.ascontiguousarray(table.T[cells].sum(axis=1, dtype=np.uint8).T)
+                self.count[key] = by_column[cells].sum(axis=1, dtype=np.uint8)
 
     def _compile(self, clue: Sequence[int]) -> Compiled:
         """One encoded clue row -> (value pair, key, failing house pairs)."""

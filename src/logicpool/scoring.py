@@ -39,7 +39,7 @@ def segment(response: ModelResponse) -> int:
 
 def _check_lambda(name: str, lam: float | np.ndarray) -> None:
     values = np.asarray(lam)
-    if not (0 <= values.min() and values.max() <= 1):  # a NaN fails too
+    if values.size and not (0 <= values.min() and values.max() <= 1):  # a NaN fails too
         raise ValueError(f"{name} must be in [0, 1], got {lam}")
 
 

@@ -9,19 +9,28 @@ holding the best score is chosen, and the selection is a tie when another
 candidate holds exactly that score. A NaN score (a -inf log-prob weighted
 by zero, at lambda 0 or 1) is never best, except that a NaN first
 candidate is chosen, with no tie. ``argbest`` is that rule over the last
-axis of an array: the run applies it at one lambda per pool, the sweep at
-every grid point of a pool in one call.
+axis of an array.
+
+``select_pools`` applies one criterion to many pools in one pass. The
+scores of every pool's candidates go into one array of pools x [lambdas x]
+candidates, each pool's row packed to the front in pool order and padded
+with trailing NaN, which by the rule above is never best and never a tie;
+one ``argbest`` call then selects every pool. A pool that cannot be
+selected keeps its own error. The run selects all of its pools at its
+lambdas in one call per criterion, the sweep all pools at every grid point
+in one call, and each per-pool function is that pass over one pool.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .errors import NoAnswerError, StructureError
+from .errors import ConfigError, NoAnswerError, StructureError
 from .prompts import ANSWER_MARKER, Strategy
 from .puzzles import KnightsKnavesPuzzle, Puzzle, ZebraPuzzle
 from .scoring import combined_entropy, combined_logprob
@@ -191,6 +200,10 @@ class SelectionResult:
     tie_breaker_used: str | None = None
 
 
+Groups = tuple[list[list[int]], bool]  # majority_groups: the largest answer groups, and whether they tie
+Outcome = SelectionResult | NoAnswerError | ValueError  # a pool's result, or the error it alone raises
+
+
 def _parseable(pool: CandidatePool) -> list[int]:
     return [i for i, c in enumerate(pool.candidates) if c.answer.parse_ok]
 
@@ -204,7 +217,7 @@ def _group_by_answer(pool: CandidatePool, indices: list[int]) -> list[list[int]]
     return list(groups.values())
 
 
-def majority_groups(pool: CandidatePool) -> tuple[list[list[int]], bool]:
+def majority_groups(pool: CandidatePool) -> Groups:
     indices = _parseable(pool)
     if not indices:
         raise NoAnswerError(f"pool for {pool.puzzle_id} has no parseable candidate")
@@ -214,38 +227,115 @@ def majority_groups(pool: CandidatePool) -> tuple[list[list[int]], bool]:
     return winners, len(winners) > 1
 
 
-def majority_vote(pool: CandidatePool) -> SelectionResult:
-    """Largest answer group wins; a tie falls back to the group holding the
-    lowest strategy index."""
-    winners, tie = majority_groups(pool)
-    chosen = winners[0][0]  # groups and members are in pool order
-    return SelectionResult(
-        criterion=MAJORITY_VOTE,
-        chosen_index=chosen,
-        chosen_answer=pool.candidates[chosen].answer,
-        tie_occurred=tie,
-    )
+def vote_groups(
+    pools: list[CandidatePool], group: Callable[[CandidatePool], Groups] = majority_groups
+) -> list[Groups | NoAnswerError]:
+    """``group(pool)`` of each pool, or the NoAnswerError of a pool with no
+    parseable candidate."""
+    outcomes: list[Groups | NoAnswerError] = []
+    for pool in pools:
+        try:
+            outcomes.append(group(pool))
+        except NoAnswerError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def argbest(scores: np.ndarray, prefer_high: bool) -> tuple[np.ndarray, np.ndarray]:
     """The position of the best score along the last (non-empty) axis, and
     whether another score there equals it, by the rule in the module
     docstring."""
-    reduce = np.fmax if prefer_high else np.fmin  # both skip NaNs
-    first = scores[..., :1]
-    best = np.where(np.isnan(first), first, reduce.reduce(scores, axis=-1, keepdims=True))
-    hit = scores == best
-    return hit.argmax(axis=-1), hit.sum(axis=-1) > 1
+    better = np.fmax if prefer_high else np.fmin  # both skip NaNs
+    first = scores[..., 0]
+    best = first.copy()
+    # one elementwise step per candidate: the axis is short, the others long
+    for column in range(1, scores.shape[-1]):
+        better(best, scores[..., column], out=best)
+    best = np.where(np.isnan(first), first, best)
+    hit = scores == best[..., None]
+    return hit.argmax(axis=-1), np.count_nonzero(hit, axis=-1) > 1
 
 
-def _pick(ordered: list[int], scores: np.ndarray, prefer_high: bool) -> tuple[int, bool]:
-    """argbest at one lambda, as the candidate index and the tie flag."""
-    position, tie = argbest(scores, prefer_high)
-    return ordered[position], bool(tie)
+def pack_rows(rows: list[list[float]], width: int | None = None, fill: float = math.nan) -> np.ndarray:
+    """Rows of different lengths as one float64 array of ``width`` columns
+    (the longest row's by default), each row packed to the front and
+    padded with ``fill``."""
+    if width is None:
+        width = max(map(len, rows), default=0)
+    padded = [row + [fill] * (width - len(row)) for row in rows]
+    return np.array(padded, dtype=np.float64).reshape(len(rows), width)
+
+
+def _picks(
+    orders: list[list[int]], scores: np.ndarray, errors: list[Exception | None], prefer_high: bool
+) -> list[tuple[int, bool] | Exception]:
+    """Per pool, its error, or the candidate that argbest picks from its row
+    of ``scores`` (pools x candidates, in ``orders``) and the tie flag."""
+    if not scores.shape[-1]:  # then every pool has an error
+        return list(errors)
+    positions, ties = argbest(scores, prefer_high)
+    return [
+        (order[position], tie) if error is None else error
+        for order, error, position, tie in zip(orders, errors, positions.tolist(), ties.tolist())
+    ]
+
+
+def _result(criterion: str, pool: CandidatePool, pick, breaker: str | None = None) -> Outcome:
+    """The pool's SelectionResult for a pick of ``_picks``, or its error."""
+    if isinstance(pick, Exception):
+        return pick
+    chosen, tie = pick
+    return SelectionResult(criterion, chosen, pool.candidates[chosen].answer, tie, breaker)
 
 
 def _score_defined(candidate: EvalRecord) -> bool:
     return candidate.confidence is not None and candidate.confidence.defined
+
+
+def confidence_score_rows(
+    pools: list[CandidatePool],
+    criterion: str,
+    lambdas: float | np.ndarray,
+    indices: list[list[int]] | None = None,
+) -> tuple[list[list[int]], np.ndarray, list[Exception | None]]:
+    """``confidence_scores`` of many pools in one array.
+
+    Returns each pool's scored candidates, their scores with shape
+    ``(len(pools),) + np.shape(lambdas) + (width,)``, and each pool's error
+    or None. Each pool's row holds its candidates' scores packed to the
+    front, padded with trailing NaN; a pool with an error has a row of NaN.
+    ``indices`` holds each pool's increasing candidate indices to consider.
+    A lambda outside [0, 1] raises for the whole batch, unless no pool has
+    a scored candidate.
+    """
+    if criterion == MAX_PROB:
+        rational_field, answer_field = "log_p_rational", "log_p_answer"
+    else:
+        rational_field, answer_field = "h_rational", "h_answer"
+    orders, errors, rational, answer = [], [], [], []
+    for p, pool in enumerate(pools):
+        candidates = pool.candidates
+        considered = _parseable(pool) if indices is None else indices[p]
+        order = [i for i in considered if _score_defined(candidates[i])]
+        confidences = [candidates[i].confidence for i in order]
+        orders.append(order)
+        errors.append(None if order else NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate"))
+        rational.append([getattr(c, rational_field) for c in confidences])
+        answer.append([getattr(c, answer_field) for c in confidences])
+    rational, answer = pack_rows(rational), pack_rows(answer)
+    lam = np.asarray(lambdas, dtype=np.float64)
+    width = rational.shape[1]
+    if not width:  # no pool is scored, so no lambda is applied
+        return orders, np.empty((len(pools),) + lam.shape + (0,)), errors
+    shape = (len(pools),) + (1,) * lam.ndim + (width,)
+    with np.errstate(invalid="ignore"):  # 0 * -inf is NaN, which argbest handles
+        if criterion == MAX_PROB:
+            return orders, combined_logprob(rational.reshape(shape), answer.reshape(shape), lam[..., None]), errors
+        # the error combined_entropy raises for a pool alone with a negative entropy
+        for p in np.flatnonzero((np.fmin(rational, answer) < 0).any(axis=1)).tolist():
+            errors[p] = ValueError("entropies must be >= 0")
+            rational[p] = answer[p] = math.nan
+        return orders, combined_entropy(rational.reshape(shape), answer.reshape(shape), lam[..., None]), errors
 
 
 def confidence_scores(
@@ -260,102 +350,132 @@ def confidence_scores(
     with shape ``np.shape(lambdas) + (n,)``. No such candidate is a
     NoAnswerError; a lambda outside [0, 1], or a negative entropy under
     min_entropy, is a ValueError."""
-    candidates = pool.candidates
-    if indices is None:
-        indices = _parseable(pool)
-    ordered = [i for i in indices if _score_defined(candidates[i])]
-    if not ordered:
-        raise NoAnswerError(f"pool for {pool.puzzle_id} has no scored parseable candidate")
-    confidences = [candidates[i].confidence for i in ordered]
-    lam = np.array(lambdas, dtype=np.float64)[..., None]
-    with np.errstate(invalid="ignore"):  # 0 * -inf is NaN, which argbest handles
-        if criterion == MAX_PROB:
-            rational = np.array([c.log_p_rational for c in confidences], dtype=np.float64)
-            answer = np.array([c.log_p_answer for c in confidences], dtype=np.float64)
-            return ordered, combined_logprob(rational, answer, lam)
-        rational = np.array([c.h_rational for c in confidences], dtype=np.float64)
-        answer = np.array([c.h_answer for c in confidences], dtype=np.float64)
-        return ordered, combined_entropy(rational, answer, lam)
+    orders, scores, errors = confidence_score_rows([pool], criterion, lambdas, None if indices is None else [indices])
+    if errors[0] is not None:
+        raise errors[0]
+    return orders[0], scores[0]
+
+
+def _verifier_picks(
+    pools: list[CandidatePool], orders: list[list[int]], missing: str
+) -> list[tuple[int, bool] | Exception]:
+    """argbest of the mean verifier scores of each pool's ``orders``. An
+    empty order is a NoAnswerError; candidates without a score are a
+    ValueError, the ``missing`` message formatted with their strategies."""
+    errors: list[Exception | None] = []
+    means = []
+    for pool, order in zip(pools, orders):
+        candidates = [pool.candidates[i] for i in order]
+        absent = [c.strategy for c in candidates if c.verifier is None]
+        if not order:
+            errors.append(NoAnswerError(f"pool for {pool.puzzle_id} has no parseable candidate"))
+        else:
+            errors.append(ValueError(missing.format(absent)) if absent else None)
+        means.append([] if errors[-1] is not None else [c.verifier.mean for c in candidates])
+    return _picks(orders, pack_rows(means), errors, prefer_high=True)
+
+
+def select_pools(
+    criterion: str,
+    pools: list[CandidatePool],
+    lambda_p: float = 0.5,
+    lambda_e: float = 0.5,
+    groups: list[Groups | NoAnswerError] | None = None,
+) -> list[Outcome]:
+    """Apply one criterion other than the oracle to every pool in one pass:
+    per pool, its SelectionResult, or the NoAnswerError or ValueError that
+    the pool alone raises. A score criterion selects every pool with one
+    ``argbest`` call. The vote criteria read ``groups``, the pools'
+    ``vote_groups`` (computed here when not given), and break the ties of
+    all tied pools in one call. A lambda outside [0, 1] raises for the
+    whole batch."""
+    if criterion in (MAX_PROB, MIN_ENTROPY):
+        rows = confidence_score_rows(pools, criterion, lambda_p if criterion == MAX_PROB else lambda_e)
+        picks = _picks(*rows, prefer_high=criterion == MAX_PROB)
+        return [_result(criterion, pool, pick) for pool, pick in zip(pools, picks)]
+    if criterion == VERIFIER:
+        orders = [_parseable(pool) for pool in pools]
+        picks = _verifier_picks(pools, orders, "verifier scores missing for strategies {}; verify first")
+        return [_result(criterion, pool, pick) for pool, pick in zip(pools, picks)]
+    if criterion not in (MAJORITY_VOTE, VOTE_PROB, VOTE_VERIFIER):
+        raise ConfigError(f"unknown criterion {criterion!r}")
+    if groups is None:
+        groups = vote_groups(pools)
+    outcomes: list[Outcome | None] = []
+    tied_at, tied_pools, tied = [], [], []
+    for p, (pool, group) in enumerate(zip(pools, groups)):
+        if isinstance(group, NoAnswerError):
+            outcomes.append(group)
+            continue
+        winners, tie = group
+        if tie and criterion != MAJORITY_VOTE:
+            outcomes.append(None)  # broken below
+            tied_at.append(p)
+            tied_pools.append(pool)
+            tied.append(sorted(i for members in winners for i in members))
+        else:
+            # groups and members are in pool order, so majority_vote's tie
+            # falls back to the group holding the lowest strategy index
+            outcomes.append(_result(criterion, pool, (winners[0][0], tie)))
+    if criterion == MAJORITY_VOTE:
+        return outcomes
+    if criterion == VOTE_PROB:
+        picks = _picks(*confidence_score_rows(tied_pools, MAX_PROB, lambda_p, tied), prefer_high=True)
+        breaker = MAX_PROB
+    else:
+        picks = _verifier_picks(tied_pools, tied, "verifier scores missing for tie-broken strategies {}")
+        breaker = VERIFIER
+    for p, pool, candidates, pick in zip(tied_at, tied_pools, tied, picks):
+        if criterion == VOTE_PROB and isinstance(pick, NoAnswerError):
+            # every tied candidate lacks an answer-segment score
+            outcomes[p] = _result(criterion, pool, (candidates[0], True), "strategy_index")
+        elif isinstance(pick, Exception):
+            outcomes[p] = pick
+        else:
+            outcomes[p] = _result(criterion, pool, (pick[0], True), breaker)
+    return outcomes
+
+
+def _single(outcomes: list[Outcome]) -> SelectionResult:
+    (outcome,) = outcomes
+    if isinstance(outcome, SelectionResult):
+        return outcome
+    raise outcome
+
+
+def majority_vote(pool: CandidatePool) -> SelectionResult:
+    """Largest answer group wins; a tie falls back to the group holding the
+    lowest strategy index."""
+    return _single(select_pools(MAJORITY_VOTE, [pool]))
 
 
 def select_max_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResult:
     """Argmax of the combined probability; candidates with an undefined
     answer-segment score are excluded."""
-    chosen, tie = _pick(*confidence_scores(pool, MAX_PROB, lambda_p), prefer_high=True)
-    return SelectionResult(MAX_PROB, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
+    return _single(select_pools(MAX_PROB, [pool], lambda_p=lambda_p))
 
 
 def select_min_entropy(pool: CandidatePool, lambda_e: float = 0.5) -> SelectionResult:
     """Argmin of the combined entropy; same exclusion and tie rules as
     select_max_prob."""
-    chosen, tie = _pick(*confidence_scores(pool, MIN_ENTROPY, lambda_e), prefer_high=False)
-    return SelectionResult(MIN_ENTROPY, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
-
-
-def _verifier_means(pool: CandidatePool, ordered: list[int]) -> np.ndarray:
-    return np.array([pool.candidates[i].verifier.mean for i in ordered], dtype=np.float64)
+    return _single(select_pools(MIN_ENTROPY, [pool], lambda_e=lambda_e))
 
 
 def select_verifier(pool: CandidatePool) -> SelectionResult:
     """Argmax of the mean verifier score over parseable candidates."""
-    indices = _parseable(pool)
-    if not indices:
-        raise NoAnswerError(f"pool for {pool.puzzle_id} has no parseable candidate")
-    missing = [i for i in indices if pool.candidates[i].verifier is None]
-    if missing:
-        raise ValueError(
-            f"verifier scores missing for strategies "
-            f"{[pool.candidates[i].strategy for i in missing]}; verify first"
-        )
-    chosen, tie = _pick(indices, _verifier_means(pool, indices), prefer_high=True)
-    return SelectionResult(VERIFIER, chosen, pool.candidates[chosen].answer, tie_occurred=tie)
-
-
-def _vote_with_auxiliary(
-    pool: CandidatePool,
-    criterion: str,
-    score_indices: Callable[[list[int]], tuple[int, str]],
-) -> SelectionResult:
-    winners, tie = majority_groups(pool)
-    if not tie:
-        chosen = winners[0][0]
-        return SelectionResult(criterion, chosen, pool.candidates[chosen].answer)
-    tied = sorted(i for group in winners for i in group)
-    chosen, breaker = score_indices(tied)
-    return SelectionResult(
-        criterion, chosen, pool.candidates[chosen].answer, tie_occurred=True, tie_breaker_used=breaker
-    )
+    return _single(select_pools(VERIFIER, [pool]))
 
 
 def vote_plus_prob(pool: CandidatePool, lambda_p: float = 0.5) -> SelectionResult:
     """Majority vote; ties break by combined probability over the tied
     groups' candidates."""
-
-    def break_tie(tied: list[int]) -> tuple[int, str]:
-        if not any(_score_defined(pool.candidates[i]) for i in tied):
-            # every tied candidate lacks an answer-segment score
-            return tied[0], "strategy_index"
-        chosen, _ = _pick(*confidence_scores(pool, MAX_PROB, lambda_p, tied), prefer_high=True)
-        return chosen, MAX_PROB
-
-    return _vote_with_auxiliary(pool, VOTE_PROB, break_tie)
+    return _single(select_pools(VOTE_PROB, [pool], lambda_p=lambda_p))
 
 
 def vote_plus_verifier(pool: CandidatePool) -> SelectionResult:
     """Majority vote; ties break by verifier mean. Verifier scores are only
     required (and thus only computed upstream) for the tied candidates."""
-
-    def break_tie(tied: list[int]) -> tuple[int, str]:
-        missing = [i for i in tied if pool.candidates[i].verifier is None]
-        if missing:
-            raise ValueError(
-                f"verifier scores missing for tie-broken strategies "
-                f"{[pool.candidates[i].strategy for i in missing]}"
-            )
-        chosen, _ = _pick(tied, _verifier_means(pool, tied), prefer_high=True)
-        return chosen, VERIFIER
-
-    return _vote_with_auxiliary(pool, VOTE_VERIFIER, break_tie)
+    return _single(select_pools(VOTE_VERIFIER, [pool]))
 
 
 def oracle(pool: CandidatePool, truth: CanonicalAnswer) -> bool:

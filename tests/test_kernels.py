@@ -191,3 +191,40 @@ def test_repeated_clues_leave_every_count_within_the_keys_value_pairs():
     # the key of a pair of values from two attributes reaches its bound
     assert max(int(count.max()) for (a, b), count in repeated.count.items() if a != b) == n_houses**2
     assert repeated.solutions(2).tolist() == once.solutions(2).tolist()
+
+
+def test_counts_match_counts_made_by_plain_loops():
+    """A table build counts, per cell, the value pairs on its key that some
+    clue on the pair forbids there. Counted here cell by cell with the
+    oracle's clue semantics, over random clue lists with repeated clues,
+    at_position clues and value pairs within one attribute."""
+    rng = random.Random(48)
+    for n_houses, n_attrs in [(2, 1), (2, 3), (3, 1), (3, 3), (4, 2), (4, 3), (5, 2)]:
+        clues = random_zebra_clues(rng, n_houses, n_attrs, rng.randint(4, 2 * n_houses * n_attrs))
+        clues += rng.choices(clues, k=3)
+        perms, pos = _position_table(n_houses)
+        tables = _kernels.ZebraTables(pos, n_attrs, _encode_clues(clues).tolist())
+        by_pair = {}
+        for clue in clues:
+            first = (clue.a_attr, clue.a_val)
+            second = first if clue.b_attr < 0 else (clue.b_attr, clue.b_val)
+            by_pair.setdefault(tuple(sorted((first, second))), []).append(clue)
+        keys = {(first[0], second[0]) for first, second in by_pair}
+        assert set(tables.count) == keys
+        for a, b in keys:
+            count = tables.count[a, b]
+            assert count.dtype == np.uint8
+            expected = np.zeros(count.shape, dtype=int)
+            for cell in np.ndindex(count.shape):
+                j, k = cell * 2 if a == b else cell
+
+                def position_of(attr, val, j=j, k=k):
+                    return perms[j if attr == a else k].index(val)
+
+                expected[cell] = sum(
+                    any(not clue_holds_oracle(clue, position_of) for clue in pair_clues)
+                    for (first, second), pair_clues in by_pair.items()
+                    if (first[0], second[0]) == (a, b)
+                )
+            assert np.array_equal(count, expected), (n_houses, n_attrs, a, b)
+            assert np.array_equal(tables.allowed[a, b], expected == 0)

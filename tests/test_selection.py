@@ -5,11 +5,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import NoAnswerError, StructureError
-from logicpool.harness.records import EvalRecord
+from logicpool.harness.config import ExperimentConfig
+from logicpool.harness.records import EvalRecord, SelectionRow
+from logicpool.harness.run import _Runner, apply_criterion
 from logicpool.prompts import Strategy
 from logicpool.puzzles import generate_kk, generate_zebra
 from logicpool.scoring import ConfidenceScore, combined_entropy, combined_logprob
 from logicpool.selection import (
+    CRITERIA,
+    ORACLE,
+    VOTE_PROB,
     CandidatePool,
     CanonicalAnswer,
     argbest,
@@ -18,6 +23,7 @@ from logicpool.selection import (
     oracle,
     select_max_prob,
     select_min_entropy,
+    select_pools,
     select_verifier,
     truth_answer,
     vote_plus_prob,
@@ -642,3 +648,108 @@ def test_score_criteria_match_the_scalar_loop(pool, lam):
         result = criterion(pool, *args)
         assert (result.chosen_index, result.tie_occurred) == expected
 
+
+# ---------------------------------------------------------------------------
+# the run's one selection pass against selecting each pool alone
+# ---------------------------------------------------------------------------
+
+# few distinct values, so exact ties are common; NaN, +-inf and negative
+# entropies included
+pass_log_p = st.sampled_from([-math.inf, -1.0, -0.5, 0.0, math.inf, math.nan])
+pass_entropy = st.sampled_from([0.0, 0.5, 1.0, -0.5, math.inf, math.nan])
+pass_mean = st.sampled_from([0.25, 0.5, 0.75, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def pass_pools(draw, puzzle_id):
+    """A pool of any strategy subset: unparseable candidates, candidates
+    with no confidence or an undefined answer segment, NaN and infinite
+    scores, negative entropies and missing verifier scores."""
+    strategies = sorted(draw(st.permutations(STRATEGIES))[: draw(st.integers(min_value=1, max_value=5))])
+    candidates = []
+    for strategy in strategies:
+        kind = draw(st.sampled_from(["scored", "scored", "none", "no_answer_segment"]))
+        if kind == "none":
+            conf = None
+        elif kind == "no_answer_segment":
+            conf = ConfidenceScore(draw(pass_log_p), None, draw(pass_entropy), None)
+        else:
+            conf = ConfidenceScore(draw(pass_log_p), draw(pass_log_p), draw(pass_entropy), draw(pass_entropy))
+        verifier = draw(st.one_of(st.none(), pass_mean.map(vscore)))
+        candidates.append(candidate(strategy, draw(st.sampled_from([X, Y, Z, BAD])), conf, verifier))
+    return CandidatePool(puzzle_id=puzzle_id, candidates=candidates)
+
+
+def rows_one_pool_at_a_time(finished, config):
+    """Selection rows as the run made them pool by pool, with the per-pool
+    functions."""
+    rows = []
+    for pool, truth, shared in finished:
+        for criterion in config.criteria:
+            if criterion == ORACLE:
+                outcome = dict(correct=oracle(pool, truth))
+            else:
+                try:
+                    result = apply_criterion(criterion, pool, config.lambda_p, config.lambda_e)
+                except (NoAnswerError, ValueError) as exc:
+                    outcome = dict(correct=False, error=str(exc))
+                else:
+                    chosen = pool.candidates[result.chosen_index]
+                    outcome = dict(
+                        correct=chosen.answer == truth,
+                        chosen_strategy=chosen.strategy,
+                        tie_occurred=result.tie_occurred,
+                        tie_breaker_used=result.tie_breaker_used,
+                    )
+            rows.append(SelectionRow(criterion=criterion, **outcome, **shared))
+    return rows
+
+
+lambda_value = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(*(pass_pools(f"p{i}") for i in range(n)))
+    ),
+    st.lists(st.sampled_from(CRITERIA), min_size=1, max_size=7, unique=True),
+    lambda_value,
+    lambda_value,
+    st.sampled_from([X, Y]),
+)
+@settings(max_examples=250, deadline=None)
+def test_the_selection_pass_makes_the_rows_of_each_pool_alone(pools, criteria, lambda_p, lambda_e, truth):
+    """The run's one pass over many pools gives the selection rows, error
+    strings included, that selecting each pool alone gives: in the same
+    order, whatever the other pools hold."""
+    config = ExperimentConfig(
+        run_dir=".", corpus_path="corpus.jsonl", criteria=tuple(criteria), lambda_p=lambda_p, lambda_e=lambda_e
+    )
+    finished = [
+        (pool, truth, dict(puzzle_id=pool.puzzle_id, family="kk", difficulty="3 Person", sample=0, n_clues=None))
+        for pool in pools
+    ]
+    runner = _Runner(config)
+    runner.finished = list(finished)
+    runner._select()
+    assert runner.selections == rows_one_pool_at_a_time(finished, config)
+
+
+def test_vote_prob_falls_back_in_a_pass_where_other_pools_are_scored():
+    """A tied pool whose tied candidates are all unscored falls back to
+    strategy order, while another tied pool in the same pass is broken by
+    its scores, and a pool with no parseable candidate keeps its error."""
+    unscored = make_pool([
+        {"answer": X, "confidence": undefined_confidence()},
+        {"answer": Y},
+        {"answer": BAD, "confidence": confidence(0.9, 0.9)},
+    ])
+    scored = make_pool([
+        {"answer": X, "confidence": confidence(0.5, 0.5)},
+        {"answer": Y, "confidence": confidence(0.9, 0.9)},
+    ])
+    empty = CandidatePool(puzzle_id="empty", candidates=[candidate(STRATEGIES[0], BAD, confidence())])
+    first, second, third = select_pools(VOTE_PROB, [unscored, scored, empty])
+    assert (first.chosen_index, first.tie_occurred, first.tie_breaker_used) == (0, True, "strategy_index")
+    assert (second.chosen_index, second.tie_occurred, second.tie_breaker_used) == (1, True, "max_prob")
+    assert isinstance(third, NoAnswerError) and str(third) == "pool for empty has no parseable candidate"

@@ -108,6 +108,23 @@ def test_sweep_counts_unscorable_pools_as_incorrect():
     assert all(accuracy == 0.5 for _, accuracy, _ in rows)
 
 
+def test_sweep_counts_pools_that_raise_as_incorrect_among_pools_that_do_not():
+    """One sweep over four pools: two are selected at every grid point,
+    one has no scored candidate and one holds a negative entropy, which
+    only min_entropy rejects. An empty grid gives no rows."""
+    right = record("p1", "no_strategy", True, 0.9, 0.9, h_rational=0.1, h_answer=0.1)
+    wrong = record("p1", "chain_construction", False, 0.5, 0.5, h_rational=0.5, h_answer=0.5)
+    unscored = record("p2", "no_strategy", True, 0.9, 0.9)
+    unscored.confidence = None
+    negative = record("p3", "no_strategy", True, 0.9, 0.9, h_rational=-0.1, h_answer=0.1)
+    lone_wrong = record("p4", "no_strategy", False, 0.9, 0.9)
+    records = [right, wrong, unscored, negative, lone_wrong]
+    grid = (0.0, 0.5, 1.0)
+    assert sweep(records, "max_prob", grid) == [(lam, 2 / 4, 4) for lam in grid]
+    assert sweep(records, "min_entropy", grid) == [(lam, 1 / 4, 4) for lam in grid]
+    assert sweep(records, "max_prob", ()) == []
+
+
 def test_sweep_rejects_other_criteria():
     with pytest.raises(ConfigError):
         sweep([record("p", "no_strategy", True, 0.9, 0.9)], "majority_vote")
