@@ -17,12 +17,12 @@ from .errors import ConfigError, DataError, LogicPoolError
 from .harness.config import (
     check_kk_size, check_zebra_shape, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec,
 )
-from .harness.records import load_records, load_selections, read_jsonl, write_jsonl
+from .harness.records import load_records, load_selections, write_jsonl
 from .harness.report import ReportTable, write_reports
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment
 from .harness.sweep import sweep, sweep_csv
 from .prompts import Strategy, render
-from .puzzles import generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
+from .puzzles import generate_kk, generate_zebra, puzzle_to_obj, read_puzzles
 from .verifier import chunk, verify
 
 
@@ -132,10 +132,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     strategy = Strategy.from_key(args.strategy)
     if args.puzzle_file:
-        objs = read_jsonl(args.puzzle_file, torn="read")
-        if not 0 <= args.index < len(objs):
-            raise ConfigError(f"--index {args.index}: {args.puzzle_file} holds {len(objs)} puzzles")
-        puzzle = puzzle_from_obj(objs[args.index])
+        puzzles = read_puzzles(args.puzzle_file)
+        if not 0 <= args.index < len(puzzles):
+            raise ConfigError(f"--index {args.index}: {args.puzzle_file} holds {len(puzzles)} puzzles")
+        puzzle = puzzles[args.index]
     elif args.family == "kk":
         check_kk_size(args.n_chars, "--n-chars")
         puzzle = generate_kk(args.n_chars, seed=args.seed)

@@ -12,6 +12,7 @@ from ..errors import ConfigError
 from ..inference import InferenceClient, MockBackend, OpenAIClient, SamplingParams
 from ..jsonl import is_number
 from ..prompts import Strategy
+from ..puzzles.knights import KK_SIZES
 from ..puzzles.zebra import MAX_ATTRS, MAX_HOUSES
 from ..selection import CRITERIA
 
@@ -26,10 +27,9 @@ STRATEGY_POOL_PRESETS = {
     "strategies_only": ALL_STRATEGY_KEYS[1:],
 }
 
-# Desk-scale default corpus: 40 kk puzzles per character count plus
-# 30 zebra puzzles (20 easy, 10 hard capped at 4x4).
+# Desk-scale default corpus: 40 kk puzzles per character count that
+# generate_kk makes, plus 30 zebra puzzles (20 easy, 10 hard capped at 4x4).
 DESK_KK_PER_SIZE = 40
-DESK_KK_SIZES = (3, 4, 5, 6)
 DESK_ZEBRA_CONFIGS = (
     (2, 2, 4),
     (2, 3, 4),
@@ -44,8 +44,8 @@ DESK_ZEBRA_CONFIGS = (
 
 
 def check_kk_size(size: Any, where: str) -> None:
-    if type(size) is not int or not 3 <= size <= 6:  # the sizes generate_kk makes
-        raise ConfigError(f"{where}: {size!r} is not an integer from 3 to 6")
+    if type(size) is not int or size not in KK_SIZES:
+        raise ConfigError(f"{where}: {size!r} is not an integer from {KK_SIZES[0]} to {KK_SIZES[-1]}")
 
 
 def check_zebra_shape(houses: int, attrs: int, where: str) -> None:
@@ -319,7 +319,7 @@ def config_from_file(path: str) -> ExperimentConfig:
 
 def desk_generate_spec(seed: int = 0) -> GenerateSpec:
     return GenerateSpec(
-        kk_sizes=DESK_KK_SIZES,
+        kk_sizes=KK_SIZES,
         kk_per_size=DESK_KK_PER_SIZE,
         zebra_configs=DESK_ZEBRA_CONFIGS,
         seed=seed,

@@ -10,10 +10,11 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from ..prompts import Strategy
+from ..puzzles.knights import KK_SIZES
 from ..selection import ORACLE
 from .records import EvalRecord, SelectionRow
 
-KK_COLUMNS = ("3 Person", "4 Person", "5 Person", "6 Person", "Avg.")
+KK_COLUMNS = tuple(f"{size} Person" for size in KK_SIZES) + ("Avg.",)
 ZEBRA_COLUMNS = ("Easy Avg.", "Hard Avg.", "All Avg.")
 REPORT_MD_FILE = "report.md"
 _HEADINGS = {"kk": "Knights and knaves", "zebra": "Zebra"}  # report.md sections, in order

@@ -40,7 +40,7 @@ from .. import __version__
 from ..errors import ConfigError, LogicPoolError
 from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
-from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
+from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_to_obj, read_puzzles
 from ..scoring import score_response, segment
 from ..selection import (
     MAJORITY_VOTE,
@@ -73,7 +73,6 @@ from .records import (
     SelectionRow,
     append_jsonl,
     load_records,
-    read_jsonl,
     write_jsonl,
 )
 # run() calls write_reports as this module's global, so it can be wrapped here
@@ -119,7 +118,7 @@ def _run_lock(run_dir: str):
 def build_corpus(config: ExperimentConfig) -> list[Puzzle]:
     """Deterministic corpus: generated from the spec or loaded from JSONL."""
     if config.corpus_path:
-        return [puzzle_from_obj(obj) for obj in read_jsonl(config.corpus_path, torn="read")]
+        return read_puzzles(config.corpus_path)
     spec = config.generate
     assert spec is not None
     puzzles: list[Puzzle] = []

@@ -1,4 +1,7 @@
-"""Enumeration kernels behind the puzzle solvers.
+"""Enumeration kernels behind the puzzle solvers, and the one statement of
+the puzzle rules: a kk statement's truth is its bytecode run here, and a
+zebra clue's truth is ``clue_fails`` (``at_position`` aside, which compares
+one house). The loader and the clue generator read these rules too.
 
 Knights-and-knaves runs statement bytecode on Python integers used as
 bitsets over all 2^n truth assignments, so a solve makes no numpy call; the
@@ -83,9 +86,9 @@ def kk_consistent_masks(code: Sequence[Sequence[int]], bounds: Sequence[int], n_
 # ---------------------------------------------------------------------------
 
 
-def _fails(kind: int, ha: int, hb: int) -> bool:
+def clue_fails(kind: int, ha: int, hb: int) -> bool:
     """Whether a two-reference clue fails with its references in houses
-    ``ha`` and ``hb``."""
+    ``ha`` and ``hb``: the one statement of the zebra clue rules."""
     if kind == K_SAME_HOUSE:
         return ha != hb
     if kind == K_LEFT_OF:
@@ -108,11 +111,32 @@ def _failing_house_pairs(n_houses: int) -> dict[tuple[int, bool], int]:
             1 << (8 * h1 + h2)
             for h1 in houses
             for h2 in houses
-            if _fails(kind, *((h2, h1) if swapped else (h1, h2)))
+            if clue_fails(kind, *((h2, h1) if swapped else (h1, h2)))
         )
         for kind in (K_SAME_HOUSE, K_LEFT_OF, K_DIRECTLY_LEFT_OF, K_NEXT_TO, K_NOT_SAME_HOUSE)
         for swapped in (False, True)
     }
+
+
+@functools.cache
+def holding_clues(n_houses: int) -> tuple[tuple[tuple[tuple[int, bool], ...], ...], ...]:
+    """For references in houses ``ha`` and ``hb``, ``[ha][hb]`` lists the
+    two-reference clue kinds that hold, each with ``swapped``: False when
+    the clue holds read as (ha, hb), else True (it holds read as (hb, ha)).
+    Kinds come in the order the generator lists a pair's true clues."""
+    houses = range(n_houses)
+    kinds = (K_SAME_HOUSE, K_NOT_SAME_HOUSE, K_LEFT_OF, K_DIRECTLY_LEFT_OF, K_NEXT_TO)
+    return tuple(
+        tuple(
+            tuple(
+                (kind, clue_fails(kind, ha, hb))
+                for kind in kinds
+                if not (clue_fails(kind, ha, hb) and clue_fails(kind, hb, ha))
+            )
+            for hb in houses
+        )
+        for ha in houses
+    )
 
 
 ValuePair = tuple[int, int, int, int]  # (attribute, value, attribute, value), first <= second

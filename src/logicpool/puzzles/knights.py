@@ -1,8 +1,9 @@
 """Knights-and-knaves puzzles: exact solving and unique-solution generation.
 
 A puzzle gives one statement per character; knights speak truly, knaves
-falsely. The solver enumerates every truth assignment, so results are exact
-and deterministically ordered.
+falsely. The solver enumerates every truth assignment with the bitset kernel
+(``_kernels.kk_consistent_masks``), the one evaluator of statements, so
+results are exact and deterministically ordered.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .statements import (
     Statement,
     character_label,
     compile_statements,
-    evaluate_statement,
     statement_from_code,
 )
 
 MAX_CHARS = 16
+KK_SIZES = (3, 4, 5, 6)  # the character counts generate_kk makes
 GENERATION_BUDGET = 10_000
 
 TruthAssignment = tuple[str, ...]  # KNIGHT / KNAVE per character index
@@ -68,14 +69,6 @@ class KnightsKnavesPuzzle:
 
     def solution_dict(self) -> dict[str, str]:
         return assignment_as_dict(self.solution)
-
-
-def check_assignment(statements: list[Statement] | tuple[Statement, ...], assignment: TruthAssignment) -> bool:
-    """True iff every character's statement truth matches their type."""
-    flags = tuple(t == KNIGHT for t in assignment)
-    return all(
-        evaluate_statement(s, flags) == flags[i] for i, s in enumerate(statements)
-    )
 
 
 def solve_kk(statements: list[Statement] | tuple[Statement, ...], n_chars: int) -> list[TruthAssignment]:
@@ -136,8 +129,8 @@ def generate_kk(n_chars: int, seed: int, budget: int = GENERATION_BUDGET) -> Kni
 
     Deterministic for a given (n_chars, seed).
     """
-    if not 3 <= n_chars <= 6:
-        raise ValueError(f"n_chars must be in [3, 6], got {n_chars}")
+    if n_chars not in KK_SIZES:
+        raise ValueError(f"n_chars must be one of {KK_SIZES}, got {n_chars}")
     rng = random.Random(f"kk:{n_chars}:{seed}")
     for _ in range(budget):
         code: list[tuple[int, int, int]] = []

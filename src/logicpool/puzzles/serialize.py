@@ -3,7 +3,10 @@
 Field order is fixed so identical puzzles serialize to identical bytes:
 version, family, id, seed, structure, statements|clues, solution,
 difficulty. The loader accepts externally produced files in this schema and
-checks that the bundled solution actually satisfies the instance.
+checks the bundled solution with the solver's rules: a kk solution must be
+among ``solve_kk``'s consistent assignments, and a zebra solution must keep
+every clue (``clue_holds``, which reads the kernel's ``clue_fails``). Any
+object that is not a puzzle of this schema is a StructureError.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import json
 from typing import Any
 
 from ..errors import StructureError
-from .knights import KnightsKnavesPuzzle, TruthAssignment, check_assignment
+from ..jsonl import parse_object, read_lines
+from .knights import KnightsKnavesPuzzle, TruthAssignment, solve_kk
 from .statements import (
     KNAVE,
     KNIGHT,
@@ -71,18 +75,33 @@ def _clue_to_obj(clue: Clue, puzzle: ZebraPuzzle) -> dict[str, Any]:
 
 
 def puzzle_from_obj(obj: dict[str, Any]) -> Puzzle:
-    if obj.get("version") != SCHEMA_VERSION:
-        raise StructureError(f"unsupported schema version {obj.get('version')!r}")
-    family = obj.get("family")
-    if family == "kk":
-        return _kk_from_obj(obj)
-    if family == "zebra":
-        return _zebra_from_obj(obj)
+    try:
+        if obj.get("version") != SCHEMA_VERSION:
+            raise StructureError(f"unsupported schema version {obj.get('version')!r}")
+        family = obj.get("family")
+        if family == "kk":
+            return _kk_from_obj(obj)
+        if family == "zebra":
+            return _zebra_from_obj(obj)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:  # a field missing or of the wrong shape
+        raise StructureError(f"malformed puzzle object ({exc!r})") from None
     raise StructureError(f"unknown puzzle family {family!r}")
 
 
 def puzzle_from_json(text: str) -> Puzzle:
     return puzzle_from_obj(json.loads(text))
+
+
+def read_puzzles(path: str) -> list[Puzzle]:
+    """The puzzles of a JSON-lines file, one per line; a line that is not a
+    puzzle is a StructureError naming the file and the line."""
+    puzzles = []
+    for number, _, obj in read_lines(path, parse_object, torn="read"):
+        try:
+            puzzles.append(puzzle_from_obj(obj))
+        except StructureError as exc:
+            raise StructureError(f"{path}: line {number}: {exc}") from None
+    return puzzles
 
 
 def _kk_from_obj(obj: dict[str, Any]) -> KnightsKnavesPuzzle:
@@ -99,7 +118,7 @@ def _kk_from_obj(obj: dict[str, Any]) -> KnightsKnavesPuzzle:
         solution=solution,
         seed=obj.get("seed"),
     )
-    if not check_assignment(puzzle.statements, puzzle.solution):
+    if solution not in solve_kk(statements, n_chars):
         raise StructureError(f"puzzle {puzzle.puzzle_id}: bundled solution is inconsistent")
     return puzzle
 

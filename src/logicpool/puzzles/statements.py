@@ -3,6 +3,8 @@
 A statement is a small AST over atoms of the form "character i is a
 knight/knave", combined with not/and/or/implies/iff. Characters are
 identified by index; display labels are the letters A, B, C, ...
+A statement's truth is not evaluated here: ``compile_statements`` turns
+statements into the postfix bytecode that the solver kernel runs.
 """
 
 from __future__ import annotations
@@ -77,33 +79,6 @@ def Implies(left: Statement, right: Statement) -> BinaryOp:
 
 def Iff(left: Statement, right: Statement) -> BinaryOp:
     return BinaryOp(OP_IFF, left, right)
-
-
-def evaluate_statement(statement: Statement, assignment: tuple[bool, ...]) -> bool:
-    """Classical truth value of ``statement`` under a knight-flag assignment.
-
-    ``assignment[i]`` is True when character ``i`` is a knight. Implication
-    is material, iff is the biconditional.
-    """
-    if isinstance(statement, Atom):
-        if not 0 <= statement.character < len(assignment):
-            raise StructureError(
-                f"statement references character {statement.character}, "
-                f"assignment covers {len(assignment)}"
-            )
-        is_knight = assignment[statement.character]
-        return is_knight if statement.claimed == KNIGHT else not is_knight
-    if isinstance(statement, Not):
-        return not evaluate_statement(statement.operand, assignment)
-    left = evaluate_statement(statement.left, assignment)
-    right = evaluate_statement(statement.right, assignment)
-    if statement.op == OP_AND:
-        return left and right
-    if statement.op == OP_OR:
-        return left or right
-    if statement.op == OP_IMPLIES:
-        return (not left) or right
-    return left == right
 
 
 def statement_depth(statement: Statement) -> int:

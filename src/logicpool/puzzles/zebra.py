@@ -1,5 +1,7 @@
-"""Zebra puzzles: houses x attributes grids, clue semantics, exact solving,
-and unique-solution generation by clue saturation + greedy minimization."""
+"""Zebra puzzles: houses x attributes grids, exact solving, and
+unique-solution generation by clue saturation + greedy minimization. A
+clue's truth is the kernel's ``clue_fails``; this module states no clue
+rule of its own beyond ``at_position``'s one house."""
 
 from __future__ import annotations
 
@@ -175,16 +177,7 @@ def clue_holds(clue: Clue, grid: ZebraGrid) -> bool:
     ha = grid.position_of(clue.a_attr, clue.a_val)
     if clue.kind == AT_POSITION:
         return ha == clue.house
-    hb = grid.position_of(clue.b_attr, clue.b_val)
-    if clue.kind == SAME_HOUSE:
-        return ha == hb
-    if clue.kind == LEFT_OF:
-        return ha < hb
-    if clue.kind == DIRECTLY_LEFT_OF:
-        return ha + 1 == hb
-    if clue.kind == NEXT_TO:
-        return abs(ha - hb) == 1
-    return ha != hb  # NOT_SAME_HOUSE
+    return not _kernels.clue_fails(_KIND_CODES[clue.kind], ha, grid.position_of(clue.b_attr, clue.b_val))
 
 
 def _encode_clues(clues: tuple[Clue, ...] | list[Clue]) -> np.ndarray:
@@ -242,20 +235,12 @@ def _true_clue_rows(grid: ZebraGrid, n_houses: int, n_attrs: int) -> list[tuple[
     rows = [
         (_kernels.K_AT_POSITION, a, v, -1, -1, pos[a][v]) for a in range(n_attrs) for v in range(n_houses)
     ]
+    holding = _kernels.holding_clues(n_houses)
     entities = [(a, v) for a in range(n_attrs) for v in range(n_houses)]
     for i, (aa, av) in enumerate(entities):
         for bb, bv in entities[i + 1 :]:
-            ha, hb = pos[aa][av], pos[bb][bv]
-            if ha == hb:
-                if aa != bb:
-                    rows.append((_kernels.K_SAME_HOUSE, aa, av, bb, bv, -1))
-                continue
-            rows.append((_kernels.K_NOT_SAME_HOUSE, aa, av, bb, bv, -1))
-            left, right = ((aa, av), (bb, bv)) if ha < hb else ((bb, bv), (aa, av))
-            rows.append((_kernels.K_LEFT_OF, *left, *right, -1))
-            if abs(ha - hb) == 1:
-                rows.append((_kernels.K_DIRECTLY_LEFT_OF, *left, *right, -1))
-                rows.append((_kernels.K_NEXT_TO, aa, av, bb, bv, -1))
+            for kind, swapped in holding[pos[aa][av]][pos[bb][bv]]:
+                rows.append((kind, bb, bv, aa, av, -1) if swapped else (kind, aa, av, bb, bv, -1))
     return rows
 
 

@@ -298,10 +298,12 @@ def confidence_score_rows(
     lambdas: float | np.ndarray,
     indices: list[list[int]] | None = None,
 ) -> tuple[list[list[int]], np.ndarray, list[Exception | None]]:
-    """``confidence_scores`` of many pools in one array.
+    """The combined ``criterion`` score (max_prob or min_entropy) of the
+    parseable candidates with a defined confidence, for many pools in one
+    array.
 
-    Returns each pool's scored candidates, their scores with shape
-    ``(len(pools),) + np.shape(lambdas) + (width,)``, and each pool's error
+    Returns each pool's scored candidates in pool order, their scores with
+    shape ``(len(pools),) + np.shape(lambdas) + (width,)``, and each pool's error
     or None. Each pool's row holds its candidates' scores packed to the
     front, padded with trailing NaN; a pool with an error has a row of NaN.
     ``indices`` holds each pool's increasing candidate indices to consider.
@@ -336,24 +338,6 @@ def confidence_score_rows(
             errors[p] = ValueError("entropies must be >= 0")
             rational[p] = answer[p] = math.nan
         return orders, combined_entropy(rational.reshape(shape), answer.reshape(shape), lam[..., None]), errors
-
-
-def confidence_scores(
-    pool: CandidatePool,
-    criterion: str,
-    lambdas: float | np.ndarray,
-    indices: list[int] | None = None,
-) -> tuple[list[int], np.ndarray]:
-    """The parseable candidates with a defined confidence (of the increasing
-    ``indices`` when given, else of the pool) in pool order, and their
-    combined ``criterion`` score (max_prob or min_entropy) at each lambda,
-    with shape ``np.shape(lambdas) + (n,)``. No such candidate is a
-    NoAnswerError; a lambda outside [0, 1], or a negative entropy under
-    min_entropy, is a ValueError."""
-    orders, scores, errors = confidence_score_rows([pool], criterion, lambdas, None if indices is None else [indices])
-    if errors[0] is not None:
-        raise errors[0]
-    return orders[0], scores[0]
 
 
 def _verifier_picks(

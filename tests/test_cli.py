@@ -5,7 +5,7 @@ import os
 import pytest
 
 from logicpool.cli import main
-from logicpool.puzzles import puzzle_from_obj
+from logicpool.puzzles import generate_kk, generate_zebra, puzzle_from_obj, puzzle_to_obj
 
 from conftest import ClosedWorld
 
@@ -87,6 +87,46 @@ def test_cli_input_errors_are_error_lines(tmp_path, capsys, args, message):
     assert main([arg.format(**paths) for arg in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _drop_second_reference(obj):
+    next(clue for clue in obj["clues"] if "b" in clue).pop("b")
+
+
+MALFORMED = "malformed puzzle object ("
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (1, lambda obj: obj["statements"].pop(), MALFORMED),
+        (1, lambda obj: obj["structure"].update(n_chars="three"), MALFORMED),
+        (1, lambda obj: obj["statements"].__setitem__(0, ["atom", "A"]), MALFORMED),
+        (1, lambda obj: obj.pop("solution"), MALFORMED),
+        (2, _drop_second_reference, MALFORMED),
+        (2, lambda obj: obj.update(version="v0"), "unsupported schema version 'v0'"),
+        (1, lambda obj: obj.update(family="sudoku"), "unknown puzzle family 'sudoku'"),
+    ],
+    ids=["kk-statement-missing", "kk-n-chars-not-an-integer", "kk-short-atom", "kk-no-solution",
+         "zebra-clue-without-b", "unknown-version", "unknown-family"],
+)
+def test_malformed_puzzle_line_is_an_error_line(tmp_path, capsys, line, edit, message):
+    """A puzzle line with a field missing or of the wrong shape is one error
+    line naming the file and the line, from ``render --puzzle-file`` and from
+    ``run`` on a ``corpus.path``; the run makes no run directory."""
+    objs = [puzzle_to_obj(generate_kk(3, seed=0)), puzzle_to_obj(generate_zebra(3, 3, seed=0))]
+    edit(objs[line - 1])
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    config = {"run_dir": "run", "corpus": {"path": str(corpus)}, "backend": {"kind": "mock", "script": "m.json"}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    for args in (["render", "--strategy", "no_strategy", "--puzzle-file", str(corpus)],
+                 ["run", "--config", str(config_path)]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: line {line}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture

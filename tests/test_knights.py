@@ -3,15 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logicpool.errors import CapacityError, GenerationError
-from logicpool.puzzles import puzzle_to_json
+from logicpool.errors import CapacityError, GenerationError, StructureError
+from logicpool.puzzles import puzzle_from_obj, puzzle_to_json, puzzle_to_obj
 from logicpool.puzzles import _kernels
 from logicpool.puzzles._kernels import kk_consistent_masks
 from logicpool.puzzles.knights import (
     assignment_as_dict,
     assignment_from_mask,
     assignment_to_mask,
-    check_assignment,
     generate_kk,
     sample_statement,
     solve_kk,
@@ -107,7 +106,16 @@ def test_generated_puzzles_have_unique_solution():
         puzzle = generate_kk(4, seed=seed)
         solutions = solve_kk(puzzle.statements, puzzle.n_chars)
         assert solutions == [puzzle.solution]
-        assert check_assignment(puzzle.statements, puzzle.solution)
+
+
+def test_loader_rejects_inconsistent_solution():
+    obj = puzzle_to_obj(generate_kk(4, seed=0))
+    assert puzzle_from_obj(obj).solution_dict() == obj["solution"]
+    for label, claimed in obj["solution"].items():
+        # the solution is unique, so flipping any one character breaks it
+        flipped = {**obj, "solution": {**obj["solution"], label: KNAVE if claimed == KNIGHT else KNIGHT}}
+        with pytest.raises(StructureError, match="bundled solution is inconsistent"):
+            puzzle_from_obj(flipped)
 
 
 def test_generator_grammar_bounds():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logicpool.errors import NoAnswerError, StructureError
 from logicpool.harness.config import ExperimentConfig
@@ -520,26 +520,42 @@ def test_selection_is_deterministic(pool):
         assert first == second
 
 
+def _on_grid(x):
+    """``x`` rounded to a multiple of 2^-20. Sums of such numbers of the
+    size of these log-probs are exact in float64."""
+    return round(x * 2**20) / 2**20
+
+
 @given(pools(), st.floats(min_value=0.1, max_value=10.0))
+@example(  # a tie in float64 that adding log(scale) unrounded broke: argmax 0 -> 1
+    make_pool([{"answer": X, "confidence": confidence(0.5, 0.948)},
+               {"answer": Y, "confidence": confidence(1.0, 0.474)}]),
+    1.09375,
+)
 @settings(max_examples=100, deadline=None)
 def test_max_prob_invariant_under_positive_scaling(pool, scale):
     """Scaling every candidate's segment probabilities by one positive factor
-    (in log space) never changes the argmax."""
+    (in log space) never changes the argmax. The log-probs and log(scale)
+    are put on a 2^-20 grid first, so at lambda = 0.5 every shifted score
+    is exactly its baseline + 2 log(scale), and a tie stays a tie."""
+    def put_on_grid_and_shift(shift):
+        for candidate in pool.candidates:
+            conf = candidate.confidence
+            if conf is None or not conf.defined:
+                continue
+            candidate.confidence = ConfidenceScore(
+                log_p_rational=_on_grid(conf.log_p_rational) + shift,
+                log_p_answer=_on_grid(conf.log_p_answer) + shift,
+                h_rational=conf.h_rational,
+                h_answer=conf.h_answer,
+            )
+
+    put_on_grid_and_shift(0.0)
     try:
         baseline = select_max_prob(pool)
     except NoAnswerError:
         return
-    log_scale = math.log(scale)
-    for candidate in pool.candidates:
-        conf = candidate.confidence
-        if conf is None or not conf.defined:
-            continue
-        candidate.confidence = ConfidenceScore(
-            log_p_rational=conf.log_p_rational + log_scale,
-            log_p_answer=conf.log_p_answer + log_scale,
-            h_rational=conf.h_rational,
-            h_answer=conf.h_answer,
-        )
+    put_on_grid_and_shift(_on_grid(math.log(scale)))
     assert select_max_prob(pool).chosen_index == baseline.chosen_index
 
 

@@ -12,7 +12,6 @@ from logicpool.puzzles.statements import (
     Or,
     compile_statements,
     connective_count,
-    evaluate_statement,
     render_statement,
     statement_depth,
     statement_from_code,
@@ -20,21 +19,37 @@ from logicpool.puzzles.statements import (
     statement_to_obj,
 )
 from logicpool.puzzles import _kernels
+from logicpool.puzzles.knights import solve_kk
 
-from conftest import eval_statement_oracle, random_statement
+from conftest import eval_statement_oracle, random_statement, solve_kk_oracle
 
 KNIGHT, KNAVE = "knight", "knave"
 
 
+def kernel_truth(statement, flags):
+    """The solver kernel's truth value of ``statement`` under the knight
+    flags. Each flagged character says "I am a knight", which is consistent
+    either way, and one more character, a knight, says ``statement``; the
+    assignment is then consistent exactly when ``statement`` is true."""
+    n_chars = len(flags) + 1
+    code, bounds = compile_statements([Atom(i, KNIGHT) for i in range(len(flags))] + [statement], n_chars)
+    mask = sum(1 << i for i, flag in enumerate(flags + (True,)) if flag)
+    return mask in _kernels.kk_consistent_masks(code, bounds, n_chars)
+
+
+def assert_truth(statement, flags, expected):
+    assert kernel_truth(statement, flags) is expected
+    assert eval_statement_oracle(statement, flags) is expected
+
+
 def test_atom_under_assignment():
-    assert evaluate_statement(Atom(0, KNIGHT), (True,)) is True
-    assert evaluate_statement(Atom(0, KNIGHT), (False,)) is False
-    assert evaluate_statement(Atom(0, KNAVE), (False,)) is True
+    assert_truth(Atom(0, KNIGHT), (True,), True)
+    assert_truth(Atom(0, KNIGHT), (False,), False)
+    assert_truth(Atom(0, KNAVE), (False,), True)
 
 
 def test_iff_with_unequal_sides_is_false():
-    statement = Iff(Atom(0, KNIGHT), Atom(2, KNAVE))
-    assert evaluate_statement(statement, (True, True, True)) is False
+    assert_truth(Iff(Atom(0, KNIGHT), Atom(2, KNAVE)), (True, True, True), False)
 
 
 def test_three_speaker_example_consistent():
@@ -44,23 +59,22 @@ def test_three_speaker_example_consistent():
         Iff(Atom(0, KNIGHT), Atom(2, KNAVE)),
         Atom(0, KNIGHT),
     ]
-    flags = (True, False, True)  # A knight, B knave, C knight
-    for speaker, statement in enumerate(statements):
-        assert evaluate_statement(statement, flags) == flags[speaker]
+    expected = [(KNIGHT, KNAVE, KNIGHT)]  # A knight, B knave, C knight
+    assert solve_kk(statements, 3) == solve_kk_oracle(statements, 3) == expected
 
 
 def test_unknown_character_raises():
     with pytest.raises(StructureError):
-        evaluate_statement(Atom(3, KNIGHT), (True, False))
+        solve_kk([Atom(3, KNIGHT), Atom(0, KNIGHT)], 2)
     with pytest.raises(StructureError):
         compile_statements([Atom(5, KNIGHT)], n_chars=2)
 
 
 def test_material_implication_and_connectives():
-    assert evaluate_statement(Implies(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, False)) is True
-    assert evaluate_statement(Or(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, True)) is True
-    assert evaluate_statement(And(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, True)) is False
-    assert evaluate_statement(Not(Atom(0, KNIGHT)), (False,)) is True
+    assert_truth(Implies(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, False), True)
+    assert_truth(Or(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, True), True)
+    assert_truth(And(Atom(0, KNIGHT), Atom(1, KNIGHT)), (False, True), False)
+    assert_truth(Not(Atom(0, KNIGHT)), (False,), True)
 
 
 def test_depth_and_connective_counts():

@@ -13,8 +13,10 @@ from logicpool.puzzles.zebra import (
     CLUE_KINDS,
     Attribute,
     Clue,
+    DIRECTLY_LEFT_OF,
     LEFT_OF,
     NEXT_TO,
+    NOT_SAME_HOUSE,
     SAME_HOUSE,
     ZebraGrid,
     ZebraPuzzle,
@@ -157,6 +159,27 @@ def test_generated_clues_hold_in_solution():
     puzzle = generate_zebra(4, 3, seed=2)
     for clue in puzzle.clues:
         assert clue_holds(clue, puzzle.solution)
+
+
+@pytest.mark.parametrize("n_houses, n_attrs", [(2, 2), (3, 3), (4, 2), (5, 3), (6, 2)])
+def test_true_clues_are_every_clue_the_oracle_accepts(n_houses, n_attrs):
+    """The saturated clue set holds every clue true in the grid once: each
+    at_position clue, each symmetric kind with its references in
+    (attribute, value) order, and each ordered kind the way round it holds,
+    with the fields the kind does not use left at their defaults."""
+    rng = random.Random(10 * n_houses + n_attrs)
+    grid = ZebraGrid(tuple(tuple(rng.sample(range(n_houses), n_houses)) for _ in range(n_attrs)))
+    refs = [(a, v) for a in range(n_attrs) for v in range(n_houses)]
+    candidates = [Clue(AT_POSITION, a, v, house=h) for a, v in refs for h in range(n_houses)]
+    for i, first in enumerate(refs):
+        for second in refs[i + 1 :]:
+            candidates += [Clue(kind, *first, *second) for kind in (SAME_HOUSE, NOT_SAME_HOUSE, NEXT_TO)]
+            candidates += [
+                Clue(kind, *a, *b) for kind in (LEFT_OF, DIRECTLY_LEFT_OF) for a, b in ((first, second), (second, first))
+            ]
+    clues = _all_true_clues(grid, n_houses, n_attrs)
+    assert len(set(clues)) == len(clues)
+    assert set(clues) == {clue for clue in candidates if clue_holds_oracle(clue, grid.position_of)}
 
 
 def test_difficulty_split():
