@@ -44,6 +44,7 @@ _ENTRY_START = re.compile(rb'\{"key": "([0-9a-f]{64})"')
 # line is the response's own key, right after the request; version 1 opened
 # that list with a token object.
 _TOKENS_KEY = b'"tokens": ['
+_dumps = json.JSONEncoder(ensure_ascii=False).encode  # what json.dumps(obj, ensure_ascii=False) writes
 
 T = TypeVar("T")
 
@@ -453,8 +454,8 @@ class OpenAIClient:
 # ---------------------------------------------------------------------------
 
 
-def _pack(array: np.ndarray) -> str:
-    return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
+def _pack(array: np.ndarray) -> bytes:
+    return base64.b64encode(array.astype("<f8").tobytes())
 
 
 def _unpack(text: str) -> np.ndarray:
@@ -467,8 +468,8 @@ def response_to_obj(response: ModelResponse) -> dict[str, Any]:
     exactly the numbers the original run scored."""
     return {
         "tokens": list(response.texts),
-        "logprobs": _pack(response.logprobs),
-        "top_logprobs": _pack(response.top_logprobs),
+        "logprobs": _pack(response.logprobs).decode("ascii"),
+        "top_logprobs": _pack(response.top_logprobs).decode("ascii"),
         "finish_reason": response.finish_reason,
     }
 
@@ -517,16 +518,23 @@ def _timed(call: Callable[..., T], *args: Any) -> tuple[T, float]:
     return result, round(time.monotonic() - started, 6)
 
 
-def _entry(key: str, method: str, request: dict[str, Any], result: Any, elapsed: float) -> dict[str, Any]:
-    """The journal entry of one backend call; a generation keeps its latency."""
-    entry = {"key": key, "kind": method, "request": request, "response": result}
-    if method == "generate":
-        entry.update(response=response_to_obj(result), elapsed_s=elapsed)
-    return entry
+def _line(key: str, method: str, request: dict[str, Any], result: Any, elapsed: float) -> bytes:
+    """The journal line of one backend call, byte for byte ``json.dumps`` of
+    ``{"key", "kind", "request", "response"}``, with a generation's response
+    as ``response_to_obj`` gives it and its latency as ``"elapsed_s"``. Base64
+    holds no character JSON escapes, so the arrays are joined in as ``_pack``'s
+    bytes in one pass, and only the other fields go through the encoder."""
+    head = f'{_dumps({"key": key, "kind": method, "request": request})[:-1]}, "response": '.encode()
+    if method != "generate":
+        return b"%s%s}\n" % (head, _dumps(result).encode())
+    return b'%s{"tokens": %s, "logprobs": "%s", "top_logprobs": "%s", "finish_reason": %s}, "elapsed_s": %s}\n' % (
+        head, _dumps(result.texts).encode(), _pack(result.logprobs), _pack(result.top_logprobs),
+        _dumps(result.finish_reason).encode(), _dumps(elapsed).encode(),
+    )
 
 
 def _decoded(entry: dict[str, Any]) -> tuple[Any, float]:
-    """The result and latency of an entry that ``_entry`` wrote."""
+    """The result and latency of an entry that ``_line`` wrote."""
     if entry["kind"] == "generate":
         return response_from_obj(entry["response"]), float(entry.get("elapsed_s", 0.0))
     return dict(entry["response"]), 0.0
@@ -594,7 +602,7 @@ class JournalingClient:
         try:
             for key, (future, method, request) in self._in_flight.items():
                 if future.done() and not future.cancelled() and future.exception() is None:
-                    self._append(_entry(key, method, request, *future.result()))
+                    self._append(key, method, request, *future.result())
         finally:
             self._in_flight.clear()
             self._fd = -1
@@ -634,11 +642,11 @@ class JournalingClient:
             self._lines = number
         self._open()
 
-    def _append(self, entry: dict[str, Any]) -> None:
-        """Write one entry and count the backend call that produced it. A
-        write that fails or stops short is cut back off the journal, so the
-        next append starts on a clean line."""
-        line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
+    def _append(self, key: str, method: str, request: dict[str, Any], result: Any, elapsed: float) -> None:
+        """Write the entry of one backend call and count the call. A write
+        that fails or stops short is cut back off the journal, so the next
+        append starts on a clean line."""
+        line = _line(key, method, request, result, elapsed)
         if self._fd is None:
             self._open()
         offset, written = self._size, 0
@@ -650,7 +658,7 @@ class JournalingClient:
             raise
         self._size = offset + len(line)
         self._lines += 1
-        self._index[entry["key"]] = (offset, len(line), self._lines)
+        self._index[key] = (offset, len(line), self._lines)
         self.stats.backend_calls += 1
 
     def start(self, method: str, prompt: RenderedPrompt | str, arg: Any, keyed=None) -> Future | None:
@@ -690,7 +698,7 @@ class JournalingClient:
             result = _timed(getattr(self.inner, method), request["prompt"], arg)
         else:
             result = in_flight[0].result()
-        self._append(_entry(key, method, request, *result))
+        self._append(key, method, request, *result)
         return result
 
     def generate_timed(

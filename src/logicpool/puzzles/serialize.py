@@ -4,9 +4,10 @@ Field order is fixed so identical puzzles serialize to identical bytes:
 version, family, id, seed, structure, statements|clues, solution,
 difficulty. The loader accepts externally produced files in this schema and
 checks the bundled solution with the solver's rules: a kk solution must be
-among ``solve_kk``'s consistent assignments, and a zebra solution must keep
-every clue (``clue_holds``, which reads the kernel's ``clue_fails``). Any
-object that is not a puzzle of this schema is a StructureError.
+the one consistent assignment ``solve_kk`` finds, and a zebra solution must
+keep every clue (``clue_holds``, which reads the kernel's ``clue_fails``;
+that it is the only grid is not checked). Any object that is not a puzzle of
+this schema is a StructureError.
 """
 
 from __future__ import annotations
@@ -118,8 +119,11 @@ def _kk_from_obj(obj: dict[str, Any]) -> KnightsKnavesPuzzle:
         solution=solution,
         seed=obj.get("seed"),
     )
-    if solution not in solve_kk(statements, n_chars):
+    solutions = solve_kk(statements, n_chars)
+    if solution not in solutions:
         raise StructureError(f"puzzle {puzzle.puzzle_id}: bundled solution is inconsistent")
+    if len(solutions) > 1:
+        raise StructureError(f"puzzle {puzzle.puzzle_id}: {len(solutions)} consistent assignments, not one")
     return puzzle
 
 

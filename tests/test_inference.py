@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import errno
 import json
@@ -27,6 +28,7 @@ from logicpool.inference import (
     response_from_obj,
     response_to_obj,
 )
+from logicpool.inference import _line
 
 # every test here must close the files and descriptors it opens
 pytestmark = pytest.mark.usefixtures("no_fd_leaks")
@@ -227,10 +229,11 @@ def test_journal_replay_without_backend(tmp_path):
     assert replayer.generate("p", params) == recorded
     assert replayer.completion_probability("q", ["Yes"]) == recorded_probs
     assert replayer.stats.backend_calls == 0
-    with pytest.raises(ReplayMissError):
-        replayer.generate("unseen", params)
-    with pytest.raises(ReplayMissError):
-        replayer.completion_probability("unseen", ["Yes"])
+    unseen = "unseen " * 20  # the error shows its first 60 characters
+    with pytest.raises(ReplayMissError, match=f"^no journaled response for prompt starting {unseen[:60]!r}$"):
+        replayer.generate(unseen, params)
+    with pytest.raises(ReplayMissError, match=f"^no journaled verification for prompt starting {unseen[:60]!r}$"):
+        replayer.completion_probability(unseen, ["Yes"])
 
 
 def test_journal_timing_is_stable_across_replays(tmp_path):
@@ -289,6 +292,11 @@ def test_journal_malformed_inner_line_raises_data_error(tmp_path):
     journal.write_text(first + "\n" + '["no key"]' + "\n")
     with pytest.raises(DataError, match="line 2"):
         JournalingClient(str(journal))
+    # an object without a key, and an entry cut short after its key, are found at open
+    for inner in ('{"kind": "generate"}', first[:200]):
+        journal.write_text(first + "\n" + inner + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            JournalingClient(str(journal))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +342,69 @@ def test_response_codec_pads_a_ragged_row():
     response = ModelResponse.from_tokens(tokens, "stop")
     assert response.top_logprobs.tolist() == [[-0.1, -0.5, -2.0], [-0.2, -np.inf, -np.inf]]
     assert response_from_obj(response_to_obj(response)) == response
+
+
+def test_an_empty_response_round_trips_with_no_alternative_column():
+    empty = ModelResponse.from_tokens([], "length")
+    clone = response_from_obj(response_to_obj(empty))
+    assert clone == empty and clone.top_logprobs.shape == (0, 0)
+
+
+def test_top_logprobs_that_do_not_fill_the_rows_are_named():
+    obj = response_to_obj(ModelResponse.from_tokens([make_token("a", -0.1), make_token("b", -0.2)], "stop"))
+    obj["top_logprobs"] = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
+    with pytest.raises(ValueError, match="3 top logprobs do not fill 2 rows"):
+        response_from_obj(obj)
+
+
+# every character JSON escapes, line separators and a non-BMP character, then any text
+_ANY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x01\x1f\x7f\u2028\u2029\U0001f600'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+_LOGPROB = st.floats(min_value=-50.0, max_value=0.0)
+
+
+@st.composite
+def journaled_response(draw):
+    """A response of 0-8 positions whose rows hold 1-K alternatives, padded
+    with -inf, and any finish reason."""
+    n, width = draw(st.integers(0, 8)), draw(st.integers(1, 5))
+    top = np.full((n, width), -np.inf)
+    for row in top:
+        filled = draw(st.integers(1, width))
+        row[:filled] = sorted(draw(st.lists(_LOGPROB, min_size=filled, max_size=filled)), reverse=True)
+    logprobs = np.array([draw(st.sampled_from(row[row > -np.inf].tolist())) for row in top])
+    texts = draw(st.lists(_ANY_TEXT, min_size=n, max_size=n))
+    return ModelResponse(texts, logprobs, top, draw(st.sampled_from(["stop", "length", "error"])))
+
+
+def _dumped(entry):
+    return (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@given(
+    journaled_response(),
+    _ANY_TEXT,
+    _ANY_TEXT,
+    st.sampled_from([0.0, 1e-06, 123.456789]) | st.floats(0.0, 1e4).map(lambda s: round(s, 6)),
+    st.dictionaries(_ANY_TEXT, st.floats(0.0, 1.0), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_journal_line_is_json_dumps_of_the_entry(response, prompt, tag, elapsed, mass):
+    key, request = generate_request(prompt, SamplingParams(), tag)
+    line = _line(key, "generate", request, response, elapsed)
+    journaled = response_to_obj(response)
+    entry = {"key": key, "kind": "generate", "request": request, "response": journaled, "elapsed_s": elapsed}
+    assert line == _dumped(entry)
+    assert json.loads(line)["response"] == journaled
+    request = {"prompt": prompt, "candidates": sorted(mass)}
+    line = _line(key, "completion_probability", request, mass, elapsed)
+    assert line == _dumped({"key": key, "kind": "completion_probability", "request": request, "response": mass})
+    assert json.loads(line)["response"] == mass
 
 
 def test_response_positions_read_like_wire_tokens():
@@ -385,6 +456,22 @@ def test_journal_entries_are_parsed_on_lookup(tmp_path):
     # an appended entry is served from its own offset
     client.generate("r", SamplingParams())
     assert JournalingClient(str(journal)).generate("r", SamplingParams()).full_text == "hi"
+
+
+def test_a_journaled_array_with_a_character_outside_base64_is_a_data_error(tmp_path):
+    """The decoder skips nothing: an array whose base64 text holds a
+    foreign character fails its lookup instead of decoding the rest."""
+    journal = tmp_path / "journal.jsonl"
+    _record_two(journal)
+    first, second = journal.read_text().splitlines()
+    packed = json.loads(second)["response"]["logprobs"]
+    damaged = second.replace(f'"logprobs": "{packed}"', f'"logprobs": "{packed[:4]}*{packed[4:]}"')
+    assert damaged != second
+    journal.write_text(first + "\n" + damaged + "\n")
+    with JournalingClient(str(journal)) as client:
+        assert client.generate("p", SamplingParams()).full_text == "hi"
+        with pytest.raises(DataError, match="line 2"):
+            client.generate("q", SamplingParams())
 
 
 class _ScriptedBackend:

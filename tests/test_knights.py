@@ -28,6 +28,7 @@ from logicpool.puzzles.statements import (
     compile_statements,
     connective_count,
     statement_depth,
+    statement_to_obj,
 )
 
 from conftest import random_statement, solve_kk_oracle
@@ -116,6 +117,15 @@ def test_loader_rejects_inconsistent_solution():
         flipped = {**obj, "solution": {**obj["solution"], label: KNAVE if claimed == KNIGHT else KNIGHT}}
         with pytest.raises(StructureError, match="bundled solution is inconsistent"):
             puzzle_from_obj(flipped)
+
+
+def test_loader_rejects_a_puzzle_with_more_than_one_solution():
+    # three characters who each say "I am a knight": every assignment is consistent
+    obj = puzzle_to_obj(generate_kk(3, seed=0))
+    obj["statements"] = [statement_to_obj(Atom(i, KNIGHT)) for i in range(3)]
+    obj["solution"] = {"A": KNIGHT, "B": KNIGHT, "C": KNIGHT}
+    with pytest.raises(StructureError, match=r"puzzle .*: 8 consistent assignments, not one"):
+        puzzle_from_obj(obj)
 
 
 def test_generator_grammar_bounds():
