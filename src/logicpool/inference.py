@@ -519,11 +519,8 @@ def _timed(call: Callable[..., T], *args: Any) -> tuple[T, float]:
 
 
 def _line(key: str, method: str, request: dict[str, Any], result: Any, elapsed: float) -> bytes:
-    """The journal line of one backend call, byte for byte ``json.dumps`` of
-    ``{"key", "kind", "request", "response"}``, with a generation's response
-    as ``response_to_obj`` gives it and its latency as ``"elapsed_s"``. Base64
-    holds no character JSON escapes, so the arrays are joined in as ``_pack``'s
-    bytes in one pass, and only the other fields go through the encoder."""
+    """``json.dumps`` of one backend call's entry, with the ``_pack``ed arrays
+    joined in as bytes: base64 holds no character JSON escapes."""
     head = f'{_dumps({"key": key, "kind": method, "request": request})[:-1]}, "response": '.encode()
     if method != "generate":
         return b"%s%s}\n" % (head, _dumps(result).encode())

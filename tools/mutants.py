@@ -1,7 +1,6 @@
 """One-operator mutation testing with the standard library only.
 
     python tools/mutants.py src/logicpool/inference.py _pack _unpack JournalingClient._append
-    python tools/mutants.py FILE FUNC... --list                      # show the mutants, run nothing
     python tools/mutants.py FILE FUNC... -- tests/test_inference.py  # run only these tests
 
 Each mutant changes one site inside the named functions (``Class.method``
@@ -12,8 +11,9 @@ The mutated function is spliced into a copy of the checkout made under a
 temporary directory, so the checkout is never edited, and the tests run
 there with ``pytest -x -q`` (the whole suite unless test paths follow
 ``--``), first once without a mutant, where they must pass. A mutant is
-killed when the tests fail or time out. A surviving mutant is a missing
-test or an equivalent mutant. Exit code 1 when any mutant survives.
+killed when the tests fail or run longer than ``TIMEOUT_S``. A surviving
+mutant is a missing test or an equivalent mutant. Exit code 1 when any
+mutant survives.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ SWAPS = {
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitAnd, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.And: ast.Or, ast.Or: ast.And,
 }
+TIMEOUT_S = 120.0  # per test run; the full suite takes about 40 s, a mutant that loops is killed
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -130,18 +131,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("file", help="a source file, relative to the checkout")
     parser.add_argument("functions", nargs="+", help="function names, Class.method for a method")
-    parser.add_argument("--list", action="store_true", help="print the mutants without running them")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
     argv = sys.argv[1:]
     tests = argv[argv.index("--") + 1:] if "--" in argv else []
     args = parser.parse_args(argv[: argv.index("--")] if "--" in argv else argv)
     with open(os.path.join(ROOT, args.file), encoding="utf-8") as handle:
         source = handle.read()
     found = list(mutants(source, args.functions))
-    if args.list:
-        for line, label, _ in found:
-            print(f"{args.file}:{line}: {label}")
-        return 0
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:
         work = os.path.join(work, "checkout")
@@ -151,7 +146,7 @@ def main() -> int:
 
         def outcome() -> str:
             try:
-                done = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=args.timeout,
+                done = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S,
                                       preexec_fn=_limits)
             except subprocess.TimeoutExpired:
                 return "timeout "  # the tests did not finish: a hang counts as killed
