@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError
 from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
-from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, render
+from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, prompt_fills, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_to_obj, read_puzzles
 from ..scoring import score_response, segment
 from ..selection import (
@@ -220,13 +220,14 @@ class _Runner:
 
     # -- the pool pipeline -----------------------------------------------------
 
-    def _start(self, puzzle: Puzzle, sample: int, strategies, existing) -> _Pool:
-        """Render the pool's prompts and key them, take the stored record of
-        each request, and start the generations of the others."""
+    def _start(self, puzzle: Puzzle, fills: dict[str, str], sample: int, strategies, existing) -> _Pool:
+        """Render the pool's prompts from the puzzle's ``prompt_fills`` and
+        key them, take the stored record of each request, and start the
+        generations of the others."""
         config = self.config
         tasks, new, futures = [], [], []
         for strategy in strategies:
-            prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags)
+            prompt = render(strategy, puzzle, instruction_tags=config.instruction_tags, fills=fills)
             keyed = generate_request(prompt, config.sampling, f"s{sample}")
             task = _CandidateTask(strategy, prompt, keyed, record=existing.get((puzzle.puzzle_id, keyed[0])))
             if task.record is None:
@@ -417,8 +418,9 @@ class _Runner:
                 path = os.path.join(run_dir, VERIFIER_JOURNAL_FILE)
                 self.verifier_client = journals.enter_context(JournalingClient(path, verifier_inner, executor.submit))
             for puzzle in corpus:
+                fills = prompt_fills(puzzle)
                 for sample in range(config.samples):
-                    started.append(self._start(puzzle, sample, strategies, existing))
+                    started.append(self._start(puzzle, fills, sample, strategies, existing))
                     if len(started) > ahead:
                         score()
             while started:

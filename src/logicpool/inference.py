@@ -490,15 +490,39 @@ def _request_key(kind: str, request: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# (repr(params), tag) -> _generate_frame's result. repr tells apart values
+# that compare equal but dump differently (0 and 0.0, 0.0 and -0.0).
+_FRAMES: dict[tuple[str, str], tuple[str, dict[str, Any], str]] = {}
+
+
+def _generate_frame(params: SamplingParams, tag: str) -> tuple[str, dict[str, Any], str]:
+    """The canonical JSON that ``_request_key`` hashes for a generation under
+    (params, tag), cut before and after the prompt's string, and the sampling
+    fields of its request; built once per (params, tag)."""
+    key = (repr(params), tag)
+    frame = _FRAMES.get(key)
+    if frame is None:
+        sampling = {f.name: getattr(params, f.name) for f in fields(params)}  # a new field is keyed too
+        canonical = json.dumps(
+            {"kind": "generate", "prompt": "", **sampling, "tag": tag}, sort_keys=True, ensure_ascii=False
+        )
+        # every quote inside a JSON string is escaped, so this is the prompt's key and value
+        head, _, tail = canonical.partition('"prompt": ""')
+        frame = _FRAMES[key] = (f'{head}"prompt": ', sampling, tail)
+    return frame
+
+
 def generate_request(
     prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
 ) -> tuple[str, dict[str, Any]]:
     """The journaled form of one generation and its key: the sha256 of the
-    prompt text, every sampling parameter and the tag. The key is the one
-    identity of a response, in the journal and in the run's records."""
-    sampling = {f.name: getattr(params, f.name) for f in fields(params)}  # a new field is keyed too
-    request = {"prompt": prompt_text(prompt), **sampling, "tag": tag}
-    return _request_key("generate", request), request
+    prompt text, every sampling parameter and the tag, hashed over the same
+    bytes as ``_request_key``. The key is the one identity of a response, in
+    the journal and in the run's records."""
+    head, sampling, tail = _generate_frame(params, tag)
+    text = prompt_text(prompt)
+    key = hashlib.sha256(f"{head}{_dumps(text)}{tail}".encode("utf-8")).hexdigest()
+    return key, {"prompt": text, **sampling, "tag": tag}
 
 
 def _keyed(method: str, prompt: RenderedPrompt | str, arg: Any) -> tuple[str, dict[str, Any]]:

@@ -1,14 +1,16 @@
 """The five prompt variants for both puzzle families.
 
-Templates live under ``templates/`` as plain-text assets; rendering is pure
-string substitution (no runtime string surgery beyond filling the
-placeholders), so identical inputs always produce identical prompt text.
+Templates live under ``templates/`` as plain-text assets, each split once at
+its placeholders; rendering joins those parts with the puzzle's placeholder
+values (``prompt_fills``), so identical inputs always produce identical
+prompt text.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -107,46 +109,57 @@ def zebra_answer_template(puzzle: ZebraPuzzle) -> str:
     return "\n".join(f"House {h + 1}: {names}" for h in range(puzzle.n_houses))
 
 
-def _substitute(template: str, mapping: dict[str, str]) -> str:
-    text = template
-    for placeholder, value in mapping.items():
-        text = text.replace(placeholder, value)
-    return text
+def prompt_fills(puzzle: KnightsKnavesPuzzle | ZebraPuzzle) -> dict[str, str]:
+    """The value of every placeholder of the puzzle's templates, built once
+    for all five strategies; ``"{Question}"`` is the puzzle question."""
+    if isinstance(puzzle, KnightsKnavesPuzzle):
+        labels = [character_label(i) for i in range(puzzle.n_chars)]
+        return {
+            "{AnswerLines}": "\n".join(f"{label}: ..." for label in labels),
+            "{AnswerTemplate}": "\n".join(f"{label}: {{knight/knave}}" for label in labels),
+            "{number of characters}": str(puzzle.n_chars),
+            "{Question}": kk_question(puzzle),
+        }
+    return {
+        "{HouseLines}": "\n".join(f"House {h + 1}: ..." for h in range(puzzle.n_houses)),
+        "{Template}": zebra_answer_template(puzzle),
+        "{number of houses}": str(puzzle.n_houses),
+        "{number of features}": str(puzzle.n_attrs),
+        "{Question}": zebra_question(puzzle),
+    }
+
+
+@functools.cache
+def _template_parts(name: str) -> tuple[str, ...]:
+    """The template split at its placeholders: text and ``{...}`` parts
+    alternate, so no text part equals a placeholder."""
+    return tuple(re.split(r"(\{[^{}]*\})", _load_template(name)))
 
 
 def render(
     strategy: Strategy,
     puzzle: KnightsKnavesPuzzle | ZebraPuzzle,
     instruction_tags: bool = False,
+    fills: dict[str, str] | None = None,
 ) -> RenderedPrompt:
     """Render the prompt for (strategy, puzzle).
+
+    ``fills`` is the puzzle's ``prompt_fills``, built here when not given.
+    Each value is inserted verbatim, even one that holds a placeholder; a
+    brace group that is no placeholder stays as it is.
 
     ``instruction_tags`` wraps the text in "[INST] ... [/INST]" for backends
     that expect raw instruction framing; chat endpoints take the inner text.
     """
-    template = _load_template(f"{puzzle.family}_{strategy.key}.txt")
-    if isinstance(puzzle, KnightsKnavesPuzzle):
-        question = kk_question(puzzle)
-        labels = [character_label(i) for i in range(puzzle.n_chars)]
-        mapping = {
-            "{AnswerLines}": "\n".join(f"{label}: ..." for label in labels),
-            "{AnswerTemplate}": "\n".join(f"{label}: {{knight/knave}}" for label in labels),
-            "{number of characters}": str(puzzle.n_chars),
-            "{Question}": question,
-        }
-    else:
-        question = zebra_question(puzzle)
-        mapping = {
-            "{HouseLines}": "\n".join(f"House {h + 1}: ..." for h in range(puzzle.n_houses)),
-            "{Template}": zebra_answer_template(puzzle),
-            "{number of houses}": str(puzzle.n_houses),
-            "{number of features}": str(puzzle.n_attrs),
-            "{Question}": question,
-        }
-    full_text = _substitute(template, mapping)
+    if fills is None:
+        fills = prompt_fills(puzzle)
+    parts = _template_parts(f"{puzzle.family}_{strategy.key}.txt")
+    full_text = "".join([fills.get(part, part) for part in parts])
     if instruction_tags:
         full_text = f"[INST] {full_text} [/INST]"
-    return RenderedPrompt(strategy=strategy, puzzle_id=puzzle.puzzle_id, question=question, full_text=full_text)
+    return RenderedPrompt(
+        strategy=strategy, puzzle_id=puzzle.puzzle_id, question=fills["{Question}"], full_text=full_text
+    )
 
 
 __all__ = [
@@ -155,6 +168,7 @@ __all__ = [
     "RenderedPrompt",
     "Strategy",
     "kk_question",
+    "prompt_fills",
     "render",
     "verifier_template",
     "zebra_answer_template",

@@ -5,8 +5,8 @@ version, family, id, seed, structure, statements|clues, solution,
 difficulty. The loader accepts externally produced files in this schema and
 checks the bundled solution with the solver's rules: a kk solution must be
 the one consistent assignment ``solve_kk`` finds, and a zebra solution must
-keep every clue (``clue_holds``, which reads the kernel's ``clue_fails``;
-that it is the only grid is not checked). Any object that is not a puzzle of
+keep every clue (``clue_holds``, which reads the kernel's ``clue_fails``) and
+be the one grid ``solve_zebra`` finds. Any object that is not a puzzle of
 this schema is a StructureError.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..errors import StructureError
+from ..errors import CapacityError, StructureError
 from ..jsonl import parse_object, read_lines
 from .knights import KnightsKnavesPuzzle, TruthAssignment, solve_kk
 from .statements import (
@@ -32,6 +32,7 @@ from .zebra import (
     ZebraGrid,
     ZebraPuzzle,
     clue_holds,
+    solve_zebra,
 )
 
 SCHEMA_VERSION = "v1"
@@ -183,4 +184,10 @@ def _zebra_from_obj(obj: dict[str, Any]) -> ZebraPuzzle:
             raise StructureError(
                 f"puzzle {puzzle.puzzle_id}: bundled solution violates a {clue.kind} clue"
             )
+    try:
+        grids = solve_zebra(n_houses, puzzle.n_attrs, puzzle.clues, limit=2)
+    except CapacityError as exc:  # too large to tell whether its solution is the only one
+        raise StructureError(f"puzzle {puzzle.puzzle_id}: {exc}") from None
+    if len(grids) > 1:
+        raise StructureError(f"puzzle {puzzle.puzzle_id}: more than one grid satisfies its clues")
     return puzzle

@@ -28,7 +28,7 @@ from logicpool.inference import (
     response_from_obj,
     response_to_obj,
 )
-from logicpool.inference import _line
+from logicpool.inference import _line, _request_key
 
 # every test here must close the files and descriptors it opens
 pytestmark = pytest.mark.usefixtures("no_fd_leaks")
@@ -842,3 +842,29 @@ def test_default_generation_key_and_journal_line_are_pinned(tmp_path):
         '"top_p": 0.9, "temperature": 0.6, "max_tokens": 3072, "seed": null, "top_k": 20, "tag": "s0"}, '
         '"response": '
     )
+
+
+# values that compare equal but dump differently, so a frame cached under one
+# of them must not serve another
+_EQUAL_NUMBERS = [0, 0.0, -0.0, 1, 1.0, True, False]
+_SAMPLING = st.builds(
+    SamplingParams,
+    top_p=st.sampled_from([1, 1.0, True]) | st.floats(0.0, 1.0, exclude_min=True),
+    temperature=st.sampled_from([*_EQUAL_NUMBERS, math.nan, math.inf]) | st.floats(min_value=0.0),
+    max_tokens=st.sampled_from([1, True]) | st.integers(1, 2**70),
+    seed=st.none() | st.sampled_from(_EQUAL_NUMBERS[::3]) | st.integers(-(2**70), 2**70),
+    top_k=st.sampled_from([1, True]) | st.integers(1, 10**6),
+)
+# the prompt's own JSON text, and the texts around it in the canonical request
+_KEY_TEXT = st.one_of(_ANY_TEXT, st.sampled_from(['"prompt": ""', '", "prompt": "', '\\"prompt\\": ', "}"]))
+
+
+@given(_KEY_TEXT, _SAMPLING, _KEY_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_generation_key_is_the_request_key_of_its_request(prompt, params, tag):
+    key, request = generate_request(prompt, params, tag)
+    sampling = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    assert json.dumps(request, ensure_ascii=False) == json.dumps(
+        {"prompt": prompt, **sampling, "tag": tag}, ensure_ascii=False
+    )
+    assert key == _request_key("generate", request)

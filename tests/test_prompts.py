@@ -1,15 +1,24 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from logicpool.prompts import (
     ANSWER_MARKER,
     Strategy,
     kk_question,
+    prompt_fills,
     render,
     verifier_template,
     zebra_answer_template,
+    zebra_question,
 )
-from logicpool.puzzles import generate_kk, generate_zebra
+from logicpool.puzzles import generate_kk, generate_zebra, puzzle_to_json, read_puzzles
 from logicpool.puzzles.statements import character_label
+from logicpool.puzzles.zebra import AT_POSITION, Attribute, Clue, ZebraGrid, ZebraPuzzle
+
+GOLDEN_PROMPTS = Path(__file__).parent / "golden" / "prompt_sha256.json"
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +144,41 @@ def test_verifier_template_shape():
     assert "{question}" in template and "{answer}" in template
     assert template.endswith("My answer is (Yes or No):")
     assert "Is the reasoning correct so far?" in template
+
+
+def _prompt_digests() -> dict[str, str]:
+    """The sha256 of every prompt of a fixed corpus: kk at each size 3-6
+    and zebra 2x2, 3x4 and 4x4, each strategy, with and without tags."""
+    puzzles = [generate_kk(n, seed=0) for n in range(3, 7)]
+    puzzles += [generate_zebra(houses, attrs, seed=0) for houses, attrs in ((2, 2), (3, 4), (4, 4))]
+    return {
+        f"{puzzle.puzzle_id}/{strategy.key}/{'tags' if tags else 'plain'}": hashlib.sha256(
+            render(strategy, puzzle, instruction_tags=tags).full_text.encode("utf-8")
+        ).hexdigest()
+        for puzzle in puzzles
+        for strategy in Strategy
+        for tags in (False, True)
+    }
+
+
+def test_prompt_bytes_are_pinned():
+    """Every prompt's bytes are part of its journal key, so a change in any
+    of them re-keys every run directory made so far."""
+    assert _prompt_digests() == json.loads(GOLDEN_PROMPTS.read_text(encoding="utf-8"))
+
+
+def test_a_fill_that_holds_a_placeholder_is_inserted_verbatim(tmp_path):
+    # attribute names from a puzzle file that read like placeholders
+    attributes = (Attribute("{Question}", ("Alice", "Peter")), Attribute("{number of houses}", ("cat", "dog")))
+    clues = (Clue(AT_POSITION, 0, 0, house=0), Clue(AT_POSITION, 1, 1, house=1))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(puzzle_to_json(ZebraPuzzle("z", 2, attributes, clues, ZebraGrid(((0, 1), (0, 1))))) + "\n")
+    [puzzle] = read_puzzles(str(path))
+    fills = prompt_fills(puzzle)
+    for strategy in Strategy:
+        prompt = render(strategy, puzzle, fills=fills)
+        assert prompt == render(strategy, puzzle)
+        assert prompt.question == fills["{Question}"] == zebra_question(puzzle)
+        assert f"{ANSWER_MARKER}\nHouse 1: {{Question}}: ___, {{number of houses}}: ___\n" in prompt.full_text
+        assert prompt.full_text.count(prompt.question) == 1
+        assert "- {number of houses}: cat, dog" in prompt.question

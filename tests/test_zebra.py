@@ -264,6 +264,45 @@ def test_loader_rejects_inconsistent_solution():
         puzzle_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("ref", [["sport", "golf"], ["pet", "tennis"]], ids=["value", "attribute"])
+def test_loader_names_a_clue_reference_the_puzzle_lacks(ref):
+    obj = puzzle_to_obj(generate_zebra(2, 2, seed=0))  # attributes name and sport
+    obj["clues"][0]["a"] = ref
+    with pytest.raises(StructureError, match=f"^clue references unknown value {ref[0]}={ref[1]}$"):
+        puzzle_from_obj(obj)
+
+
+@pytest.mark.parametrize("house", [{"name": "Carol"}, {"name": "Carol", "sport": "golf"}], ids=["missing", "unknown"])
+def test_loader_names_a_solution_attribute_the_house_lacks(house):
+    obj = puzzle_to_obj(generate_zebra(2, 2, seed=0))
+    obj["solution"][0] = house
+    with pytest.raises(StructureError, match="^solution house missing attribute 'sport'$"):
+        puzzle_from_obj(obj)
+
+
+def test_loader_rejects_a_puzzle_with_more_than_one_grid():
+    # no clues: each of the 2 attributes can take either order, 4 grids in all
+    obj = puzzle_to_obj(generate_zebra(2, 2, seed=0))
+    obj["clues"] = []
+    assert len(solve_zebra(2, 2, [], limit=10)) == 4
+    with pytest.raises(StructureError, match=r"puzzle zebra.*: more than one grid satisfies its clues"):
+        puzzle_from_obj(obj)
+    # one clue pins the names, the pets stay free
+    obj["clues"] = [{"kind": AT_POSITION, "a": ["name", obj["solution"][0]["name"]], "house": 1}]
+    with pytest.raises(StructureError, match="more than one grid"):
+        puzzle_from_obj(obj)
+
+
+def test_loader_rejects_a_puzzle_too_large_to_solve():
+    # the bundled solution keeps its clues, but no solve can tell whether it is the only grid
+    perms = tuple(tuple(range(7)) for _ in range(2))
+    attrs = tuple(Attribute(f"a{i}", tuple(f"v{i}{j}" for j in range(7))) for i in range(2))
+    clues = tuple(Clue(AT_POSITION, a, h, house=h) for a in range(2) for h in range(7))
+    obj = puzzle_to_obj(ZebraPuzzle("z7", 7, attrs, clues, ZebraGrid(perms)))
+    with pytest.raises(StructureError, match=r"puzzle z7: 7 houses x 2 attributes exceeds the enumeration guard"):
+        puzzle_from_obj(obj)
+
+
 def _clue_sort_key(clue):
     """The order a generated puzzle lists its clues in."""
     return (CLUE_KINDS.index(clue.kind), clue.a_attr, clue.a_val, clue.b_attr, clue.b_val, clue.house)
