@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError
-from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request
+from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request, probability_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, prompt_fills, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_to_obj, read_puzzles
 from ..scoring import score_response, segment
@@ -53,6 +53,7 @@ from ..selection import (
     CandidatePool,
     CanonicalAnswer,
     SelectionResult,
+    answer_patterns,
     extract_answer,
     majority_groups,
     majority_vote,
@@ -167,7 +168,7 @@ class _CandidateTask:
     prompt: RenderedPrompt
     keyed: tuple[str, dict]  # the generation's key and journaled request
     record: EvalRecord | None = None
-    chunked: ChunkedAnswer | None = None  # set while a verification is pending
+    pending: tuple[ChunkedAnswer, list] | None = None  # the chunks and prefix requests of a pending verification
     failure: dict | None = None  # the generate or score failure row
 
 
@@ -182,6 +183,7 @@ class _Pool:
     sample: int
     question: str
     truth: CanonicalAnswer
+    patterns: dict | None  # the puzzle's answer_patterns
     shared: dict
     tasks: list[_CandidateTask]
     new: list[_CandidateTask]
@@ -220,7 +222,7 @@ class _Runner:
 
     # -- the pool pipeline -----------------------------------------------------
 
-    def _start(self, puzzle: Puzzle, fills: dict[str, str], sample: int, strategies, existing) -> _Pool:
+    def _start(self, puzzle: Puzzle, fills: dict[str, str], patterns, sample: int, strategies, existing) -> _Pool:
         """Render the pool's prompts from the puzzle's ``prompt_fills`` and
         key them, take the stored record of each request, and start the
         generations of the others."""
@@ -242,7 +244,7 @@ class _Runner:
             n_clues=len(puzzle.clues) if hasattr(puzzle, "clues") else None,
         )
         futures = [future for future in futures if future is not None]
-        return _Pool(puzzle, sample, prompt.question, truth_answer(puzzle), shared, tasks, new, futures)
+        return _Pool(puzzle, sample, prompt.question, truth_answer(puzzle), patterns, shared, tasks, new, futures)
 
     def _build_record(self, pool: _Pool, task: _CandidateTask) -> EvalRecord:
         """Take the task's generation and score it. A failed generation or a
@@ -263,7 +265,7 @@ class _Runner:
                 task.failure = _failure_row("score", pool, task, exc)
         if task.failure is not None:
             error = task.failure["error"]
-        answer = extract_answer(text, pool.puzzle)
+        answer = extract_answer(text, pool.puzzle, pool.patterns)
         return EvalRecord(
             strategy=task.strategy.key,
             request_sha256=task.keyed[0],
@@ -279,12 +281,12 @@ class _Runner:
         )
 
     def _score(self, pool: _Pool) -> None:
-        """Build the pool's new records, then start the prefix calls of the
-        verifications the criteria need, skipping stored scores: every
-        parseable candidate for ``verifier``; for ``vote_verifier`` without
-        it, only the tied majority groups. Any other candidate keeps no
-        score, so a resume under fewer criteria writes a fresh run's
-        records."""
+        """Build the pool's new records, then key (once) and start the prefix
+        calls of the verifications the criteria need, skipping stored
+        scores: every parseable candidate for ``verifier``; for
+        ``vote_verifier`` without it, only the tied majority groups. Any
+        other candidate keeps no score, so a resume under fewer criteria
+        writes a fresh run's records."""
         for task in pool.new:
             task.record = self._build_record(pool, task)
         criteria = self.config.criteria
@@ -294,15 +296,16 @@ class _Runner:
         if VERIFIER not in criteria and indices:
             winners, tie = majority_groups(pool.candidates())
             indices = [i for group in winners for i in group] if tie else []
-        futures = []
+        futures, start = [], self.verifier_client.start
         for i, task in enumerate(pool.tasks):
             if i not in indices:
                 if task.record.verifier is not None:
                     task.record = dataclasses.replace(task.record, verifier=None)
             elif task.record.verifier is None:
-                task.chunked = chunk(task.record.response_text)
-                for prompt in prefix_prompts(pool.question, task.chunked):
-                    futures.append(self.verifier_client.start("completion_probability", prompt, [YES]))
+                chunked = chunk(task.record.response_text)
+                prompts = prefix_prompts(pool.question, chunked)
+                task.pending = chunked, [probability_request(prompt, [YES]) for prompt in prompts]
+                futures += [start("completion_probability", r["prompt"], [YES], (key, r)) for key, r in task.pending[1]]
         pool.futures = [future for future in futures if future is not None]
 
     def _finish(self, pool: _Pool, records_path: str) -> None:
@@ -314,10 +317,10 @@ class _Runner:
         changed."""
         self.failures.extend(task.failure for task in pool.tasks if task.failure is not None)
         for task in pool.tasks:
-            if task.chunked is not None:
-                chunked, task.chunked = task.chunked, None
+            if task.pending is not None:
+                (chunked, prefixes), task.pending = task.pending, None
                 try:
-                    score = verify(pool.question, chunked, self.verifier_client)
+                    score = verify(pool.question, chunked, self.verifier_client, prefixes)
                 except LogicPoolError as exc:
                     self.failures.append(_failure_row("verify", pool, task, exc))
                 else:
@@ -418,9 +421,9 @@ class _Runner:
                 path = os.path.join(run_dir, VERIFIER_JOURNAL_FILE)
                 self.verifier_client = journals.enter_context(JournalingClient(path, verifier_inner, executor.submit))
             for puzzle in corpus:
-                fills = prompt_fills(puzzle)
+                fills, patterns = prompt_fills(puzzle), answer_patterns(puzzle)
                 for sample in range(config.samples):
-                    started.append(self._start(puzzle, fills, sample, strategies, existing))
+                    started.append(self._start(puzzle, fills, patterns, sample, strategies, existing))
                     if len(started) > ahead:
                         score()
             while started:

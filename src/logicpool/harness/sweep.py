@@ -36,8 +36,9 @@ def sweep(
         grouped.setdefault((record.puzzle_id, record.sample), []).append(record)
     if not grouped:
         raise ConfigError("no records to sweep")
+    rank = {strategy.key: strategy for strategy in Strategy}
     pools = [
-        CandidatePool(members[0].puzzle_id, sorted(members, key=lambda r: Strategy.from_key(r.strategy)))
+        CandidatePool(members[0].puzzle_id, sorted(members, key=lambda r: rank[r.strategy]))
         for members in grouped.values()
     ]
     orders, scores, errors = confidence_score_rows(pools, criterion, lambdas)

@@ -122,9 +122,9 @@ class ModelResponse:
         if logprobs.shape != (n,) or top.ndim != 2 or top.shape[0] != n:
             raise DataError(f"{n} tokens with logprobs {logprobs.shape} and top logprobs {top.shape}")
         if n:
-            if top.shape[1] == 0 or np.isneginf(top[:, 0]).any():
+            if top.shape[1] == 0 or (top[:, 0] == -np.inf).any():
                 raise DataError("token needs at least one alternative")
-            if not (logprobs <= 1e-6).all() or not (top <= 1e-6).all():
+            if not (logprobs.max() <= 1e-6 and top.max() <= 1e-6):  # a NaN maximum fails too
                 raise DataError("logprobs must be <= 0")
             if not (top[:, :-1] >= top[:, 1:]).all():
                 raise DataError("alternatives must be sorted by logprob descending")
@@ -133,12 +133,15 @@ class ModelResponse:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[TokenInfo], finish_reason: str) -> "ModelResponse":
-        """Pack wire tokens into arrays."""
-        widths = np.array([len(t.top_alternatives) for t in tokens], dtype=np.int64)
-        top = np.full((len(tokens), widths.max(initial=0)), -np.inf)
-        # a boolean mask assigns in row-major order: each row's alternatives, left-aligned
-        filled = np.arange(top.shape[1]) < widths[:, None]
-        top[filled] = [lp for t in tokens for _, lp in t.top_alternatives]
+        """Pack wire tokens into arrays; only ragged rows need the padding mask."""
+        widths = [len(t.top_alternatives) for t in tokens]
+        flat = np.array([lp for t in tokens for _, lp in t.top_alternatives], dtype=np.float64)
+        shape = len(tokens), max(widths, default=0)
+        if flat.size == shape[0] * shape[1]:
+            top = flat.reshape(shape)
+        else:  # a boolean mask assigns in row-major order: each row's alternatives, left-aligned
+            top = np.full(shape, -np.inf)
+            top[np.arange(shape[1]) < np.array(widths)[:, None]] = flat
         logprobs = np.array([t.logprob for t in tokens], dtype=np.float64)
         return cls([t.text for t in tokens], logprobs, top, finish_reason)
 
@@ -490,48 +493,51 @@ def _request_key(kind: str, request: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# (repr(params), tag) -> _generate_frame's result. repr tells apart values
-# that compare equal but dump differently (0 and 0.0, 0.0 and -0.0).
-_FRAMES: dict[tuple[str, str], tuple[str, dict[str, Any], str]] = {}
+# (kind, what fixes its other fields) -> _keyed_request's frame. A generation's params go in
+# by repr, which tells apart values that compare equal but dump differently (0 and 0.0, 0.0 and -0.0).
+_FRAMES: dict[tuple[str, Any], tuple[str, dict[str, Any], str]] = {}
 
 
-def _generate_frame(params: SamplingParams, tag: str) -> tuple[str, dict[str, Any], str]:
-    """The canonical JSON that ``_request_key`` hashes for a generation under
-    (params, tag), cut before and after the prompt's string, and the sampling
-    fields of its request; built once per (params, tag)."""
-    key = (repr(params), tag)
-    frame = _FRAMES.get(key)
+def _keyed_request(kind: str, prompt: str, spec: Any, build: Callable[[], dict]) -> tuple[str, dict]:
+    """The key and journaled form of a ``kind`` request of ``prompt`` and the fields ``build()``
+    makes, hashed over the bytes of ``_request_key``: its canonical JSON, cut before and after the
+    prompt's string, is built once per (kind, spec), and each prompt is dumped between the parts."""
+    frame = _FRAMES.get((kind, spec))
     if frame is None:
-        sampling = {f.name: getattr(params, f.name) for f in fields(params)}  # a new field is keyed too
-        canonical = json.dumps(
-            {"kind": "generate", "prompt": "", **sampling, "tag": tag}, sort_keys=True, ensure_ascii=False
-        )
+        others = build()
+        canonical = json.dumps({"kind": kind, "prompt": "", **others}, sort_keys=True, ensure_ascii=False)
         # every quote inside a JSON string is escaped, so this is the prompt's key and value
         head, _, tail = canonical.partition('"prompt": ""')
-        frame = _FRAMES[key] = (f'{head}"prompt": ', sampling, tail)
-    return frame
+        frame = _FRAMES[kind, spec] = (f'{head}"prompt": ', others, tail)
+    head, others, tail = frame
+    key = hashlib.sha256(f"{head}{_dumps(prompt)}{tail}".encode("utf-8")).hexdigest()
+    return key, {"prompt": prompt, **others}
 
 
 def generate_request(
     prompt: RenderedPrompt | str, params: SamplingParams, tag: str = ""
 ) -> tuple[str, dict[str, Any]]:
     """The journaled form of one generation and its key: the sha256 of the
-    prompt text, every sampling parameter and the tag, hashed over the same
-    bytes as ``_request_key``. The key is the one identity of a response, in
-    the journal and in the run's records."""
-    head, sampling, tail = _generate_frame(params, tag)
-    text = prompt_text(prompt)
-    key = hashlib.sha256(f"{head}{_dumps(text)}{tail}".encode("utf-8")).hexdigest()
-    return key, {"prompt": text, **sampling, "tag": tag}
+    prompt text, every sampling parameter and the tag. The key is the one
+    identity of a response, in the journal and in the run's records."""
+    return _keyed_request(
+        "generate", prompt_text(prompt), (repr(params), tag),
+        # every sampling field, so a new one is keyed too
+        lambda: {**{f.name: getattr(params, f.name) for f in fields(params)}, "tag": tag},
+    )
+
+
+def probability_request(prompt_text_: str, candidates: Sequence[str]) -> tuple[str, dict[str, Any]]:
+    """The journaled form of one completion-probability call and its key;
+    the candidates are sorted."""
+    ordered = tuple(sorted(candidates))
+    return _keyed_request("completion_probability", prompt_text_, ordered, lambda: {"candidates": [*ordered]})
 
 
 def _keyed(method: str, prompt: RenderedPrompt | str, arg: Any) -> tuple[str, dict[str, Any]]:
     """The key and journaled form of ``inner.<method>(prompt, arg)``; a
-    generation is untagged, a probability's candidates are sorted."""
-    if method == "generate":
-        return generate_request(prompt, arg)
-    request = {"prompt": prompt, "candidates": sorted(arg)}
-    return _request_key(method, request), request
+    generation is untagged."""
+    return (generate_request if method == "generate" else probability_request)(prompt, arg)
 
 
 def _timed(call: Callable[..., T], *args: Any) -> tuple[T, float]:
@@ -738,5 +744,5 @@ class JournalingClient:
     def generate(self, prompt: RenderedPrompt | str, params: SamplingParams, tag: str = "") -> ModelResponse:
         return self.generate_timed(prompt, params, generate_request(prompt, params, tag))[0]
 
-    def completion_probability(self, prompt_text_: str, candidates: Sequence[str]) -> dict[str, float]:
-        return self._take("completion_probability", prompt_text_, candidates)[0]
+    def completion_probability(self, prompt_text_: str, candidates: Sequence[str], keyed=None) -> dict:
+        return self._take("completion_probability", prompt_text_, candidates, keyed)[0]

@@ -111,13 +111,13 @@ def token_entropies(response: ModelResponse) -> np.ndarray:
     top = response.top_logprobs
     probs = np.exp(top)  # the -inf padding adds nothing
     total = probs.sum(axis=1)
-    if (total > 1 + PROB_SUM_TOLERANCE).any():
-        raise DataError(f"alternative probabilities sum to {total.max()}, above 1")
+    if (most := total.max(initial=0.0)) > 1 + PROB_SUM_TOLERANCE:
+        raise DataError(f"alternative probabilities sum to {most}, above 1")
     entropy = -np.multiply(probs, top, out=np.zeros_like(probs), where=probs > 0).sum(axis=1)
     residual = 1.0 - total
     tail = residual > ENTROPY_TAIL_EPSILON
     entropy[tail] -= residual[tail] * np.log(residual[tail])
-    return np.maximum(entropy, 0.0)
+    return np.maximum(entropy, 0.0, out=entropy)
 
 
 def score_response(response: ModelResponse, split: int) -> ConfidenceScore:
@@ -127,9 +127,9 @@ def score_response(response: ModelResponse, split: int) -> ConfidenceScore:
 
     def means(part: slice) -> tuple[float | None, float | None]:
         logprobs = response.logprobs[part]
-        if not logprobs.size:
+        if not (count := logprobs.size):
             return None, None
-        return float(logprobs.mean()), float(entropy[part].mean())
+        return float(logprobs.sum()) / count, float(entropy[part].sum()) / count  # np.mean's bits, faster
 
     log_p_rational, h_rational = means(slice(None, split))
     log_p_answer, h_answer = means(slice(split, None))

@@ -104,8 +104,19 @@ _KK_LINE = re.compile(r"^[\s>*_#`|-]*([A-Za-z])[\s*_`]*[:\-][\s*_`]*(knight|knav
 _HOUSE_LINE = re.compile(r"^[\s>*_#`|-]*house\s+(\d+)\b(.*)$", re.IGNORECASE)
 
 
-def extract_answer(text: str, puzzle: Puzzle) -> CanonicalAnswer:
+def answer_patterns(puzzle: Puzzle) -> dict[str, list[tuple[str, re.Pattern]]] | None:
+    """A zebra puzzle's value patterns, by attribute, for its answer lines; None for kk."""
+    if isinstance(puzzle, KnightsKnavesPuzzle):
+        return None
+    return {
+        attr.name: [(v, re.compile(rf"\b{re.escape(v)}\b", re.IGNORECASE)) for v in attr.values]
+        for attr in puzzle.attributes
+    }
+
+
+def extract_answer(text: str, puzzle: Puzzle, patterns=None) -> CanonicalAnswer:
     """Parse the canonical answer from the text after the LAST answer marker.
+    ``patterns``, the puzzle's ``answer_patterns``, are built here if not given.
 
     Failures never raise; they come back as parse_ok=False.
     """
@@ -115,7 +126,7 @@ def extract_answer(text: str, puzzle: Puzzle) -> CanonicalAnswer:
     tail = text[position + len(ANSWER_MARKER):]
     if isinstance(puzzle, KnightsKnavesPuzzle):
         return _extract_kk(tail, puzzle)
-    return _extract_zebra(tail, puzzle)
+    return _extract_zebra(tail, puzzle, patterns or answer_patterns(puzzle))
 
 
 def _extract_kk(tail: str, puzzle: KnightsKnavesPuzzle) -> CanonicalAnswer:
@@ -134,11 +145,7 @@ def _extract_kk(tail: str, puzzle: KnightsKnavesPuzzle) -> CanonicalAnswer:
     return CanonicalAnswer.from_kk({label: kinds[0] for label, kinds in seen.items()})
 
 
-def _extract_zebra(tail: str, puzzle: ZebraPuzzle) -> CanonicalAnswer:
-    value_patterns = {
-        attr.name: [(v, re.compile(rf"\b{re.escape(v)}\b", re.IGNORECASE)) for v in attr.values]
-        for attr in puzzle.attributes
-    }
+def _extract_zebra(tail: str, puzzle: ZebraPuzzle, value_patterns: dict) -> CanonicalAnswer:
     bound: dict[tuple[int, str], str] = {}
     for line in tail.splitlines():
         match = _HOUSE_LINE.match(line)

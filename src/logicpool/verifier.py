@@ -93,9 +93,10 @@ def prefix_prompts(question: str, chunked: ChunkedAnswer) -> list[str]:
     return [build_verification_prompt(question, chunked.chunks[: i + 1]) for i in range(len(chunked.chunks))]
 
 
-def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> VerifierScore:
+def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient, prefixes=None) -> VerifierScore:
     """Cumulative-prefix verification: the score is the mean P("Yes") over
-    the prompts of ``prefix_prompts``.
+    the prompts of ``prefix_prompts``. Their ``probability_request``s, when
+    given as ``prefixes``, go to a journaling client as already keyed.
 
     The prefixes are asked one after another, so a journaling client
     appends the candidate's entries in prefix order. The run harness starts
@@ -106,5 +107,7 @@ def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient) -> Ve
     """
     if not chunked.chunks:
         raise ValueError("need at least one chunk to verify")
-    per_chunk = [client.completion_probability(prompt, [YES])[YES] for prompt in prefix_prompts(question, chunked)]
+    calls = [(prompt, [YES]) for prompt in prefix_prompts(question, chunked)] if prefixes is None else [
+        (request["prompt"], [YES], (key, request)) for key, request in prefixes]
+    per_chunk = [client.completion_probability(*call)[YES] for call in calls]
     return VerifierScore(per_chunk=tuple(per_chunk), mean=sum(per_chunk) / len(per_chunk))

@@ -33,7 +33,7 @@ from logicpool.harness.report import stratify
 from logicpool.harness.run import build_corpus, run
 from logicpool.harness.sweep import sweep
 from logicpool.prompts import Strategy
-from logicpool.puzzles import puzzle_to_obj
+from logicpool.puzzles import puzzle_to_obj, read_puzzles
 from logicpool.selection import CRITERIA, CanonicalAnswer
 from logicpool.verifier import chunk
 
@@ -493,6 +493,50 @@ def test_pools_are_persisted_as_they_complete(tmp_path, world):
     assert resumed.exit_code == 0
     assert len(resumed.records) == 20
     assert len(load_records(os.path.join(config.run_dir, "records.jsonl"))) == 20
+
+
+def test_a_run_keys_each_prefix_once_and_builds_each_puzzle_s_answer_patterns_once(tmp_path, world, monkeypatch):
+    """Each verification prefix is rendered and keyed once, when its call
+    starts, and the verification takes those requests; each puzzle's answer
+    patterns are built once, with its prompt fills, for all its samples."""
+    _, paths = world
+    modules = [importlib.import_module(f"logicpool.{name}") for name in ("harness.run", "selection", "inference", "verifier")]
+    keyed, built = [], []
+
+    def counting(module, name, calls):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args[0]) or real(*args))
+
+    for module in modules:
+        if hasattr(module, "answer_patterns"):
+            counting(module, "answer_patterns", built)
+        if hasattr(module, "probability_request"):
+            counting(module, "probability_request", keyed)
+    config = mock_config(tmp_path, paths, run_name="keyed-once", samples=2)
+    result = run(config)
+    assert result.exit_code == 0
+    with open(os.path.join(config.run_dir, "journal.jsonl"), encoding="utf-8") as handle:
+        prefixes = [e["request"]["prompt"] for e in map(json.loads, handle) if e["kind"] == "completion_probability"]
+    # the samples ask the same prefixes, which the journal holds once
+    assert set(keyed) == set(prefixes) and len(prefixes) > 10
+    assert len(keyed) == sum(len(r.verifier.per_chunk) for r in result.records if r.verifier is not None)
+    assert [puzzle.puzzle_id for puzzle in built] == [puzzle.puzzle_id for puzzle in read_puzzles(paths["corpus"])]
+
+
+def test_a_pool_is_scored_once_two_concurrency_pools_have_started_after_it(tmp_path, world, monkeypatch):
+    """The pipeline keeps ``2 * concurrency`` pools started ahead of the
+    one it scores, so their generations overlap its scoring."""
+    _, paths = world
+    runner = importlib.import_module("logicpool.harness.run")._Runner
+    events = []
+    for name in ("_start", "_score"):
+        real = getattr(runner, name)
+        monkeypatch.setattr(runner, name, lambda self, *args, real=real, name=name: events.append(name) or real(self, *args))
+    run(mock_config(tmp_path, paths, run_name="depth", concurrency=2, samples=2))
+    ahead, pools = 4, 8
+    assert events == (
+        ["_start"] * (ahead + 1) + ["_score"] + ["_start", "_score"] * (pools - ahead - 1) + ["_score"] * ahead
+    )
 
 
 def test_records_are_appended_once_per_pool_with_new_records(tmp_path, world, monkeypatch):

@@ -28,7 +28,7 @@ from logicpool.inference import (
     response_from_obj,
     response_to_obj,
 )
-from logicpool.inference import _line, _request_key
+from logicpool.inference import _keyed, _line, _request_key
 
 # every test here must close the files and descriptors it opens
 pytestmark = pytest.mark.usefixtures("no_fd_leaks")
@@ -111,6 +111,64 @@ def test_model_response_concat_invariant():
         ModelResponse(("Hello",), np.array([0.5]), np.array([[0.5]]), "stop")
     with pytest.raises(DataError):  # a row of padding only
         ModelResponse(("Hello",), np.array([-1.0]), np.array([[-np.inf]]), "stop")
+
+
+_INF = np.inf
+
+
+@pytest.mark.parametrize(
+    "logprobs, top, message",
+    [
+        ([np.nan], [[-1.0]], "logprobs must be <= 0"),
+        ([-1.0], [[np.nan]], "logprobs must be <= 0"),
+        ([-1.0], [[-1.0, np.nan]], "logprobs must be <= 0"),
+        ([0.5], [[-1.0]], "logprobs must be <= 0"),
+        ([-1.0], [[0.5, -1.0]], "logprobs must be <= 0"),
+        ([-1.0], [[-_INF]], "token needs at least one alternative"),
+        ([-1.0, -1.0], [[-1.0, -2.0], [-_INF, -_INF]], "token needs at least one alternative"),
+        ([-1.0], [[-2.0, -1.0]], "alternatives must be sorted by logprob descending"),
+        ([-1.0], [[-1.0, -_INF, -2.0]], "alternatives must be sorted by logprob descending"),
+        ([-1.0], np.zeros((1, 0)), "token needs at least one alternative"),
+        # the checks run in this order, so a response with two faults gets the first one's message
+        ([np.nan], [[-_INF]], "token needs at least one alternative"),
+        ([0.5], [[-1.0, -0.5]], "logprobs must be <= 0"),
+        ([-1.0], [[np.nan, -0.5]], "logprobs must be <= 0"),
+    ],
+)
+def test_each_bad_response_array_gets_its_own_message(logprobs, top, message):
+    texts = ["x"] * len(logprobs)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        ModelResponse(texts, np.array(logprobs, dtype=np.float64), np.array(top, dtype=np.float64), "stop")
+
+
+def test_a_response_whose_arrays_do_not_fit_its_tokens_names_their_shapes():
+    with pytest.raises(DataError, match=r"^2 tokens with logprobs \(1,\) and top logprobs \(2, 1\)$"):
+        ModelResponse(["a", "b"], np.zeros(1), np.zeros((2, 1)), "stop")
+    with pytest.raises(DataError, match=r"^1 tokens with logprobs \(1,\) and top logprobs \(1,\)$"):
+        ModelResponse(["a"], np.zeros(1), np.zeros(1), "stop")
+
+
+def test_response_arrays_are_read_only_and_empty_or_tolerated_responses_are_valid():
+    response = ModelResponse([], np.zeros(0), np.zeros((0, 0)), "length")
+    assert response.full_text == "" and not response.top_logprobs.flags.writeable
+    response = ModelResponse(["a"], np.array([-0.0]), np.array([[0.0, -_INF]]), "stop")
+    assert not response.logprobs.flags.writeable and not response.top_logprobs.flags.writeable
+    ModelResponse(["a"], np.array([1e-6]), np.array([[1e-6]]), "stop")  # the tolerance itself is accepted
+
+
+@pytest.mark.parametrize("widths", [[3, 3, 3], [1], [2, 3, 1], [3, 1, 3], []])
+def test_from_tokens_packs_full_and_ragged_rows_alike(widths):
+    tokens = [
+        TokenInfo(f"t{i}", -0.1 * i, tuple((f"t{i}" if j == 0 else f"a{j}", -0.1 * i - j) for j in range(width)))
+        for i, width in enumerate(widths)
+    ]
+    response = ModelResponse.from_tokens(tokens, "stop")
+    expected = np.full((len(widths), max(widths, default=0)), -np.inf)
+    for row, token in zip(expected, tokens):
+        row[: len(token.top_alternatives)] = [lp for _, lp in token.top_alternatives]
+    assert response.top_logprobs.dtype == np.float64
+    assert response.top_logprobs.tobytes() == expected.tobytes() and response.top_logprobs.shape == expected.shape
+    assert response.logprobs.tolist() == [t.logprob for t in tokens]
 
 
 def test_mock_echoes_scripted_tokens():
@@ -405,6 +463,20 @@ def test_journal_line_is_json_dumps_of_the_entry(response, prompt, tag, elapsed,
     line = _line(key, "completion_probability", request, mass, elapsed)
     assert line == _dumped({"key": key, "kind": "completion_probability", "request": request, "response": mass})
     assert json.loads(line)["response"] == mass
+
+
+# the prompt's own JSON text and the texts around it, a line separator and non-ASCII text
+_PROBABILITY_TEXT = st.one_of(_ANY_TEXT, st.sampled_from(['"prompt": ""', '"candidates": []', '\\"', "\u2028é"]))
+
+
+@given(_PROBABILITY_TEXT, st.lists(_PROBABILITY_TEXT, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_probability_key_is_the_request_key_of_its_request(prompt, candidates):
+    key, request = _keyed("completion_probability", prompt, candidates)
+    assert json.dumps(request, ensure_ascii=False) == json.dumps(
+        {"prompt": prompt, "candidates": sorted(candidates)}, ensure_ascii=False
+    )
+    assert key == _request_key("completion_probability", request)
 
 
 def test_response_positions_read_like_wire_tokens():

@@ -1,6 +1,7 @@
 import math
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -281,6 +282,17 @@ def test_entropy_rejects_excess_mass():
         scored((make_token("a", -0.5), dist_token([0.8, 0.3])))
 
 
+def test_mass_at_the_tolerance_is_accepted_and_the_largest_mass_above_it_is_named():
+    at = math.log(1 + PROB_SUM_TOLERANCE)  # whose exp is 1 + PROB_SUM_TOLERANCE exactly
+    assert ConfidenceScore(at, None, 0.0, None) == score_response(
+        ModelResponse(["a"], np.array([at]), np.array([[at]]), "stop"), 1
+    )
+    top = np.array([[-1.0, -np.inf], [math.log(0.8), math.log(0.3)], [math.log(0.6), math.log(0.45)]])
+    response = ModelResponse(["a", "b", "c"], top[:, 0].copy(), top, "stop")
+    with pytest.raises(DataError, match=r"^alternative probabilities sum to 1\.1\d*, above 1$"):
+        score_response(response, 0)
+
+
 @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_entropy_nonnegative_and_zero_iff_point_mass(weights):
@@ -412,3 +424,58 @@ def test_vectorized_score_matches_reference(tokens):
     assert (got.log_p_rational, got.log_p_answer, got.h_rational, got.h_answer) == pytest.approx(
         expected, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# the array scorer against the np.mean formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+# logprobs whose probabilities underflow to 0 (below about -745) or nearly so
+_ARRAY_LOGPROB = st.one_of(
+    st.floats(min_value=-30.0, max_value=0.0), st.sampled_from([0.0, -0.0, -700.0, -745.2, -800.0, -1e300])
+)
+
+
+@st.composite
+def scored_arrays(draw):
+    """A response of 0-9 positions whose rows hold 1-K alternatives, padded
+    with -inf, with mass at most 1 per row, and a split anywhere in it."""
+    n, width = draw(st.integers(0, 9)), draw(st.integers(1, 6))
+    top = np.full((n, width), -np.inf)
+    for row in top:
+        filled = draw(st.integers(1, width))
+        values = sorted(draw(st.lists(_ARRAY_LOGPROB, min_size=filled, max_size=filled)), reverse=True)
+        # scale the row's mass below 1 in log space, keeping its order
+        mass = sum(math.exp(v) for v in values)
+        shift = max(0.0, math.log(mass) + draw(st.sampled_from([0.0, 1e-3, 0.5]))) if mass else 0.0
+        row[:filled] = [v - shift for v in values]
+    logprobs = np.array([draw(st.sampled_from(row[row > -np.inf].tolist())) for row in top])
+    response = ModelResponse(["t"] * n, logprobs, top, "stop")
+    return response, draw(st.integers(0, n))
+
+
+@given(scored_arrays())
+@settings(max_examples=300, deadline=None)
+def test_score_response_is_the_np_mean_formulas_bit_for_bit(case):
+    response, split = case
+    top = response.top_logprobs
+    with np.errstate(all="ignore"):
+        probs = np.exp(top)
+        total = probs.sum(axis=1)
+        assume(not (total > 1 + PROB_SUM_TOLERANCE).any())
+        entropy = -np.multiply(probs, top, out=np.zeros_like(probs), where=probs > 0).sum(axis=1)
+        residual = 1.0 - total
+        tail = residual > ENTROPY_TAIL_EPSILON
+        entropy[tail] -= residual[tail] * np.log(residual[tail])
+        entropy = np.maximum(entropy, 0.0)
+
+    def means(part):
+        if not response.logprobs[part].size:
+            return None, None
+        return float(response.logprobs[part].mean()), float(entropy[part].mean())
+
+    (log_p_rational, h_rational), (log_p_answer, h_answer) = means(slice(None, split)), means(slice(split, None))
+    got = score_response(response, split)
+    expected = ConfidenceScore(log_p_rational, log_p_answer, h_rational, h_answer)
+    assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0
+    assert list(map(type, vars(got).values())) == list(map(type, vars(expected).values()))

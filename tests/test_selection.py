@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from logicpool.harness.records import EvalRecord, SelectionRow
 from logicpool.harness.run import _Runner, apply_criterion
 from logicpool.prompts import Strategy
 from logicpool.puzzles import generate_kk, generate_zebra
+from logicpool.puzzles.zebra import Attribute
 from logicpool.scoring import ConfidenceScore, combined_entropy, combined_logprob
 from logicpool.selection import (
     CRITERIA,
@@ -17,6 +19,7 @@ from logicpool.selection import (
     VOTE_PROB,
     CandidatePool,
     CanonicalAnswer,
+    answer_patterns,
     argbest,
     extract_answer,
     majority_vote,
@@ -161,6 +164,41 @@ def test_extract_zebra_conflicting_binding_fails():
     line2 = ", ".join(f"{a}: {v}" for a, v in houses[1].items())
     text = f"Answer:\nHouse 1: {line1}\nHouse 2: {line2}\nHouse 1: {line2}"
     assert not extract_answer(text, puzzle).parse_ok
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4)])
+def test_extract_zebra_with_its_answer_patterns_matches_extract_without(shape):
+    """The patterns built once for a puzzle parse every answer as patterns
+    built for each answer would; a kk puzzle has none."""
+    assert answer_patterns(generate_kk(3, seed=0)) is None
+    puzzle = generate_zebra(*shape, seed=7)
+    patterns = answer_patterns(puzzle)
+    assert list(patterns) == [attr.name for attr in puzzle.attributes]
+    houses = puzzle.grid_as_dicts()
+    lines = [
+        f"House {h}: " + ", ".join(f"{attr}: {value.upper()}" for attr, value in house.items())
+        for h, house in enumerate(houses, 1)
+    ]
+    conflict = "House 1: " + ", ".join(houses[-1].values())
+    blocks = [lines, lines[1:], [*lines, lines[0][:-1]], [*reversed(lines), conflict]]
+    texts = ["\n".join(["Answer:", *block]) for block in blocks]
+    answers = [extract_answer(text, puzzle, patterns) for text in texts]
+    assert answers == [extract_answer(text, puzzle) for text in texts]
+    assert answers[0] == truth_answer(puzzle) and not answers[1].parse_ok
+
+
+def test_extract_zebra_reads_values_after_the_house_number_and_skips_houses_out_of_range():
+    """A value spelled like a house number counts only after the number,
+    and lines for a house the puzzle lacks are ignored, even when they
+    disagree with each other."""
+    puzzle = generate_zebra(2, 2, seed=0)
+    numbered = Attribute(puzzle.attributes[0].name, ("2", "1"))
+    puzzle = dataclasses.replace(puzzle, attributes=(numbered, *puzzle.attributes[1:]))
+    houses = puzzle.grid_as_dicts()
+    lines = [f"House {h}: " + ", ".join(f"{a}: {v}" for a, v in house.items()) for h, house in enumerate(houses, 1)]
+    stray = [f"House 3: {numbered.name}: {value}" for value in numbered.values]
+    for text in ("\n".join(["Answer:", *lines]), "\n".join(["Answer:", *lines, *stray])):
+        assert extract_answer(text, puzzle, answer_patterns(puzzle)) == truth_answer(puzzle)
 
 
 def test_canonical_equality_is_order_independent():

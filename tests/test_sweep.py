@@ -132,6 +132,12 @@ def test_sweep_rejects_other_criteria():
         sweep([], "max_prob")
 
 
+@pytest.mark.parametrize("grid", [(0.5, 1.5), (-0.1, 0.5), (1.01,), (math.nan,)])
+def test_sweep_rejects_grid_values_outside_the_unit_interval(grid):
+    with pytest.raises(ConfigError, match=r"^sweep grid values must lie in \[0, 1\]$"):
+        sweep([record("p", "no_strategy", True, 0.9, 0.9)], "max_prob", grid)
+
+
 def test_sweep_csv_shape():
     records = [record("p", "no_strategy", True, 0.9, 0.9)]
     text = sweep_csv(sweep(records, "max_prob", grid=(0.0, 0.5, 0.99)))

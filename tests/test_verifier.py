@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logicpool.errors import BackendError
-from logicpool.inference import MockBackend
-from logicpool.verifier import build_verification_prompt, chunk, verify
+from logicpool.inference import JournalingClient, MockBackend, _keyed, probability_request
+from logicpool.verifier import YES, ChunkedAnswer, build_verification_prompt, chunk, prefix_prompts, verify
 
 
 def sentence(words, index, terminal="."):
@@ -165,6 +165,32 @@ def test_prefix_prompts_embed_chunks_verbatim():
         assert f"Answer: {expected_answer}\n" in prompt
         for j, chunk_text in enumerate(chunked.chunks):
             assert (chunk_text in prompt) == (j <= i)
+
+
+def test_verify_with_its_prefix_requests_asks_and_journals_the_same_calls(tmp_path):
+    """Given its prefixes' requests, a verification takes them as keyed and
+    writes the journal byte for byte as one that keys each prompt itself."""
+    text = " ".join(sentence(40, i) for i in range(8))
+    chunked = chunk(text)
+    prompts = prefix_prompts("q \u2028 \"é\"", chunked)
+    requests = [probability_request(prompt, [YES]) for prompt in prompts]
+    assert requests == [_keyed("completion_probability", prompt, [YES]) for prompt in prompts]
+    scores, journals = [], []
+    for name, prefixes in (("keyed", requests), ("plain", None)):
+        backend = constant_backend(0.7)
+        with JournalingClient(str(tmp_path / f"{name}.jsonl"), backend) as client:
+            scores.append(verify("q \u2028 \"é\"", chunked, client, prefixes))
+        assert backend.probability_prompts == prompts
+        journals.append((tmp_path / f"{name}.jsonl").read_bytes())
+    assert scores[0] == scores[1] and journals[0] == journals[1]
+
+
+@pytest.mark.parametrize("prefixes", [None, []])
+def test_verify_refuses_an_answer_without_chunks(prefixes):
+    backend = constant_backend(0.9)
+    with pytest.raises(ValueError, match="^need at least one chunk to verify$"):
+        verify("q", ChunkedAnswer(()), backend, prefixes)
+    assert backend.probability_prompts == []
 
 
 def test_two_prefix_mean():

@@ -9,11 +9,13 @@ swapped, a ``not``, unary minus or ``abs`` is dropped, a ``raise`` becomes
 ``pass``, an integer constant becomes itself + 1 or 0, a bool is flipped.
 The mutated function is spliced into a copy of the checkout made under a
 temporary directory, so the checkout is never edited, and the tests run
-there with ``pytest -x -q`` (the whole suite unless test paths follow
-``--``), first once without a mutant, where they must pass. A mutant is
-killed when the tests fail or run longer than ``TIMEOUT_S``. A surviving
-mutant is a missing test or an equivalent mutant. Exit code 1 when any
-mutant survives.
+there with ``pytest -x -q``, first once without a mutant, where they must
+pass. Without test paths after ``--`` the whole suite runs in two stages:
+the test files that import the mutated module (found with ``ast``), then
+the rest, so a mutant that its own tests kill costs only those. A mutant is
+killed when a stage fails or runs longer than ``TIMEOUT_S``, and survives
+only when every stage passes. A surviving mutant is a missing test or an
+equivalent mutant. Exit code 1 when any mutant survives.
 """
 
 from __future__ import annotations
@@ -92,9 +94,11 @@ def _functions(tree: ast.Module, names: list[str]) -> list:
 
 def _sites(func: ast.AST) -> list:
     """(node, variant) for every mutant of the function, leaving out its
-    annotations, which are never evaluated."""
+    annotations and those of the functions nested in it, which are never
+    evaluated."""
     notes = [n.annotation for n in ast.walk(func) if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
-    skip = {id(n) for note in notes + [func.returns] if note for n in ast.walk(note)}
+    notes += [n.returns for n in ast.walk(func) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    skip = {id(n) for note in notes if note for n in ast.walk(note)}
     return [(n, v) for n in ast.walk(func) if id(n) not in skip for v in _variants(n)]
 
 
@@ -121,6 +125,51 @@ def mutants(source: str, names: list[str]):
             yield site.lineno, label, "".join(lines[: first - 1]) + body + "".join(lines[func.end_lineno:])
 
 
+def module_name(path: str) -> str:
+    """The dotted name a test imports the source file at ``path`` by:
+    ``src/logicpool/harness/run.py`` is ``logicpool.harness.run``."""
+    parts = os.path.normpath(os.path.splitext(path)[0]).split(os.sep)
+    parts = parts[parts.index("src") + 1:] if "src" in parts else parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(tree: ast.Module, module: str) -> bool:
+    """Whether the code imports ``module`` itself or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if module in names:
+            return True
+    return False
+
+
+def stages_for(path: str, root: str = ROOT) -> list[list[str]]:
+    """The suite's test files (``tests/test_*.py``, relative to ``root``)
+    as the stages a mutant of ``path`` runs in: those that import its
+    module, then the rest; an empty stage is left out."""
+    module, first, rest = module_name(path), [], []
+    for name in sorted(os.listdir(os.path.join(root, "tests"))):
+        if name.startswith("test_") and name.endswith(".py"):
+            with open(os.path.join(root, "tests", name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            (first if _imports(tree, module) else rest).append(os.path.join("tests", name))
+    return [stage for stage in (first, rest) if stage]
+
+
+def judge(stages: list[list[str]], run_stage) -> str:
+    """Run the stages in order until one fails: ``run_stage(stage)`` is
+    "pass", "fail" or "timeout". The mutant survives only when all pass."""
+    for stage in stages:
+        result = run_stage(stage)
+        if result != "pass":
+            return "timeout " if result == "timeout" else "killed  "
+    return "SURVIVED"
+
+
 def _limits() -> None:
     # a mutant that loops on a write or an allocation stops at these, not at the disk or memory
     resource.setrlimit(resource.RLIMIT_FSIZE, (256 << 20, 256 << 20))
@@ -142,15 +191,19 @@ def main() -> int:
         work = os.path.join(work, "checkout")
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(".git", ".bench_*", ".hypothesis", "__pycache__"))
         env = {**os.environ, "PYTHONPATH": os.path.join(work, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        stages = [tests] if tests else stages_for(args.file)
 
-        def outcome() -> str:
+        def run_stage(stage: list[str]) -> str:
             try:
-                done = subprocess.run(command, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S,
+                done = subprocess.run(command + stage, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S,
                                       preexec_fn=_limits)
             except subprocess.TimeoutExpired:
-                return "timeout "  # the tests did not finish: a hang counts as killed
-            return "killed  " if done.returncode else "SURVIVED"
+                return "timeout"  # the tests did not finish: a hang counts as killed
+            return "fail" if done.returncode else "pass"
+
+        def outcome() -> str:
+            return judge(stages, run_stage)
 
         if outcome() != "SURVIVED":
             raise SystemExit("the tests do not pass on the unmutated copy; no mutant can be judged")
