@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..prompts import Strategy
+from ..prompts import STRATEGY_BY_KEY
 from ..selection import MAX_PROB, MIN_ENTROPY, CandidatePool, argbest, confidence_score_rows, pack_rows
 from .records import EvalRecord
 
@@ -36,11 +36,9 @@ def sweep(
         grouped.setdefault((record.puzzle_id, record.sample), []).append(record)
     if not grouped:
         raise ConfigError("no records to sweep")
-    rank = {strategy.key: strategy for strategy in Strategy}
-    pools = [
-        CandidatePool(members[0].puzzle_id, sorted(members, key=lambda r: rank[r.strategy]))
-        for members in grouped.values()
-    ]
+    # an unknown strategy key sorts first, and the pool's order check names it
+    ordered = (sorted(members, key=lambda r: STRATEGY_BY_KEY.get(r.strategy, -1)) for members in grouped.values())
+    pools = [CandidatePool(members[0].puzzle_id, members) for members in ordered]
     orders, scores, errors = confidence_score_rows(pools, criterion, lambdas)
     correct = np.zeros(lambdas.shape)
     if scores.shape[-1]:

@@ -42,7 +42,7 @@ class Strategy(enum.IntEnum):
     @classmethod
     def from_key(cls, key: str) -> "Strategy":
         try:
-            return _BY_KEY[key]
+            return STRATEGY_BY_KEY[key]
         except KeyError:
             raise KeyError(f"unknown strategy {key!r}") from None
 
@@ -54,7 +54,7 @@ _KEYS = {
     Strategy.COMPOUND_STRATEGY: "compound_strategy",
     Strategy.CONCATENATION_STRATEGY: "concatenation_strategy",
 }
-_BY_KEY = {key: strategy for strategy, key in _KEYS.items()}
+STRATEGY_BY_KEY = {key: strategy for strategy, key in _KEYS.items()}
 _TITLES = {
     Strategy.NO_STRATEGY: "No strategy",
     Strategy.SUPPOSITION_FOLLOWING: "Supposition Following",

@@ -620,6 +620,59 @@ def test_crash_with_verifier_criteria_waits_only_for_verifications(tmp_path, wor
     assert sum(r.verifier is not None for r in stored) == 9
 
 
+class CrashingVerifierMock(MockBackend):
+    """Prefix calls for one puzzle take 0.3 s, then raise a non-package
+    error; prefix calls for the other needles are logged."""
+
+    def __init__(self, script, needle, logged_needles, logged_calls):
+        super().__init__(script)
+        self.needle = needle
+        self.logged_needles = logged_needles
+        self.logged_calls = logged_calls
+
+    def completion_probability(self, prompt_text_, candidates):
+        if self.needle and self.needle in prompt_text_:
+            time.sleep(0.3)
+            raise RuntimeError("verifier crashed")
+        if any(needle in prompt_text_ for needle in self.logged_needles):
+            self.logged_calls.append(prompt_text_)
+        return super().completion_probability(prompt_text_, candidates)
+
+
+@dataclass
+class CrashingVerifierConfig(BackendConfig):
+    needle: str = ""
+    logged_needles: tuple = ()
+    logged_calls: list = field(default_factory=list)
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return CrashingVerifierMock(json.load(handle), self.needle, self.logged_needles, self.logged_calls)
+
+
+def test_a_crash_while_finishing_a_pool_cancels_later_pools_queued_verifications(tmp_path, world):
+    """With one worker, kkB's prefix calls are still running when the last
+    pool is scored, so kkB is finished on the way out of the run; its crash
+    propagates, and the zebra pools' prefix calls queued behind kkB's are
+    never sent to the backend."""
+    world_obj, paths = world
+    zebra_needles = tuple(world_obj.question_needle(name) for name in ("zebraA", "zebraB"))
+    backend = CrashingVerifierConfig(
+        kind="mock",
+        script_path=paths["script"],
+        needle=world_obj.question_needle("kkB"),
+        logged_needles=zebra_needles,
+    )
+    config = mock_config(tmp_path, paths, run_name="crash_finish", backend=backend, concurrency=1)
+    with pytest.raises(RuntimeError, match="verifier crashed"):
+        run(config)
+    assert backend.logged_calls == []
+    # without the crash the zebra pools do send prefix calls
+    clean = CrashingVerifierConfig(kind="mock", script_path=paths["script"], logged_needles=zebra_needles)
+    assert run(mock_config(tmp_path, paths, run_name="clean_finish", backend=clean, concurrency=1)).exit_code == 0
+    assert len(clean.logged_calls) >= 4
+
+
 @pytest.fixture
 def kept_journals(monkeypatch):
     """Every journal client a run opens, kept alive after the run, so that

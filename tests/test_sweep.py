@@ -132,6 +132,12 @@ def test_sweep_rejects_other_criteria():
         sweep([], "max_prob")
 
 
+def test_sweep_names_an_unknown_strategy_key():
+    records = [record("p", "no_strategy", True, 0.9, 0.9), record("p", "guessing", True, 0.9, 0.9)]
+    with pytest.raises(KeyError, match="unknown strategy 'guessing'"):
+        sweep(records, "max_prob")
+
+
 @pytest.mark.parametrize("grid", [(0.5, 1.5), (-0.1, 0.5), (1.01,), (math.nan,)])
 def test_sweep_rejects_grid_values_outside_the_unit_interval(grid):
     with pytest.raises(ConfigError, match=r"^sweep grid values must lie in \[0, 1\]$"):
