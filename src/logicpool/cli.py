@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, LogicPoolError
 from .harness.config import (
     check_kk_size, check_zebra_shape, config_from_file, desk_generate_spec, ExperimentConfig, GenerateSpec,
 )
-from .harness.records import load_records, load_selections, write_jsonl
+from .harness.records import load_records, load_selections, write_bytes, write_jsonl
 from .harness.report import ReportTable, write_reports
 from .harness.run import RECORDS_FILE, SELECTIONS_FILE, build_corpus, run as run_experiment
 from .harness.sweep import sweep, sweep_csv
@@ -121,8 +121,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(records, args.criterion, grid)
     text = sweep_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        write_bytes(args.out, (text + "\n").encode("utf-8"))
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(text)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Any
 
 # run files are read and written through this module
-from ..jsonl import append_jsonl, parse_object, read_jsonl, read_lines, write_jsonl  # noqa: F401
+from ..jsonl import append_jsonl, parse_object, read_jsonl, read_lines, write_bytes, write_jsonl  # noqa: F401
 from ..prompts import Strategy
 from ..scoring import ConfidenceScore
 from ..selection import CanonicalAnswer

@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 from ..prompts import Strategy
 from ..puzzles.knights import KK_SIZES
 from ..selection import ORACLE
-from .records import EvalRecord, SelectionRow
+from .records import EvalRecord, SelectionRow, write_bytes
 
 KK_COLUMNS = tuple(f"{size} Person" for size in KK_SIZES) + ("Avg.",)
 ZEBRA_COLUMNS = ("Easy Avg.", "Hard Avg.", "All Avg.")
@@ -140,7 +140,8 @@ def write_reports(
     """Write ``report.md``, a ``report_<family>.csv`` per family that has
     records and, with zebra records, ``clue_accuracy.csv``; return the
     tables by family. A report file these records do not produce is
-    removed, so the directory holds no report of an earlier corpus."""
+    removed, so the directory holds no report of an earlier corpus; one
+    that already holds its bytes is left as it is."""
     families = {record.family for record in records}
     tables = {family: stratify(records, selections, family) for family in _HEADINGS if family in families}
     csvs = {f"report_{family}.csv": tables[family].to_csv() if family in tables else None for family in _HEADINGS}
@@ -148,10 +149,12 @@ def write_reports(
         clue_series_csv(clue_count_series(records, selections)) if "zebra" in tables else None
     )
     for name, text in csvs.items():
+        path = Path(run_dir, name)
         if text is None:
-            Path(run_dir, name).unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
         else:
-            Path(run_dir, name).write_text(text + "\n", encoding="utf-8")
+            write_bytes(path, (text + "\n").encode("utf-8"))
     sections = [f"## {_HEADINGS[family]}\n\n{table.to_markdown()}\n" for family, table in tables.items()]
-    Path(run_dir, REPORT_MD_FILE).write_text("# Accuracy report\n\n" + "\n".join(sections), encoding="utf-8")
+    report = "# Accuracy report\n\n" + "\n".join(sections)
+    write_bytes(Path(run_dir, REPORT_MD_FILE), report.encode("utf-8"))
     return tables

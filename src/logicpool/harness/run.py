@@ -5,6 +5,8 @@ copy of token data), EvalRecords (JSONL), per-puzzle selection rows,
 reports, and a manifest. Everything downstream of the journal is pure, so
 re-running a completed directory (or replaying its journal into a fresh
 one) reproduces records and reports byte-for-byte with zero backend calls.
+A run rewrites only the files whose bytes change (``write_bytes``), so a
+no-op rerun leaves every file of the directory untouched.
 
 A run is a pipeline of (puzzle, sample) pools, one ``_Pool`` each. A pool
 is started when its prompts are rendered and keyed and its missing
@@ -31,7 +33,6 @@ import fcntl
 import hashlib
 import json
 import os
-import shutil
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ from .records import (
     SelectionRow,
     append_jsonl,
     load_records,
+    write_bytes,
     write_jsonl,
 )
 # run() calls write_reports as this module's global, so it can be wrapped here
@@ -132,14 +134,6 @@ def build_corpus(config: ExperimentConfig) -> list[Puzzle]:
         for offset in range(count):
             puzzles.append(generate_zebra(houses, attrs, seed=spec.seed + offset))
     return puzzles
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def apply_criterion(
@@ -382,10 +376,12 @@ class _Runner:
         run_dir = config.run_dir
 
         corpus_path = os.path.join(run_dir, CORPUS_FILE)
-        if not config.corpus_path:
-            write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
-        elif os.path.abspath(config.corpus_path) != os.path.abspath(corpus_path):
-            shutil.copyfile(config.corpus_path, corpus_path)
+        if config.corpus_path:
+            with open(config.corpus_path, "rb") as handle:
+                corpus_bytes = handle.read()
+            write_bytes(corpus_path, corpus_bytes)
+        else:
+            corpus_bytes = write_jsonl(corpus_path, [puzzle_to_obj(p) for p in corpus])
 
         records_path = os.path.join(run_dir, RECORDS_FILE)
         stored = load_records(records_path, torn="truncate") if os.path.exists(records_path) else []
@@ -464,7 +460,7 @@ class _Runner:
             os.remove(failures_path)
 
         tables = write_reports(run_dir, self.records, self.selections)
-        self._write_manifest(run_dir, corpus_path, len(corpus))
+        self._write_manifest(run_dir, hashlib.sha256(corpus_bytes).hexdigest(), len(corpus))
 
         backend_calls = self.client.stats.backend_calls
         if self.verifier_client is not self.client:
@@ -479,12 +475,12 @@ class _Runner:
             exit_code=2 if self.failures else 0,
         )
 
-    def _write_manifest(self, run_dir: str, corpus_path: str, corpus_size: int) -> None:
+    def _write_manifest(self, run_dir: str, corpus_sha256: str, corpus_size: int) -> None:
         config = self.config
         manifest = {
             "package_version": __version__,
             "template_version": TEMPLATE_VERSION,
-            "corpus_sha256": _sha256_file(corpus_path),
+            "corpus_sha256": corpus_sha256,
             "corpus_size": corpus_size,
             "strategies": list(config.strategies),
             "criteria": list(config.criteria),
@@ -496,9 +492,8 @@ class _Runner:
             "journal_format": JOURNAL_FORMAT,
             "record_count": len(self.records),
         }
-        with open(os.path.join(run_dir, MANIFEST_FILE), "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, ensure_ascii=False)
-            handle.write("\n")
+        text = json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
+        write_bytes(os.path.join(run_dir, MANIFEST_FILE), text.encode("utf-8"))
 
 
 def run(config: ExperimentConfig) -> RunResult:

@@ -1,4 +1,5 @@
-"""JSON-lines files and the one rule for reading them.
+"""JSON-lines files, the one rule for reading them, and the one writer of
+whole files.
 
 Every line is written with its newline in one write, so a final line
 without one is a write cut short (a killed run). The process that holds the
@@ -7,6 +8,12 @@ starts on a clean line; any other reader (``report``, ``sweep``) skips it
 with a warning and writes nothing, because a run may still be appending
 that line. Any other line that cannot be read is a DataError naming the
 file and the line.
+
+Every file a run or a command writes whole (a corpus, the selection rows,
+the failures, the reports, the manifest, a sweep) goes through
+``write_bytes``, which leaves a file that already holds the bytes as it is:
+a no-op rerun or ``report`` rewrites no file and keeps every file's inode
+and mtime.
 """
 
 from __future__ import annotations
@@ -78,14 +85,34 @@ def read_jsonl(path: str, torn: str = "skip") -> list[dict[str, Any]]:
     return [obj for _, _, obj in read_lines(path, parse_object, torn)]
 
 
-def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+def write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
+    """Make ``data`` the whole content of ``path``. A file that already holds
+    exactly these bytes (its size first, then its bytes) is not opened for
+    writing; any other, or none, is written as ``open(path, "wb")`` writes."""
+    try:
+        if os.stat(path).st_size == len(data):
+            with open(path, "rb") as handle:
+                if handle.read() == data:
+                    return
+    except OSError:  # no file, or one that cannot be read: write it
+        pass
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def _lines(objs: Iterable[dict[str, Any]]) -> bytes:
+    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs).encode("utf-8")
+
+
+def write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> bytes:
+    """Write the objects' lines as the whole file through ``write_bytes``;
+    return the file's bytes."""
+    data = _lines(objs)
+    write_bytes(path, data)
+    return data
 
 
 def append_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
     """Append the objects' lines with one open and one write."""
-    text = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
     with open(path, "ab") as handle:
-        handle.write(text.encode("utf-8"))
+        handle.write(_lines(objs))

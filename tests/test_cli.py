@@ -29,6 +29,17 @@ def test_gen_is_deterministic(tmp_path):
     assert main(["gen", "--out", str(first)] + args) == 0
     assert main(["gen", "--out", str(second)] + args) == 0
     assert first.read_bytes() == second.read_bytes()
+    # generating into a file that holds the corpus leaves it untouched
+    os.utime(first, ns=(10**18, 10**18))
+    assert main(["gen", "--out", str(first)] + args) == 0
+    assert first.stat().st_mtime_ns == 10**18
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_gen_one_puzzle_per_size(tmp_path):
+    out = tmp_path / "one.jsonl"
+    assert main(["gen", "--out", str(out), "--kk-sizes", "3,4", "--kk-per-size", "1"]) == 0
+    assert [puzzle_from_obj(json.loads(line)).n_chars for line in out.read_text().splitlines()] == [3, 4]
 
 
 def test_gen_requires_a_spec(tmp_path, capsys):
@@ -160,6 +171,14 @@ def test_run_report_sweep_roundtrip(world_run, capsys):
     assert rc == 0
     lines = sweep_out.read_text().strip().splitlines()
     assert len(lines) == 101  # header + 100 grid points
+
+    # one point is the grid (0,): the file is rewritten, then left as it is
+    for _ in range(2):
+        os.utime(sweep_out, ns=(10**18, 10**18))
+        rc = main(["sweep", "--run-dir", run_dir, "--criterion", "max_prob", "--points", "1", "--out", str(sweep_out)])
+        assert rc == 0
+        assert sweep_out.read_text().splitlines()[1:] == lines[1:2]
+    assert sweep_out.stat().st_mtime_ns == 10**18
 
     capsys.readouterr()
     for points in ("0", "-3"):

@@ -1,5 +1,6 @@
 import fcntl
 import functools
+import hashlib
 import importlib
 import inspect
 import json
@@ -1148,15 +1149,61 @@ def test_resume_keeps_only_this_runs_records(tmp_path, world, change, calls, cou
     assert tables == {name: (run_dir / name).read_bytes() for name in tables}
 
 
+def _run_files(run_dir: Path) -> dict[str, tuple[bytes, int, int]]:
+    return {path.name: (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns) for path in run_dir.iterdir()}
+
+
 def test_noop_rerun_leaves_records_file_untouched(tmp_path, world):
+    """A no-op rerun from a corpus file and from a generate spec, and
+    ``logicpool report`` over a finished directory, leave every file of the
+    run directory as it was: its bytes, its inode and its mtime."""
     _, paths = world
-    config = mock_config(tmp_path, paths, run_name="noop")
-    run(config)
-    records_path = Path(config.run_dir, "records.jsonl")
-    before = records_path.stat()
-    assert run(config).backend_calls == 0
-    after = records_path.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    script = tmp_path / "generic.json"
+    script.write_text(json.dumps({"responses": [{"match": "", "text": "Answer: nothing"}]}))
+    generated = ExperimentConfig(
+        run_dir=str(tmp_path / "generated"),
+        generate=GenerateSpec(kk_sizes=(3,), kk_per_size=2, zebra_configs=((2, 2, 1),), seed=11),
+        backend=BackendConfig(kind="mock", script_path=str(script)),
+    )
+    cases = [
+        ("corpus", mock_config(tmp_path, paths, run_name="noop"), run),
+        ("generate", generated, run),
+        ("report", mock_config(tmp_path, paths, run_name="report"), lambda config: cli_main(["report", "--run-dir", config.run_dir])),
+    ]
+    for case, config, again in cases:
+        assert run(config).exit_code == 0, case
+        run_dir = Path(config.run_dir)
+        for path in run_dir.iterdir():
+            os.utime(path, ns=(10**18, 10**18))  # in 2001: a write would move it to now
+        before = _run_files(run_dir)
+        assert {"corpus.jsonl", "records.jsonl", "selections.jsonl", "report.md", "manifest.json"} <= set(before)
+        result = again(config)
+        assert result == 0 if case == "report" else result.backend_calls == 0, case
+        after = _run_files(run_dir)
+        assert sorted(after) == sorted(before), case
+        assert [name for name in sorted(before) if after[name] != before[name]] == [], case
+
+
+def test_manifest_hashes_the_corpus_file_the_run_holds(tmp_path, world):
+    """From a corpus file and from a generate spec, ``manifest.json`` holds
+    the sha256 of the run's ``corpus.jsonl`` (for a corpus file, its bytes),
+    the corpus and record counts, as two-space indented JSON and a newline."""
+    _, paths = world
+    spec = GenerateSpec(kk_sizes=(3,), kk_per_size=2, zebra_configs=((2, 2, 1),), seed=11)
+    for config, size in (
+        (mock_config(tmp_path, paths, criteria=("oracle",)), 4),
+        (mock_config(tmp_path, paths, run_name="gen", corpus_path=None, generate=spec, criteria=("oracle",)), 3),
+    ):
+        result = run(config)
+        run_dir = Path(config.run_dir)
+        corpus = (run_dir / "corpus.jsonl").read_bytes()
+        if config.corpus_path:
+            assert corpus == Path(config.corpus_path).read_bytes()
+        text = (run_dir / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
+        assert manifest["corpus_sha256"] == hashlib.sha256(corpus).hexdigest()
+        assert (manifest["corpus_size"], manifest["record_count"]) == (size, len(result.records))
 
 
 def test_puzzles_with_one_prompt_keep_their_own_records(tmp_path, world):

@@ -1,3 +1,4 @@
+import json
 import logging
 import os
 import tempfile
@@ -88,3 +89,46 @@ def test_read_lines_matches_a_splitlines_model(lines, final_newline, torn):
             assert os.path.getsize(path) == size
     finally:
         logger.removeHandler(handler)
+
+
+_NEW = b'{"a": 1}\n{"b": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "old",
+    [
+        None,
+        b'{"a": 1}\n{"b": 3}\n',
+        _NEW[:-9],
+        _NEW + b'{"c": 3}\n',
+        _NEW[:-3],  # a prefix of the new bytes: a write cut short
+        b"",
+    ],
+    ids=["missing", "same-size", "shorter", "longer", "torn", "empty"],
+)
+def test_write_bytes_rewrites_a_file_that_differs(tmp_path, old):
+    path = tmp_path / "out.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+    jsonl.write_bytes(str(path), _NEW)
+    assert path.read_bytes() == _NEW
+
+
+def test_write_bytes_leaves_a_file_that_holds_the_bytes_untouched(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(_NEW)
+    os.utime(path, ns=(10**18, 10**18))  # in 2001: opening it for writing would move it to now
+    before = path.stat()
+    jsonl.write_bytes(str(path), _NEW)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert path.read_bytes() == _NEW
+
+
+def test_write_jsonl_returns_the_bytes_it_leaves_in_the_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    objs = [{"a": "é "}, {"b": [1, 2.5, None]}]
+    data = jsonl.write_jsonl(str(path), objs)
+    assert data == path.read_bytes()
+    assert data == "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs).encode("utf-8")
+    assert jsonl.read_jsonl(str(path)) == objs

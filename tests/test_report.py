@@ -75,6 +75,20 @@ def test_closed_world_run_files_are_pinned(tmp_path):
     assert records == (GOLDEN / "samples2_records.jsonl").read_bytes()
 
 
+def test_a_run_of_one_family_writes_only_its_reports(tmp_path):
+    """A fresh run whose corpus has no zebra puzzles writes the kk reports
+    and no zebra report."""
+    paths = ClosedWorld().write(tmp_path)
+    kk_corpus = tmp_path / "kk.jsonl"
+    lines = Path(paths["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    kk_corpus.write_text("".join(line for line in lines if '"family": "kk"' in line), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    backend = BackendConfig(kind="mock", script_path=paths["script"])
+    result = run(ExperimentConfig(run_dir=str(run_dir), corpus_path=str(kk_corpus), backend=backend))
+    assert result.exit_code == 0 and list(result.tables) == ["kk"]
+    assert [name for name in REPORT_FILES if (run_dir / name).exists()] == ["report.md", "report_kk.csv"]
+
+
 def test_report_files_of_a_family_without_records_are_removed(tmp_path):
     """A resume whose corpus has no zebra puzzles leaves no zebra report
     behind, and neither does ``logicpool report`` over its records."""
