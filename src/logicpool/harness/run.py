@@ -21,8 +21,11 @@ selects all pools in one call (``selection.select_pools``).
 
 The thread that calls ``run()`` is the only one that touches a journal:
 it keys every request, serves journal hits, keeps one future per key in
-flight and appends each landed response. The worker threads only run the
-backend's calls. A replay's clients have no backend, so it starts nothing.
+flight and appends each landed response. It also runs the backend's calls
+itself until one of them waits; from then on, and from the first call
+when a client calls an endpoint, ``concurrency`` worker threads run them
+(``_CallPlacer``), and the workers only run the backend's calls. A
+replay's clients have no backend, so it starts nothing.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ import fcntl
 import hashlib
 import json
 import os
+import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import ConfigError, LogicPoolError
-from ..inference import JOURNAL_FORMAT, JournalingClient, generate_request, probability_request
+from ..inference import JOURNAL_FORMAT, InferenceClient, JournalingClient, OpenAIClient, generate_request, probability_request
 from ..prompts import TEMPLATE_VERSION, RenderedPrompt, Strategy, prompt_fills, render
 from ..puzzles import Puzzle, generate_kk, generate_zebra, puzzle_to_obj, read_puzzles
 from ..scoring import score_response, segment
@@ -154,6 +158,64 @@ def apply_criterion(
     if criterion == VOTE_VERIFIER:
         return vote_plus_verifier(pool)
     raise ConfigError(f"unknown criterion {criterion!r}")
+
+
+# How far a call's wall time must exceed twice its thread CPU time for the
+# call to count as waiting. A call that only computes still loses the CPU
+# to other processes for a scheduler slice or two: with two busy processes
+# on two cores, 8 in 6,000 such calls ran over 5 ms past twice their CPU
+# time and 1 over 10 ms. A longer call is preempted more often, hence the
+# factor. An endpoint's calls are not timed at all (``_CallPlacer.add``).
+WAIT_MARGIN_S = 0.010
+
+
+class _CallPlacer:
+    """Runs a run's backend calls on the run thread until one of them waits,
+    then hands each later call to ``workers`` threads.
+
+    A backend that computes on the calling thread (the mock) gains nothing
+    from worker threads: they only pass the interpreter lock back and forth
+    with the run thread. So a call runs inline while no call has waited. A
+    call waited when its wall time exceeds twice its thread CPU time by
+    ``WAIT_MARGIN_S``; measured on the run thread, no other thread of the
+    run holds the interpreter lock, so the gap is time spent off the CPU
+    (work the backend does on other threads or a device counts as waiting).
+    The switch is one-way, and the first call that waits runs alone. A run
+    with an endpoint client starts on the workers instead (``add``).
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.pool: ThreadPoolExecutor | None = None  # None until a call waits
+
+    def add(self, client: InferenceClient | None) -> None:
+        """Note a client whose calls this placer runs. Every call to an
+        endpoint (``OpenAIClient``) waits on the network, however fast the
+        endpoint answers, so from a run with one every call goes to the
+        workers: timing a quick first call could keep the run serial."""
+        if isinstance(client, OpenAIClient) and self.pool is None:
+            self.pool = ThreadPoolExecutor(max_workers=self.workers)
+
+    def submit(self, fn, /, *args) -> Future:
+        """The future of ``fn(*args)``: done when the call ran inline. Like
+        an executor's, it holds an ``Exception`` the call raised; any other
+        ``BaseException`` (an interrupt) propagates."""
+        if self.pool is not None:
+            return self.pool.submit(fn, *args)
+        future: Future = Future()
+        wall, cpu = time.monotonic(), time.thread_time()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        if time.monotonic() - wall > 2 * (time.thread_time() - cpu) + WAIT_MARGIN_S:
+            self.pool = ThreadPoolExecutor(max_workers=self.workers)
+        return future
+
+    def shutdown(self) -> None:
+        """Drop the calls not started yet and wait for the running ones."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -390,7 +452,7 @@ class _Runner:
         existing = {(r.puzzle_id, r.key): r for r in stored if r.error is None}
 
         strategies = config.strategy_pool()
-        executor = ThreadPoolExecutor(max_workers=config.concurrency)
+        calls = _CallPlacer(config.concurrency)
         ahead = 2 * config.concurrency
         started: deque[_Pool] = deque()
         # scored pools, in corpus order, whose verification calls may still be in flight
@@ -408,14 +470,16 @@ class _Runner:
         try:
             # replay means no inner client: a journal miss is an error
             inner = None if config.replay else config.backend.build()
+            calls.add(inner)
             path = os.path.join(run_dir, JOURNAL_FILE)
             self.client = self.verifier_client = journals.enter_context(
-                JournalingClient(path, inner, executor.submit)
+                JournalingClient(path, inner, calls.submit)
             )
             if config.verifier_backend is not None:
                 verifier_inner = None if config.replay else config.verifier_backend.build()
+                calls.add(verifier_inner)
                 path = os.path.join(run_dir, VERIFIER_JOURNAL_FILE)
-                self.verifier_client = journals.enter_context(JournalingClient(path, verifier_inner, executor.submit))
+                self.verifier_client = journals.enter_context(JournalingClient(path, verifier_inner, calls.submit))
             for puzzle in corpus:
                 fills, patterns = prompt_fills(puzzle), answer_patterns(puzzle)
                 for sample in range(config.samples):
@@ -441,7 +505,7 @@ class _Runner:
                     while waiting:
                         self._finish(waiting.popleft(), records_path)
                 finally:
-                    executor.shutdown(cancel_futures=True)
+                    calls.shutdown()
 
         self._select()
 

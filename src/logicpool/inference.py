@@ -541,8 +541,9 @@ def _keyed(method: str, prompt: RenderedPrompt | str, arg: Any) -> tuple[str, di
 
 
 def _timed(call: Callable[..., T], *args: Any) -> tuple[T, float]:
-    """``call(*args)`` and its wall time in seconds. This is all a worker
-    thread runs, so a journaled ``elapsed_s`` is the backend's latency."""
+    """``call(*args)`` and its wall time in seconds. This is all that
+    ``submit`` runs, on a worker thread or the owner's, so a journaled
+    ``elapsed_s`` is the backend's latency."""
     started = time.monotonic()
     result = call(*args)
     return result, round(time.monotonic() - started, 6)
@@ -596,8 +597,10 @@ class JournalingClient:
     its descriptor when it is garbage-collected.
 
     One thread owns the client and makes every call on it. ``start`` hands
-    a backend call to ``submit`` (an executor's), whose worker runs only
-    the inner client's method, and keeps one future per key in flight. A
+    a backend call to ``submit``, which returns its future, and keeps one
+    future per key in flight. ``submit`` may run the call on the owner's
+    thread and return a done future, or hand it to a worker thread that
+    runs only the inner client's method, as an executor's ``submit`` does. A
     blocking call (``generate_timed``, ``completion_probability``) takes
     that future and appends its entry, or serves a journal hit, or else
     calls the backend itself. A call that raised is no longer in flight.

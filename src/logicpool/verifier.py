@@ -100,8 +100,8 @@ def verify(question: str, chunked: ChunkedAnswer, client: InferenceClient, prefi
 
     The prefixes are asked one after another, so a journaling client
     appends the candidate's entries in prefix order. The run harness starts
-    every prefix call of a candidate on its workers first and calls this
-    once they have landed. A failed prefix (BackendError) fails the whole
+    every prefix call of a candidate first and calls this once they have
+    landed. A failed prefix (BackendError) fails the whole
     verification: a partial mean is never a score. The prefixes already
     answered stay in the journal, so a retry asks only for the rest.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import functools
 import hashlib
@@ -6,11 +7,12 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import threading
 import time
+import types
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from logicpool import inference
 from logicpool.cli import main as cli_main
 from logicpool.errors import BackendError, ConfigError
-from logicpool.inference import MockBackend, SamplingParams
+from logicpool.inference import MockBackend, OpenAIClient, SamplingParams
 from logicpool.harness.config import (
     BackendConfig,
     ExperimentConfig,
@@ -31,7 +33,7 @@ from logicpool.harness.config import (
 )
 from logicpool.harness.records import EvalRecord, SelectionRow, load_records, read_jsonl
 from logicpool.harness.report import stratify
-from logicpool.harness.run import build_corpus, run
+from logicpool.harness.run import _CallPlacer, build_corpus, run
 from logicpool.harness.sweep import sweep
 from logicpool.prompts import Strategy
 from logicpool.puzzles import puzzle_to_obj, read_puzzles
@@ -289,11 +291,6 @@ def test_each_distinct_request_costs_one_backend_call(tmp_path, world):
         assert result.backend_calls == len(keys) == len(set(keys)) == 59
 
 
-class NoSubmitExecutor(ThreadPoolExecutor):
-    def submit(self, fn, /, *args, **kwargs):
-        pytest.fail("a replay sent work to the worker pool")
-
-
 def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world, monkeypatch):
     """A replay has no backend to wait on: every journal hit and every
     verification runs on the calling thread, with the same files."""
@@ -305,7 +302,7 @@ def test_replay_into_fresh_directory_is_byte_identical(tmp_path, world, monkeypa
     os.makedirs(run_b_dir)
     shutil.copyfile(os.path.join(config_a.run_dir, "journal.jsonl"), run_b_dir / "journal.jsonl")
     run_module = importlib.import_module("logicpool.harness.run")
-    monkeypatch.setattr(run_module, "ThreadPoolExecutor", NoSubmitExecutor)
+    monkeypatch.setattr(run_module._CallPlacer, "submit", lambda *args: pytest.fail("a replay started a backend call"))
     config_b = mock_config(tmp_path, paths, run_name="runB", replay=True)
     result_b = run(config_b)
     assert result_b.exit_code == 0 and result_b.backend_calls == 0
@@ -847,18 +844,47 @@ def test_a_crash_at_a_drawn_call_and_a_cut_in_the_last_journal_line_resumes(
     else:
         assert resumed.backend_calls <= 40 - k
 
-def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
-    """Run with one worker and all criteria, and return what happened in
-    order: each submission to the worker pool ("generate", or "verify" for
-    a verification prefix) and each response scored ("score")."""
-    run_module = importlib.import_module("logicpool.harness.run")
-    events = []
 
-    class RecordingExecutor(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            call = args[0]  # the inner backend's method that the worker runs
-            events.append("verify" if call.__name__ == "completion_probability" else "generate")
-            return super().submit(fn, *args, **kwargs)
+class SleepingMock(MockBackend):
+    """A mock whose generations take at least ``sleep_s`` seconds."""
+
+    def __init__(self, script, sleep_s):
+        super().__init__(script)
+        self.sleep_s = sleep_s
+
+    def generate(self, prompt, params):
+        time.sleep(self.sleep_s)
+        return super().generate(prompt, params)
+
+
+@dataclass
+class SleepingBackendConfig(BackendConfig):
+    sleep_s: float = 0.0
+
+    def build(self):
+        with open(self.script_path) as handle:
+            return SleepingMock(json.load(handle), self.sleep_s)
+
+
+# a generation sleep that the run reads as waiting (``harness.run.WAIT_MARGIN_S``)
+WAIT_S = 0.02
+
+
+def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
+    """Run with one worker, all criteria and a backend that waits from its
+    first call, and return what happened in order: each backend call
+    submitted ("generate", or "verify" for a verification prefix) and each
+    response scored ("score"). The first call runs on the run thread and
+    every later one goes to the worker."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    events, pooled = [], []
+    real_submit = run_module._CallPlacer.submit
+
+    def submit(self, fn, /, *args):
+        call = args[0]  # the inner backend's method that the call runs
+        events.append("verify" if call.__name__ == "completion_probability" else "generate")
+        pooled.append(self.pool is not None)
+        return real_submit(self, fn, *args)
 
     real_score = run_module.score_response
 
@@ -866,12 +892,14 @@ def submissions_and_scores(tmp_path, paths, monkeypatch, run_name):
         events.append("score")
         return real_score(*args)
 
-    monkeypatch.setattr(run_module, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(run_module._CallPlacer, "submit", submit)
     monkeypatch.setattr(run_module, "score_response", scoring)
-    config = mock_config(tmp_path, paths, run_name=run_name, concurrency=1)
+    backend = SleepingBackendConfig(kind="mock", script_path=paths["script"], sleep_s=WAIT_S)
+    config = mock_config(tmp_path, paths, run_name=run_name, backend=backend, concurrency=1)
     assert set(config.criteria) == set(CRITERIA)
     assert run(config).exit_code == 0
     assert events.count("generate") == events.count("score") == 20
+    assert pooled == [False] + [True] * (len(pooled) - 1)
     return events
 
 
@@ -893,12 +921,13 @@ def test_verifications_queue_behind_the_window_not_every_generation(tmp_path, wo
     assert events.index("verify") < last_generation
 
 
-class GatedVerifierMock(MockBackend):
+class GatedVerifierMock(SleepingMock):
     """The first prefix call for one pool waits until the first prefix call
-    for another pool arrives, and fails after 5 s without it."""
+    for another pool arrives, and fails after 5 s without it. Generations
+    sleep, so the run sends every call after its first to the workers."""
 
     def __init__(self, script, waiting_marker, opening_marker):
-        super().__init__(script)
+        super().__init__(script, WAIT_S)
         self.waiting_marker = waiting_marker
         self.opening_marker = opening_marker
         self.gate = threading.Event()
@@ -1022,27 +1051,6 @@ def test_criteria_change_on_resume_matches_a_fresh_run(tmp_path, world, criteria
         assert Path(resumed.run_dir, name).read_bytes() == Path(fresh.run_dir, name).read_bytes(), name
 
 
-class SleepingMock(MockBackend):
-    """A mock whose generations take at least ``sleep_s`` seconds."""
-
-    def __init__(self, script, sleep_s):
-        super().__init__(script)
-        self.sleep_s = sleep_s
-
-    def generate(self, prompt, params):
-        time.sleep(self.sleep_s)
-        return super().generate(prompt, params)
-
-
-@dataclass
-class SleepingBackendConfig(BackendConfig):
-    sleep_s: float = 0.0
-
-    def build(self):
-        with open(self.script_path) as handle:
-            return SleepingMock(json.load(handle), self.sleep_s)
-
-
 def test_journaled_latency_is_the_backend_call(tmp_path, world):
     """``elapsed_s`` times the backend call on its worker: in a threaded run
     it lies between the backend's sleep and the run's wall time, and a
@@ -1072,7 +1080,8 @@ def test_journaled_latency_is_the_backend_call(tmp_path, world):
 def test_only_the_run_thread_touches_a_journal(tmp_path, world, monkeypatch):
     """Every ``JournalingClient`` method runs on the thread that called
     run(), in a threaded cold run, a rerun and a replay; the cold run's
-    backend calls all run on the workers."""
+    backend waits from its first call, so that call runs on the run thread
+    and every later one on the workers."""
     _, paths = world
     owner = threading.get_ident()
     client_threads, backend_threads = [], []
@@ -1092,9 +1101,10 @@ def test_only_the_run_thread_touches_a_journal(tmp_path, world, monkeypatch):
         monkeypatch.setattr(MockBackend, name, recording(getattr(MockBackend, name), backend_threads))
 
     os.makedirs(tmp_path / "owner_replay")
+    backend = SleepingBackendConfig(kind="mock", script_path=paths["script"], sleep_s=WAIT_S)
     steps = [
-        ("cold", mock_config(tmp_path, paths, run_name="owner", samples=2, concurrency=4)),
-        ("rerun", mock_config(tmp_path, paths, run_name="owner", samples=2, concurrency=4)),
+        ("cold", mock_config(tmp_path, paths, run_name="owner", backend=backend, samples=2, concurrency=4)),
+        ("rerun", mock_config(tmp_path, paths, run_name="owner", backend=backend, samples=2, concurrency=4)),
         ("replay", mock_config(tmp_path, paths, run_name="owner_replay", samples=2, concurrency=4, replay=True)),
     ]
     for step, config in steps:
@@ -1107,9 +1117,251 @@ def test_only_the_run_thread_touches_a_journal(tmp_path, world, monkeypatch):
         assert client_threads and set(client_threads) == {owner}, step
         if step == "cold":
             assert len(backend_threads) == result.backend_calls == 59
-            assert owner not in backend_threads
+            assert backend_threads[0] == owner and owner not in backend_threads[1:]
         else:
             assert backend_threads == [], step
+
+
+@pytest.fixture
+def steady_clock(monkeypatch):
+    """The placer's wall clock advances only as its thread's CPU time does,
+    so no call reads as waiting, however the scheduler treats the test."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    steady = types.SimpleNamespace(monotonic=time.thread_time, thread_time=time.thread_time)
+    monkeypatch.setattr(run_module, "time", steady)
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """The placer's clocks, advanced only by ``spend(wall, cpu)``."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    clock = {"wall": 0.0, "cpu": 0.0}
+    fake = types.SimpleNamespace(monotonic=lambda: clock["wall"], thread_time=lambda: clock["cpu"])
+    monkeypatch.setattr(run_module, "time", fake)
+
+    def spend(wall, cpu):
+        clock["wall"] += wall
+        clock["cpu"] += cpu
+
+    return spend
+
+
+def record_threads(monkeypatch, backend_class):
+    """The thread of each call to the backend class's two methods, recorded
+    as the call starts."""
+    threads = []
+    for name in ("generate", "completion_probability"):
+        real = getattr(backend_class, name)
+
+        def recording(*args, real=real):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(backend_class, name, recording)
+    return threads
+
+
+def test_a_backend_that_never_waits_runs_every_call_on_the_run_thread(tmp_path, world, monkeypatch, steady_clock):
+    """The closed world's mock only computes: a cold run makes every backend
+    call on the thread that called run(), starts no thread, and writes the
+    golden files."""
+    _, paths = world
+    before = threading.active_count()
+    counts = []
+    threads = record_threads(monkeypatch, MockBackend)
+    real = MockBackend.generate
+    monkeypatch.setattr(MockBackend, "generate", lambda *args: counts.append(threading.active_count()) or real(*args))
+    config = mock_config(tmp_path, paths, run_name="inline", samples=2)
+    result = run(config)
+    assert result.exit_code == 0
+    assert len(threads) == result.backend_calls == 59
+    assert set(threads) == {threading.get_ident()}
+    assert set(counts) == {before} and threading.active_count() == before
+    golden = Path(__file__).parent / "golden" / "closed_world"
+    run_dir = Path(config.run_dir)
+    assert (run_dir / "selections.jsonl").read_bytes() == (golden / "samples2_selections.jsonl").read_bytes()
+    records = re.sub(rb', "elapsed_s": [^,}]+', b"", (run_dir / "records.jsonl").read_bytes())
+    assert records == (golden / "samples2_records.jsonl").read_bytes()
+
+
+def test_calls_that_sleep_run_on_the_workers_after_the_first(tmp_path):
+    """At concurrency 2, of 20 calls that sleep 20 ms, the first runs alone
+    on the calling thread and the rest on the two workers, so the 20 take
+    under 0.75 of their serial sum."""
+    placer = _CallPlacer(2)
+
+    def call():
+        time.sleep(WAIT_S)
+        return threading.get_ident()
+
+    began = time.monotonic()
+    try:
+        threads = [future.result(timeout=5) for future in [placer.submit(call) for _ in range(20)]]
+    finally:
+        placer.shutdown()
+    wall = time.monotonic() - began
+    assert threads[0] == threading.get_ident()
+    assert len(set(threads[1:])) == 2 and threading.get_ident() not in threads[1:]
+    assert wall < 0.75 * 20 * WAIT_S, wall
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_calls_that_compute_then_sleep_switch_after_the_first_sleep(k, fake_clock):
+    """A backend that computes for its first k calls (2 ms of CPU time each)
+    and then sleeps (20 ms): calls 1 to k+1 run on the calling thread, and
+    the workers start after call k+1."""
+    placer = _CallPlacer(2)
+
+    def call(i):
+        fake_clock(0.002, 0.002) if i < k else fake_clock(WAIT_S, 0.0)
+        return threading.get_ident()
+
+    futures = []
+    try:
+        for i in range(k + 3):
+            futures.append(placer.submit(call, i))
+            assert (placer.pool is not None) == (i >= k), i
+        threads = [future.result(timeout=5) for future in futures]
+    finally:
+        placer.shutdown()
+    owner = threading.get_ident()
+    assert threads[: k + 1] == [owner] * (k + 1)
+    assert owner not in threads[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "wall, cpu, waited",
+    [
+        (None, 0.0, False),  # exactly the margin over twice its CPU time
+        (0.0101, 0.0, True),
+        (0.0099, 0.0, False),
+        (0.0181, 0.004, True),  # twice 4 ms of CPU time, and the margin, is 18 ms
+        (0.0179, 0.004, False),
+        (0.004, 0.004, False),
+    ],
+)
+def test_a_call_waited_when_its_wall_time_exceeds_twice_its_cpu_time_by_the_margin(fake_clock, wall, cpu, waited):
+    """The placer reads the call's wall and thread CPU time from the clocks;
+    here a fake clock advances by the given amounts during the call."""
+    run_module = importlib.import_module("logicpool.harness.run")
+    if wall is None:
+        wall = 2 * cpu + run_module.WAIT_MARGIN_S
+
+    def call():
+        fake_clock(wall, cpu)
+        return "done"
+
+    placer = _CallPlacer(2)
+    try:
+        assert placer.submit(call).result() == "done"
+        assert (placer.pool is not None) == waited
+    finally:
+        placer.shutdown()
+
+
+def test_an_inline_call_keeps_its_exception_in_its_future():
+    """A call that raises an ``Exception`` on the calling thread returns a
+    done future holding it, as an executor's would."""
+    placer = _CallPlacer(2)
+    future = placer.submit(functools.partial(int, "x"))
+    assert future.done() and isinstance(future.exception(), ValueError)
+    assert placer.pool is None
+
+
+def test_a_backend_error_in_an_inline_call_costs_one_failure_row(tmp_path, world, monkeypatch, steady_clock):
+    """The prefix calls of kkA's no_strategy candidate raise a BackendError
+    on the run thread: the run writes one failure row, exits 2, and keeps
+    every other result of a clean run."""
+    world_obj, paths = world
+    backend = FailingVerifierConfig(
+        kind="mock", script_path=paths["script"], marker=world_obj.marker("kkA", "no_strategy")
+    )
+    threads = record_threads(monkeypatch, FailingVerifierMock)
+    result = run(mock_config(tmp_path, paths, run_name="inline_error", backend=backend))
+    assert threads and set(threads) == {threading.get_ident()}
+    assert result.exit_code == 2
+    kk_a = world_obj.puzzles["kkA"].puzzle_id
+    assert [(f["kind"], f["puzzle_id"], f["strategy"]) for f in result.failures] == [("verify", kk_a, "no_strategy")]
+    clean = run(mock_config(tmp_path, paths, run_name="inline_clean")).records
+    failed = (kk_a, "no_strategy")
+    expected = [dataclasses.replace(r, verifier=None) if (r.puzzle_id, r.strategy) == failed else r for r in clean]
+    assert without_timing(result.records) == without_timing(expected)
+
+
+class InterruptingMock(CountdownMock):
+    """A mock interrupted, as by Ctrl-C, on its first call after ``calls``."""
+
+    def _spend(self):
+        try:
+            super()._spend()
+        except RuntimeError:
+            raise KeyboardInterrupt from None
+
+
+@dataclass
+class InterruptingBackendConfig(CountdownBackendConfig):
+    def build(self):
+        with open(self.script_path) as handle:
+            return InterruptingMock(json.load(handle), self.calls)
+
+
+@pytest.mark.parametrize("k", [0, 7, 30])
+def test_an_interrupt_in_an_inline_call_leaves_no_torn_journal_line(tmp_path, world, k, steady_clock):
+    """A KeyboardInterrupt in the backend's (k+1)-th call, on the run
+    thread, propagates out of run(). The journal holds the k calls before
+    it, each on a whole line, and the resume pays only for the rest."""
+    _, paths = world
+    criteria = ("majority_vote", "verifier", "oracle")
+    backend = InterruptingBackendConfig(kind="mock", script_path=paths["script"], calls=k)
+    config = mock_config(tmp_path, paths, run_name="interrupted", criteria=criteria, backend=backend)
+    with pytest.raises(KeyboardInterrupt):
+        run(config)
+    journal = Path(config.run_dir, "journal.jsonl")
+    data = journal.read_bytes() if journal.exists() else b""
+    assert data.count(b"\n") == k and data.endswith(b"\n") == bool(k)
+    kinds = [json.loads(line)["kind"] for line in data.splitlines()]
+    assert kinds.count("generate") == min(k, 20)
+    resumed = run(mock_config(tmp_path, paths, run_name="interrupted", criteria=criteria))
+    assert resumed.exit_code == 0 and resumed.backend_calls == 39 - k
+    fresh = run(mock_config(tmp_path, paths, run_name="interrupted_fresh", criteria=criteria))
+    assert run_outputs(resumed.run_dir) == run_outputs(fresh.run_dir)
+
+
+class EndpointMock(OpenAIClient):
+    """An endpoint client whose calls the mock answers at once, with no
+    network: the run sees an ``OpenAIClient`` that never waits."""
+
+    def __init__(self, script):
+        super().__init__("http://127.0.0.1:9/v1", model="m", max_retries=0)
+        self.mock = MockBackend(script)
+
+    def generate(self, prompt, params):
+        return self.mock.generate(prompt, params)
+
+    def completion_probability(self, prompt_text_, candidates):
+        return self.mock.completion_probability(prompt_text_, candidates)
+
+
+@dataclass
+class EndpointConfig(BackendConfig):
+    def build(self):
+        with open(self.script_path) as handle:
+            return EndpointMock(json.load(handle))
+
+
+@pytest.mark.parametrize("where", ["backend", "verifier_backend"])
+def test_a_run_with_an_endpoint_sends_every_call_to_the_workers(tmp_path, world, monkeypatch, steady_clock, where):
+    """An endpoint waits on the network however fast it answers, so a run
+    whose backend or verifier backend is one sends every backend call to
+    the workers from the first, though no call reads as waiting here."""
+    _, paths = world
+    threads = record_threads(monkeypatch, MockBackend)
+    endpoint = EndpointConfig(kind="openai", script_path=paths["script"])
+    config = mock_config(tmp_path, paths, run_name=where, **{where: endpoint})
+    result = run(config)
+    assert result.exit_code == 0
+    assert len(threads) == result.backend_calls == 39  # 20 generations, 19 prefix calls
+    assert threading.get_ident() not in threads
 
 
 def test_temperature_change_on_resume_regenerates_every_record(tmp_path, world):
